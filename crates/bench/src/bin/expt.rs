@@ -1,64 +1,14 @@
 //! `expt` — regenerate any table or figure from the paper.
 //!
-//! ```text
-//! USAGE: expt <experiment>... [--smoke] [--substrate scalar|ml|ldp]
-//!                              [--sketch[=EPS]] [--double-oracle] [--json]
-//!                              [--recover]
-//!        | all | tables | figures | ablations
-//!        | benchdiff <baseline.json> <current.json> [tolerance]
+//! The full usage text, which `expt` also prints on a bad argument:
 //!
-//! experiments: table1 table2 fig4 fig5 fig6 fig7 fig8 table3 table4 fig9
-//!              ablate-k ablate-red ablate-discount ablate-mechanism ablate-sketch
-//!              sweep equilibrium collect bench
-//!
-//! flags: --smoke          tiny grids for pipeline checks (currently: equilibrium
-//!                         runs its 3x3 / 2-3-seed smoke game)
-//!        --substrate KIND equilibrium substrate: scalar (default), ml, ldp
-//!        --sketch[=EPS]   sketch-native defender: resolve trimming cuts from
-//!                         a GK quantile sketch (rank error EPS, default 0.02)
-//!                         and report equilibrium value vs epsilon
-//!        --double-oracle  equilibrium uses the best-response-oracle solver
-//!                         (small measured support grown by continuum best
-//!                         responses) instead of the dense payoff grid
-//!        --json           bench writes the BENCH_PR10.json snapshot
-//!        --recover        collect resumes from the spill manifests left under
-//!                         TRIMGAME_COLLECT_SPILL by an interrupted run, then
-//!                         proves the result bit-identical to an uninterrupted
-//!                         reference run
-//!
-//! collect runs the streaming collector service (sharded, batch-coalescing
-//! ingest) on the --substrate of choice and reports sustained rounds/sec,
-//! p99 ingest latency and the sharded-vs-single-stream ratio; --smoke
-//! shrinks it to CI scale and TRIMGAME_SWEEP_THREADS caps ingest threads.
-//!
-//! benchdiff compares two committed snapshots and exits 1 when a shared
-//! case regressed past the tolerance (default 3x) — the CI smoke gate.
-//!
-//! env: TRIMGAME_REPS=N           repetitions per point (default 10; paper 100)
-//!      TRIMGAME_SCALE=N          dataset instance divisor (default 64; paper 1)
-//!      TRIMGAME_SWEEP_THREADS=N  sweep worker count (default: all cores)
-//!      TRIMGAME_EQ_SEEDS=N       equilibrium seeds per payoff cell
-//!      TRIMGAME_EQ_SUBSTRATE=K  equilibrium substrate (same as --substrate)
-//!      TRIMGAME_EQ_SKETCH=EPS   sketch-native defender (same as --sketch)
-//!      TRIMGAME_EQ_ORACLE=1     double-oracle solver (same as --double-oracle)
-//!      TRIMGAME_COLLECT_SPILL=DIR  collect spills cold spans (and journals
-//!                               manifests) under DIR
-//!      TRIMGAME_FAULTS=SEED:RATE deterministic fault injection in collect
-//!      TRIMGAME_COLLECT_RECOVER=1  same as --recover
-//! ```
+#![doc = concat!("```text\n", include_str!("usage.txt"), "```")]
 
+use trimgame_bench::empirical::{parse_eq_seeds, parse_sketch_epsilon, SubstrateKind};
 use trimgame_bench::{run_experiment, EXPERIMENTS};
 
 fn usage() -> ! {
-    eprintln!(
-        "usage: expt <experiment>... [--smoke] [--substrate scalar|ml|ldp] \
-         [--sketch[=EPS]] [--json] | all | tables | figures | ablations"
-    );
-    eprintln!("experiments: {}", EXPERIMENTS.join(" "));
-    eprintln!(
-        "env: TRIMGAME_REPS (default 10), TRIMGAME_SCALE (default 64), \
-         TRIMGAME_SWEEP_THREADS, TRIMGAME_EQ_SEEDS, TRIMGAME_EQ_SUBSTRATE"
-    );
+    eprint!("{}", include_str!("usage.txt"));
     std::process::exit(2);
 }
 
@@ -70,6 +20,28 @@ fn set_substrate(value: &str) {
             usage();
         }
     }
+}
+
+/// Rejects malformed equilibrium inputs, from flags or the environment,
+/// before any experiment runs.
+fn validate_equilibrium_env() {
+    let check = |var: &str, parse: &dyn Fn(&str) -> Result<(), String>| {
+        if let Ok(raw) = std::env::var(var) {
+            if let Err(e) = parse(&raw) {
+                eprintln!("{var}: {e}");
+                usage();
+            }
+        }
+    };
+    check("TRIMGAME_EQ_SUBSTRATE", &|raw| {
+        SubstrateKind::parse(raw)
+            .map(drop)
+            .ok_or_else(|| format!("unknown substrate {raw:?} (expected scalar|ml|ldp)"))
+    });
+    check("TRIMGAME_EQ_SEEDS", &|raw| parse_eq_seeds(raw).map(drop));
+    check("TRIMGAME_EQ_SKETCH", &|raw| {
+        parse_sketch_epsilon(raw).map(drop)
+    });
 }
 
 /// `expt benchdiff <baseline.json> <current.json> [tolerance]`: compare
@@ -133,7 +105,7 @@ fn main() {
                 set_substrate(&flag["--substrate=".len()..]);
             }
             // Sketch-native defender; equilibrium reads it via
-            // EquilibriumConfig::from_env_for.
+            // EquilibriumConfig::from_env_for once validated below.
             "--sketch" => std::env::set_var("TRIMGAME_EQ_SKETCH", "1"),
             flag if flag.starts_with("--sketch=") => {
                 std::env::set_var("TRIMGAME_EQ_SKETCH", &flag["--sketch=".len()..]);
@@ -159,6 +131,9 @@ fn main() {
         // Flags alone (e.g. `expt --smoke`) select no experiment.
         usage();
     }
+    if ids.contains(&"equilibrium") {
+        validate_equilibrium_env();
+    }
     for (i, id) in ids.iter().enumerate() {
         if i > 0 {
             println!();
@@ -166,5 +141,21 @@ fn main() {
         let start = std::time::Instant::now();
         print!("{}", run_experiment(id));
         eprintln!("[{id} done in {:.1}s]", start.elapsed().as_secs_f64());
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn usage_lists_every_experiment() {
+        let usage = include_str!("usage.txt");
+        for id in EXPERIMENTS {
+            assert!(
+                usage.split_whitespace().any(|word| word == id),
+                "usage.txt omits {id}"
+            );
+        }
     }
 }

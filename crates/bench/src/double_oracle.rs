@@ -18,18 +18,22 @@
 //!    substrate's [`ClosedForm`] loss surface — zero engine runs per
 //!    golden-section probe. Only a candidate that improves the model
 //!    value by more than the tolerance gets *measured*: one new payoff
-//!    row/column through the same common-random-numbers sweep workers
+//!    row/column through the same common-random-numbers cell measurement
 //!    the dense grid uses. The restricted game is therefore solved over
 //!    measured data; the model only decides where to spend runs next.
-//! 2. **Grow-in-place arena + warm starts.** Payoff means and CIs live
-//!    in a stride-addressed arena sized once up front
-//!    (`PayoffArena`) — appending a support atom writes into reserved
-//!    slots, never reallocates, and never moves the already-measured
-//!    entries, so the matrix-growth monotonicity laws (an attacker
-//!    column never lowers the restricted value, a defender row never
-//!    raises it) hold exactly up to the solver's certified gap. Each
+//! 2. **Grow-in-place arena + warm starts.** The seed supports are
+//!    measured as one block into the same stride-addressed payoff arena
+//!    the dense estimate fills with its full grid, here sized for the
+//!    support caps up front — appending a support atom writes into
+//!    reserved slots, never reallocates, and never moves the
+//!    already-measured entries, so the matrix-growth monotonicity laws (an
+//!    attacker column never lowers the restricted value, a defender row
+//!    never raises it) hold exactly up to the solver's certified gap. Each
 //!    re-solve warm-starts fictitious play from the previous restricted
 //!    equilibrium ([`MatrixGame::solve_warm`]).
+//!
+//! The final restricted equilibrium gets the dense estimate's analytic
+//! cross-check, over the discovered supports.
 //!
 //! Every step — golden-section probes, placement refinement, cell
 //! measurement, fictitious play — is deterministic given the
@@ -37,7 +41,8 @@
 //! `TRIMGAME_SWEEP_THREADS`.
 
 use crate::empirical::{
-    measure_cells, standard_substrate, ClosedForm, EquilibriumConfig, GameSubstrate, SubstrateKind,
+    cross_check, measure_cells, standard_substrate, ClosedForm, EquilibriumConfig, GameSubstrate,
+    PayoffArena, SubstrateKind,
 };
 use std::fmt::Write as _;
 use trim_core::matrix::{MatrixGame, MixedEquilibrium};
@@ -222,82 +227,6 @@ impl DoubleOracleConfig {
                 "grid search needs non-empty candidate sets"
             );
         }
-    }
-}
-
-/// The measured payoff store of the growing restricted game: means and CI
-/// half-widths in one stride-addressed allocation sized for
-/// `max_support × max_support` up front. Appending a row or column writes
-/// into reserved slots — no reallocation, and existing entries never
-/// move, so growth preserves them bit-for-bit.
-#[derive(Debug, Clone)]
-struct PayoffArena {
-    mean: Vec<f64>,
-    ci: Vec<f64>,
-    stride: usize,
-    rows: usize,
-    cols: usize,
-}
-
-impl PayoffArena {
-    fn new(max_rows: usize, max_cols: usize) -> Self {
-        Self {
-            mean: vec![0.0; max_rows * max_cols],
-            ci: vec![0.0; max_rows * max_cols],
-            stride: max_cols,
-            rows: 0,
-            cols: 0,
-        }
-    }
-
-    fn set(&mut self, i: usize, j: usize, mean: f64, ci: f64) {
-        self.mean[i * self.stride + j] = mean;
-        self.ci[i * self.stride + j] = ci;
-    }
-
-    /// Appends one attacker column: `cells[i]` is the measured
-    /// `(mean, ci)` of (defender atom `i`, the new response).
-    fn push_col(&mut self, cells: &[(f64, f64)]) {
-        assert_eq!(cells.len(), self.rows, "column height mismatch");
-        let j = self.cols;
-        assert!(j < self.stride, "arena column capacity exceeded");
-        for (i, &(m, c)) in cells.iter().enumerate() {
-            self.set(i, j, m, c);
-        }
-        self.cols += 1;
-    }
-
-    /// Appends one defender row: `cells[j]` is the measured `(mean, ci)`
-    /// of (the new threshold, attacker atom `j`).
-    fn push_row(&mut self, cells: &[(f64, f64)]) {
-        assert_eq!(cells.len(), self.cols, "row width mismatch");
-        let i = self.rows;
-        assert!(
-            i * self.stride < self.mean.len(),
-            "arena row capacity exceeded"
-        );
-        for (j, &(m, c)) in cells.iter().enumerate() {
-            self.set(i, j, m, c);
-        }
-        self.rows += 1;
-    }
-
-    fn mean_matrix(&self) -> Vec<Vec<f64>> {
-        (0..self.rows)
-            .map(|i| self.mean[i * self.stride..i * self.stride + self.cols].to_vec())
-            .collect()
-    }
-
-    fn ci_matrix(&self) -> Vec<Vec<f64>> {
-        (0..self.rows)
-            .map(|i| self.ci[i * self.stride..i * self.stride + self.cols].to_vec())
-            .collect()
-    }
-
-    fn worst_ci(&self) -> f64 {
-        (0..self.rows)
-            .flat_map(|i| self.ci[i * self.stride..i * self.stride + self.cols].iter())
-            .fold(0.0_f64, |w, &c| w.max(c))
     }
 }
 
@@ -530,27 +459,14 @@ pub fn double_oracle(
     let model = sub.closed_form(cfg);
     let mut d_atoms = oracle.seed_defender_atoms.clone();
     let mut a_atoms = oracle.seed_attacker_atoms.clone();
-    let mut arena = PayoffArena::new(oracle.max_support, oracle.max_support);
-    let mut engine_runs = 0usize;
+    // Seed-support measurement: the full (tiny) initial block in one
+    // fan-out, into an arena with room for the support caps.
+    let caps = (oracle.max_support, oracle.max_support);
+    let mut arena = PayoffArena::measure_block(sub, &mcfg, &d_atoms, &a_atoms, caps);
+    let mut engine_runs = d_atoms.len() * a_atoms.len() * mcfg.seeds;
 
-    // Seed-support measurement: the full (tiny) initial block, row-major.
-    let seed_cells: Vec<(f64, f64)> = d_atoms
-        .iter()
-        .flat_map(|&t| a_atoms.iter().map(move |&a| (t, a)))
-        .collect();
-    let measured = measure_cells(sub, &mcfg, &seed_cells);
-    engine_runs += seed_cells.len() * mcfg.seeds;
-    arena.cols = a_atoms.len();
-    for (i, row) in measured.chunks(a_atoms.len()).enumerate() {
-        for (j, &(m, c)) in row.iter().enumerate() {
-            arena.set(i, j, m, c);
-        }
-    }
-    arena.rows = d_atoms.len();
-
-    let solve_cap = cfg.fp_iterations.max(1);
     let game = MatrixGame::new(arena.mean_matrix()).expect("finite measured means");
-    let (mut eq, _) = game.solve_to_gap(oracle.solve_gap, solve_cap, None);
+    let (mut eq, _) = game.solve_to_gap(oracle.solve_gap, cfg.fp_iterations, None);
 
     let mut steps = Vec::new();
     let mut rounds = 0usize;
@@ -589,7 +505,7 @@ pub fn double_oracle(
             arena.push_col(&col);
             a_atoms.push(a_cand);
             let game = MatrixGame::new(arena.mean_matrix()).expect("finite measured means");
-            let (next, _) = game.solve_to_gap(oracle.solve_gap, solve_cap, Some(&eq));
+            let (next, _) = game.solve_to_gap(oracle.solve_gap, cfg.fp_iterations, Some(&eq));
             eq = next;
             grew_this_round = true;
         }
@@ -634,7 +550,7 @@ pub fn double_oracle(
             arena.push_row(&row);
             d_atoms.push(d_cand);
             let game = MatrixGame::new(arena.mean_matrix()).expect("finite measured means");
-            let (next, _) = game.solve_to_gap(oracle.solve_gap, solve_cap, Some(&eq));
+            let (next, _) = game.solve_to_gap(oracle.solve_gap, cfg.fp_iterations, Some(&eq));
             eq = next;
             grew_this_round = true;
         }
@@ -666,15 +582,14 @@ pub fn double_oracle(
     let equilibrium = game.solve_warm(cfg.fp_iterations, Some(&eq));
 
     // Analytic cross-check over the same discovered supports.
-    let analytic_matrix: Vec<Vec<f64>> = d_atoms
-        .iter()
-        .map(|&t| a_atoms.iter().map(|&a| model.loss(t, a)).collect())
-        .collect();
-    let analytic_game = MatrixGame::new(analytic_matrix).expect("finite analytic losses");
-    let analytic = analytic_game.solve(cfg.fp_iterations);
-
-    let value_gap = (equilibrium.value - analytic.value).abs();
-    let gap_tolerance = arena.worst_ci() + 0.5 * (equilibrium.gap() + analytic.gap());
+    let check = cross_check(
+        &model,
+        &d_atoms,
+        &a_atoms,
+        &arena,
+        &equilibrium,
+        cfg.fp_iterations,
+    );
     let dense_engine_runs = cfg.defender_atoms.len() * cfg.attacker_atoms().len() * cfg.seeds;
 
     DoubleOracleEquilibrium {
@@ -684,9 +599,9 @@ pub fn double_oracle(
         mean_loss: arena.mean_matrix(),
         ci_half_width: arena.ci_matrix(),
         equilibrium,
-        analytic,
-        value_gap,
-        gap_tolerance,
+        analytic: check.equilibrium,
+        value_gap: check.value_gap,
+        gap_tolerance: check.gap_tolerance,
         steps,
         rounds,
         converged,

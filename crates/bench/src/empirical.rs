@@ -12,14 +12,19 @@
 //! substrates: scalar value streams, feature-vector collection
 //! (k-means anomaly scores), and LDP report streams.
 //!
-//! 1. **Estimate** — fan a (defender-atom × attacker-response × seed)
-//!    grid through [`crate::sweep::parallel_map_with`] — each cell is one
-//!    lean scratch-backed engine run on the chosen substrate (every
-//!    worker reuses one engine scratch and one substrate arena across
-//!    all of its cells), and its payoff is the
-//!    collector's mean per-round loss (surviving percentile damage plus
-//!    benign trim overhead). Aggregate per-cell means with confidence
-//!    intervals.
+//! 1. **Estimate** — measure the (defender-atom × attacker-response)
+//!    grid through the one cell-measurement primitive every payoff
+//!    fan-out in this crate shares: each (cell × seed) job is one lean
+//!    scratch-backed engine run on the chosen substrate, fanned through
+//!    [`crate::sweep::parallel_map_with`] (every worker reuses one engine
+//!    scratch and one substrate arena across all of its cells), with
+//!    seeds shared across cells (common random numbers). A cell's payoff
+//!    is the collector's mean per-round loss (surviving percentile damage
+//!    plus benign trim overhead) with its confidence interval. The dense
+//!    grid is the full-support block of the measured-matrix store the
+//!    double oracle ([`crate::double_oracle`]) grows from its seed block:
+//!    the dense estimate is a double oracle seeded with every atom, given
+//!    no growth rounds, and solved cold rather than warm-started.
 //! 2. **Solve** — feed the mean loss matrix to
 //!    [`MatrixGame::solve`] (deterministic fictitious play with certified
 //!    value bounds) to get the empirical mixed equilibrium; solve the
@@ -32,20 +37,23 @@
 //! 3. **Check** — report the empirical-vs-analytic value gap against the
 //!    estimator's own tolerance (the minimax value is 1-Lipschitz in the
 //!    sup-norm of the matrix, so the worst cell CI plus the solver
-//!    duality gaps bound the expected discrepancy), and the defender's
-//!    *randomization advantage* — how much the mixed equilibrium beats
-//!    the best deterministic threshold, the randomized-prediction-games
-//!    effect.
+//!    duality gaps bound the expected discrepancy) — the same cross-check
+//!    the double oracle runs on its discovered supports — and the
+//!    defender's *randomization advantage*: how much the mixed
+//!    equilibrium beats the best deterministic threshold, the
+//!    randomized-prediction-games effect.
 //! 4. **Play** — instantiate the solved mixture as a
 //!    [`RandomizedDefender`], run it against each pure response, against
 //!    the board-driven [`AdaptiveAttacker`], and against the no-regret
 //!    bandit [`Exp3Attacker`] (whose long-run average payoff must stay
 //!    below the game value plus its certified regret bound — the
-//!    equilibrium's robustness claim against *learning* attackers).
+//!    equilibrium's robustness claim against *learning* attackers). These
+//!    runs go through the same measurement primitive, with the solved
+//!    mixture in the defender's seat.
 //! 5. **Optimize** — [`optimize_support`] refines the defender's atom
 //!    *placements* (not just the weights on a fixed grid) by coordinate
-//!    descent with golden-section line searches, re-estimating the moved
-//!    atom's payoff row through the same sweep workers; accepted moves
+//!    descent with golden-section line searches, re-measuring the moved
+//!    atom's payoff row as one more block of cells; accepted moves
 //!    strictly improve the solved game value.
 //!
 //! Every cell's outcome depends only on its grid coordinates and derived
@@ -198,17 +206,16 @@ impl EquilibriumConfig {
         }
     }
 
-    /// Reads the CLI environment: `TRIMGAME_EQ_SMOKE=1` selects the smoke
-    /// grid, `TRIMGAME_EQ_SEEDS=N` overrides the per-cell repetitions,
-    /// `TRIMGAME_EQ_SKETCH` turns on the sketch-native defender (`1` for
-    /// the default rank error, or the ε itself, e.g. `0.02`), and
-    /// `TRIMGAME_SWEEP_THREADS` sets the worker count.
-    #[must_use]
-    pub fn from_env() -> Self {
-        Self::from_env_for(SubstrateKind::Scalar)
-    }
-
-    /// [`EquilibriumConfig::from_env`], anchored to `kind`'s grids.
+    /// Reads the CLI environment, anchored to `kind`'s grids:
+    /// `TRIMGAME_EQ_SMOKE=1` selects the smoke grid, `TRIMGAME_EQ_SEEDS=N`
+    /// overrides the per-cell repetitions ([`parse_eq_seeds`]),
+    /// `TRIMGAME_EQ_SKETCH` turns on the sketch-native defender
+    /// ([`parse_sketch_epsilon`]), and `TRIMGAME_SWEEP_THREADS` sets the
+    /// worker count.
+    ///
+    /// # Panics
+    /// Panics on a malformed `TRIMGAME_EQ_SEEDS` or `TRIMGAME_EQ_SKETCH`
+    /// (`expt` rejects both before it runs anything).
     #[must_use]
     pub fn from_env_for(kind: SubstrateKind) -> Self {
         let smoke = std::env::var("TRIMGAME_EQ_SMOKE")
@@ -219,14 +226,12 @@ impl EquilibriumConfig {
         } else {
             Self::default_for(kind)
         };
-        if let Some(seeds) = std::env::var("TRIMGAME_EQ_SEEDS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-        {
-            cfg.seeds = seeds.max(2);
+        if let Ok(raw) = std::env::var("TRIMGAME_EQ_SEEDS") {
+            cfg.seeds = parse_eq_seeds(&raw).unwrap_or_else(|e| panic!("TRIMGAME_EQ_SEEDS: {e}"));
         }
-        if let Some(eps) = sketch_epsilon_from_env() {
-            cfg.sketch_epsilon = Some(eps);
+        if let Ok(raw) = std::env::var("TRIMGAME_EQ_SKETCH") {
+            cfg.sketch_epsilon =
+                parse_sketch_epsilon(&raw).unwrap_or_else(|e| panic!("TRIMGAME_EQ_SKETCH: {e}"));
         }
         cfg.workers = env_workers();
         cfg
@@ -257,6 +262,10 @@ impl EquilibriumConfig {
         assert!(self.response_margin > 0.0, "need a positive margin");
         assert!(self.seeds >= 2, "need at least two seeds per cell");
         assert!(self.rounds > 0 && self.batch > 0, "degenerate game shape");
+        assert!(
+            self.fp_iterations > 0,
+            "need at least one fictitious-play iteration"
+        );
         if let Some(eps) = self.sketch_epsilon {
             assert!(
                 eps > 0.0 && eps < 0.5,
@@ -266,20 +275,39 @@ impl EquilibriumConfig {
     }
 }
 
-/// `TRIMGAME_EQ_SKETCH`: unset/`0` keeps exact cuts, `1`/`true` enables
-/// the sketch-native defender at the default rank error, and a float in
-/// `(0, 0.5)` sets ε directly.
-fn sketch_epsilon_from_env() -> Option<f64> {
-    let raw = std::env::var("TRIMGAME_EQ_SKETCH").ok()?;
+/// Parses a per-cell seed count (`TRIMGAME_EQ_SEEDS`): an integer of at
+/// least two, since a cell's CI needs a sample variance.
+///
+/// # Errors
+/// Returns a message naming the rejected value.
+pub fn parse_eq_seeds(raw: &str) -> Result<usize, String> {
+    match raw.parse::<usize>() {
+        Ok(seeds) if seeds >= 2 => Ok(seeds),
+        _ => Err(format!(
+            "seeds per payoff cell must be an integer >= 2, got {raw:?}"
+        )),
+    }
+}
+
+/// Parses the sketch-native defender switch (`TRIMGAME_EQ_SKETCH`,
+/// `--sketch[=EPS]`): empty/`0`/`false` keeps exact cuts, `1`/`true`
+/// enables the sketch at [`DEFAULT_SKETCH_EPSILON`], and a float in
+/// `(0, 0.5)` sets the rank error directly.
+///
+/// # Errors
+/// Returns a message naming the rejected value.
+pub fn parse_sketch_epsilon(raw: &str) -> Result<Option<f64>, String> {
     if raw == "0" || raw.is_empty() || raw.eq_ignore_ascii_case("false") {
-        return None;
+        return Ok(None);
     }
     if raw == "1" || raw.eq_ignore_ascii_case("true") {
-        return Some(DEFAULT_SKETCH_EPSILON);
+        return Ok(Some(DEFAULT_SKETCH_EPSILON));
     }
     match raw.parse::<f64>() {
-        Ok(eps) if eps > 0.0 && eps < 0.5 => Some(eps),
-        _ => panic!("TRIMGAME_EQ_SKETCH must be 1/true or an ε in (0, 0.5), got {raw:?}"),
+        Ok(eps) if eps > 0.0 && eps < 0.5 => Ok(Some(eps)),
+        _ => Err(format!(
+            "sketch rank error must be 1/true or an epsilon in (0, 0.5), got {raw:?}"
+        )),
     }
 }
 
@@ -855,207 +883,313 @@ impl EmpiricalEquilibrium {
     }
 }
 
-/// Per-repetition common-random-numbers seeds: one per seed index, shared
-/// across cells so payoff differences isolate the strategy pair.
-pub(crate) fn cell_seeds(cfg: &EquilibriumConfig) -> Vec<u64> {
-    (0..cfg.seeds as u64)
+/// The players of one seeded engine run: the scenario's quality-standard
+/// anchor, both policies, and the public board an adaptive attacker
+/// reads.
+struct Matchup {
+    tth: f64,
+    defender: Box<dyn ThresholdPolicy>,
+    attacker: Box<dyn AttackPolicy>,
+    board: Option<PublicBoard>,
+}
+
+impl Matchup {
+    /// The pure profile `(t, a)`: a fixed threshold at `t` (which also
+    /// anchors the quality standard) against a fixed response at `a`.
+    fn pure(t: f64, a: f64) -> Self {
+        Self {
+            tth: t,
+            defender: Box::new(DefenderPolicy::Fixed { tth: t }),
+            attacker: Box::new(AdversaryPolicy::Fixed { percentile: a }),
+            board: None,
+        }
+    }
+
+    /// The solved mixture `row_strategy` over the defender atoms, played
+    /// as a fresh [`RandomizedDefender`] against `attacker`. The anchor is
+    /// the lowest defender atom (nothing in the loss accounting reads it).
+    fn mixed(
+        cfg: &EquilibriumConfig,
+        row_strategy: &[f64],
+        attacker: Box<dyn AttackPolicy>,
+        board: Option<PublicBoard>,
+    ) -> Self {
+        let defender =
+            RandomizedDefender::new(&cfg.defender_atoms, row_strategy).expect("validated strategy");
+        Self {
+            tth: cfg.defender_atoms[0],
+            defender: Box::new(defender),
+            attacker,
+            board,
+        }
+    }
+}
+
+/// One cell's seeded runs, folded.
+struct CellStats {
+    /// Collector loss per run.
+    loss: OnlineStats,
+    /// Attacker gain per run.
+    gain: OnlineStats,
+}
+
+/// The one cell-measurement primitive: plays `cells × cfg.seeds` seeded
+/// engine runs through the sweep workers and folds each cell's runs.
+/// `matchup(cell, seed)` builds the players of one run; the seeds are
+/// shared across cells (common random numbers), so payoff differences
+/// between cells isolate the strategy pair.
+///
+/// Each run depends only on its (cell, seed) coordinates, never on the
+/// worker scratch it reuses, so the result is identical for any worker
+/// count.
+fn measure_matchups<F>(
+    sub: &dyn GameSubstrate,
+    cfg: &EquilibriumConfig,
+    cells: usize,
+    matchup: F,
+) -> Vec<CellStats>
+where
+    F: Fn(usize, u64) -> Matchup + Sync,
+{
+    let per_cell = cfg.seeds;
+    let seeds: Vec<u64> = (0..per_cell as u64)
         .map(|s| derive_seed(cfg.master_seed, s))
+        .collect();
+    let runs = parallel_map_with(
+        cells * per_cell,
+        cfg.workers,
+        || sub.new_scratch(),
+        |scratch, idx| {
+            let seed = seeds[idx % per_cell];
+            let m = matchup(idx / per_cell, seed);
+            sub.run_cell(cfg, m.tth, m.defender, m.attacker, m.board, seed, scratch)
+        },
+    );
+    runs.chunks(per_cell)
+        .map(|cell| {
+            let mut stats = CellStats {
+                loss: OnlineStats::new(),
+                gain: OnlineStats::new(),
+            };
+            for run in cell {
+                stats.loss.push(run.collector_loss);
+                stats.gain.push(run.attacker_gain);
+            }
+            stats
+        })
         .collect()
 }
 
-/// Measures a batch of pure `(threshold, response)` cells through the
-/// sweep workers: one seeded engine run per (cell × seed), common random
-/// numbers across cells, exactly the dense grid's per-cell estimator.
-/// Returns per-cell `(mean loss, CI half-width)`. The double-oracle
-/// solver uses this to price only the new row/column a growth step adds.
+/// Measures pure `(threshold, response)` cells: per-cell `(mean loss, CI
+/// half-width)` over the seed grid.
 pub(crate) fn measure_cells(
     sub: &dyn GameSubstrate,
     cfg: &EquilibriumConfig,
     cells: &[(f64, f64)],
 ) -> Vec<(f64, f64)> {
-    let per_cell = cfg.seeds;
-    let seeds = cell_seeds(cfg);
-    let losses = parallel_map_with(
-        cells.len() * per_cell,
-        cfg.workers,
-        || sub.new_scratch(),
-        |scratch, idx| {
-            let (c, s) = (idx / per_cell, idx % per_cell);
-            let (t_atom, a_atom) = cells[c];
-            sub.run_cell(
-                cfg,
-                t_atom,
-                Box::new(DefenderPolicy::Fixed { tth: t_atom }),
-                Box::new(AdversaryPolicy::Fixed { percentile: a_atom }),
-                None,
-                seeds[s],
-                scratch,
-            )
-            .collector_loss
-        },
-    );
-    (0..cells.len())
-        .map(|c| {
-            let mut stats = OnlineStats::new();
-            for s in 0..per_cell {
-                stats.push(losses[c * per_cell + s]);
-            }
-            let se = (stats.sample_variance() / per_cell as f64).sqrt();
-            (stats.mean(), cfg.z * se)
-        })
-        .collect()
+    measure_matchups(sub, cfg, cells.len(), |c, _| {
+        Matchup::pure(cells[c].0, cells[c].1)
+    })
+    .into_iter()
+    .map(|c| {
+        let se = (c.loss.sample_variance() / cfg.seeds as f64).sqrt();
+        (c.loss.mean(), cfg.z * se)
+    })
+    .collect()
 }
 
-/// Estimates one defender atom's payoff row (mean collector loss against
-/// each attacker response, over the seed grid) through the sweep workers.
-fn estimate_row(
-    sub: &dyn GameSubstrate,
-    cfg: &EquilibriumConfig,
-    t_atom: f64,
-    attacker_atoms: &[f64],
-) -> Vec<f64> {
-    let per_cell = cfg.seeds;
-    let seeds = cell_seeds(cfg);
-    let losses = parallel_map_with(
-        attacker_atoms.len() * per_cell,
-        cfg.workers,
-        || sub.new_scratch(),
-        |scratch, idx| {
-            let (j, s) = (idx / per_cell, idx % per_cell);
-            sub.run_cell(
-                cfg,
-                t_atom,
-                Box::new(DefenderPolicy::Fixed { tth: t_atom }),
-                Box::new(AdversaryPolicy::Fixed {
-                    percentile: attacker_atoms[j],
-                }),
-                None,
-                seeds[s],
-                scratch,
-            )
-            .collector_loss
-        },
-    );
-    (0..attacker_atoms.len())
-        .map(|j| losses[j * per_cell..(j + 1) * per_cell].iter().sum::<f64>() / per_cell as f64)
-        .collect()
+/// The measured payoff store of a (possibly growing) finite game: means
+/// and CI half-widths in one stride-addressed allocation sized up front.
+/// Appending a row or column writes into reserved slots — no
+/// reallocation, and existing entries never move, so growth preserves
+/// them bit-for-bit.
+#[derive(Debug, Clone)]
+pub(crate) struct PayoffArena {
+    mean: Vec<f64>,
+    ci: Vec<f64>,
+    stride: usize,
+    rows: usize,
+    cols: usize,
+}
+
+impl PayoffArena {
+    /// Measures the whole `d_atoms × a_atoms` block of pure cells in one
+    /// fan-out (row-major) into an arena with room for `max_rows ×
+    /// max_cols`. The dense estimate is this block over the full grid; the
+    /// double oracle starts from it over its seed supports and grows.
+    pub(crate) fn measure_block(
+        sub: &dyn GameSubstrate,
+        cfg: &EquilibriumConfig,
+        d_atoms: &[f64],
+        a_atoms: &[f64],
+        (max_rows, max_cols): (usize, usize),
+    ) -> Self {
+        assert!(a_atoms.len() <= max_cols, "arena column capacity exceeded");
+        let cells: Vec<(f64, f64)> = d_atoms
+            .iter()
+            .flat_map(|&t| a_atoms.iter().map(move |&a| (t, a)))
+            .collect();
+        let mut arena = Self {
+            mean: vec![0.0; max_rows * max_cols],
+            ci: vec![0.0; max_rows * max_cols],
+            stride: max_cols,
+            rows: 0,
+            cols: a_atoms.len(),
+        };
+        for row in measure_cells(sub, cfg, &cells).chunks(a_atoms.len()) {
+            arena.push_row(row);
+        }
+        arena
+    }
+
+    fn set(&mut self, i: usize, j: usize, (mean, ci): (f64, f64)) {
+        self.mean[i * self.stride + j] = mean;
+        self.ci[i * self.stride + j] = ci;
+    }
+
+    /// Appends one attacker column: `cells[i]` is the measured
+    /// `(mean, ci)` of (defender atom `i`, the new response).
+    pub(crate) fn push_col(&mut self, cells: &[(f64, f64)]) {
+        assert_eq!(cells.len(), self.rows, "column height mismatch");
+        let j = self.cols;
+        assert!(j < self.stride, "arena column capacity exceeded");
+        for (i, &cell) in cells.iter().enumerate() {
+            self.set(i, j, cell);
+        }
+        self.cols += 1;
+    }
+
+    /// Appends one defender row: `cells[j]` is the measured `(mean, ci)`
+    /// of (the new threshold, attacker atom `j`).
+    pub(crate) fn push_row(&mut self, cells: &[(f64, f64)]) {
+        assert_eq!(cells.len(), self.cols, "row width mismatch");
+        let i = self.rows;
+        assert!(
+            i * self.stride < self.mean.len(),
+            "arena row capacity exceeded"
+        );
+        for (j, &cell) in cells.iter().enumerate() {
+            self.set(i, j, cell);
+        }
+        self.rows += 1;
+    }
+
+    fn matrix(&self, entries: &[f64]) -> Vec<Vec<f64>> {
+        (0..self.rows)
+            .map(|i| entries[i * self.stride..i * self.stride + self.cols].to_vec())
+            .collect()
+    }
+
+    /// The measured mean-loss matrix.
+    pub(crate) fn mean_matrix(&self) -> Vec<Vec<f64>> {
+        self.matrix(&self.mean)
+    }
+
+    /// The per-cell CI half-widths.
+    pub(crate) fn ci_matrix(&self) -> Vec<Vec<f64>> {
+        self.matrix(&self.ci)
+    }
+
+    fn worst_ci(&self) -> f64 {
+        self.ci_matrix()
+            .iter()
+            .flatten()
+            .fold(0.0_f64, |w, &c| w.max(c))
+    }
+}
+
+/// The analytic cross-check of a measured game.
+pub(crate) struct CrossCheck {
+    /// The closed-form expected-loss matrix over the same supports.
+    pub(crate) matrix: Vec<Vec<f64>>,
+    /// Its mixed equilibrium.
+    pub(crate) equilibrium: MixedEquilibrium,
+    /// `|measured value − analytic value|`.
+    pub(crate) value_gap: f64,
+    /// The estimator's own tolerance on that gap: the worst cell CI (the
+    /// minimax value is 1-Lipschitz in the sup-norm of the matrix) plus
+    /// both fictitious-play duality half-gaps.
+    pub(crate) gap_tolerance: f64,
+}
+
+/// Solves the substrate's closed-form game over the supports `d_atoms ×
+/// a_atoms` (cold, `fp_iterations`) and compares its value with the
+/// `measured` equilibrium of `arena`. Both solvers run this same check.
+pub(crate) fn cross_check(
+    model: &ClosedForm,
+    d_atoms: &[f64],
+    a_atoms: &[f64],
+    arena: &PayoffArena,
+    measured: &MixedEquilibrium,
+    fp_iterations: usize,
+) -> CrossCheck {
+    let matrix: Vec<Vec<f64>> = d_atoms
+        .iter()
+        .map(|&t| a_atoms.iter().map(|&a| model.loss(t, a)).collect())
+        .collect();
+    let equilibrium = MatrixGame::new(matrix.clone())
+        .expect("finite analytic losses")
+        .solve(fp_iterations);
+    let value_gap = (measured.value - equilibrium.value).abs();
+    let gap_tolerance = arena.worst_ci() + 0.5 * (measured.gap() + equilibrium.gap());
+    CrossCheck {
+        matrix,
+        equilibrium,
+        value_gap,
+        gap_tolerance,
+    }
 }
 
 /// Estimates the empirical payoff matrix on `sub` and solves both
 /// equilibria.
 ///
-/// The (row × column × seed) grid fans through [`parallel_map_with`];
-/// each job's outcome depends only on its coordinates (never on the
-/// worker scratch it reuses), so the result is identical for any worker
-/// count.
+/// The dense grid is the full-support block: every (row × column × seed)
+/// run goes out in one `PayoffArena::measure_block` fan-out, the
+/// measured matrix is solved cold at `cfg.fp_iterations`, and
+/// `cross_check` compares it with the closed form. The result is
+/// identical for any worker count.
 ///
 /// # Panics
 /// Panics if the configuration is degenerate.
 #[must_use]
 pub fn estimate_on(sub: &dyn GameSubstrate, cfg: &EquilibriumConfig) -> EmpiricalEquilibrium {
     cfg.validate();
-    let rows = cfg.defender_atoms.len();
     let attacker_atoms = cfg.attacker_atoms();
-    let cols = attacker_atoms.len();
-    let per_cell = cfg.seeds;
-    let n_jobs = rows * cols * per_cell;
-
-    // One seed per repetition, shared across cells (common random
-    // numbers): cell payoffs differ only through the strategy pair, which
-    // sharpens every cross-cell comparison the solver makes.
-    let seeds = cell_seeds(cfg);
-
-    let losses = parallel_map_with(
-        n_jobs,
-        cfg.workers,
-        || sub.new_scratch(),
-        |scratch, idx| {
-            let cell = idx / per_cell;
-            let (i, j) = (cell / cols, cell % cols);
-            let t_atom = cfg.defender_atoms[i];
-            sub.run_cell(
-                cfg,
-                t_atom,
-                Box::new(DefenderPolicy::Fixed { tth: t_atom }),
-                Box::new(AdversaryPolicy::Fixed {
-                    percentile: attacker_atoms[j],
-                }),
-                None,
-                seeds[idx % per_cell],
-                scratch,
-            )
-            .collector_loss
-        },
-    );
-
-    let mut mean_loss = vec![vec![0.0; cols]; rows];
-    let mut ci_half_width = vec![vec![0.0; cols]; rows];
-    let mut worst_ci = 0.0_f64;
-    for i in 0..rows {
-        for j in 0..cols {
-            let mut stats = OnlineStats::new();
-            let cell = i * cols + j;
-            for s in 0..per_cell {
-                stats.push(losses[cell * per_cell + s]);
-            }
-            let se = (stats.sample_variance() / per_cell as f64).sqrt();
-            mean_loss[i][j] = stats.mean();
-            ci_half_width[i][j] = cfg.z * se;
-            worst_ci = worst_ci.max(ci_half_width[i][j]);
-        }
-    }
+    let shape = (cfg.defender_atoms.len(), attacker_atoms.len());
+    let arena = PayoffArena::measure_block(sub, cfg, &cfg.defender_atoms, &attacker_atoms, shape);
+    let mean_loss = arena.mean_matrix();
 
     let empirical_game = MatrixGame::new(mean_loss.clone()).expect("finite means");
     let empirical = empirical_game.solve(cfg.fp_iterations);
     let pure_empirical_value = empirical_game.pure_commitment_value();
 
     let model = sub.closed_form(cfg);
-    let analytic_matrix = analytic_loss_matrix(&model, cfg);
-    let analytic_game = MatrixGame::new(analytic_matrix.clone()).expect("finite analytic losses");
-    let analytic = analytic_game.solve(cfg.fp_iterations);
-
+    let check = cross_check(
+        &model,
+        &cfg.defender_atoms,
+        &attacker_atoms,
+        &arena,
+        &empirical,
+        cfg.fp_iterations,
+    );
     let (stackelberg_value, pure_grid_value) = analytic_continuum(&model, cfg);
-
-    let value_gap = (empirical.value - analytic.value).abs();
-    let gap_tolerance = worst_ci + 0.5 * (empirical.gap() + analytic.gap());
 
     EmpiricalEquilibrium {
         substrate: sub.name(),
         defender_atoms: cfg.defender_atoms.clone(),
         attacker_atoms,
         mean_loss,
-        ci_half_width,
+        ci_half_width: arena.ci_matrix(),
         empirical,
-        analytic_matrix,
-        analytic,
-        value_gap,
-        gap_tolerance,
+        analytic_matrix: check.matrix,
+        analytic: check.equilibrium,
+        value_gap: check.value_gap,
+        gap_tolerance: check.gap_tolerance,
         pure_empirical_value,
         pure_grid_value,
         stackelberg_value,
-        seeds: per_cell,
+        seeds: cfg.seeds,
     }
-}
-
-/// Scalar-substrate convenience wrapper around [`estimate_on`] (the PR 3
-/// entry point).
-///
-/// # Panics
-/// Panics if the pool is empty or the configuration is degenerate.
-#[must_use]
-pub fn estimate(pool: &[f64], cfg: &EquilibriumConfig) -> EmpiricalEquilibrium {
-    estimate_on(&ScalarSubstrate::new(pool), cfg)
-}
-
-/// The closed-form expected loss of the finite threshold game on a
-/// substrate's model: survival-weighted percentile damage plus the benign
-/// trim overhead.
-fn analytic_loss_matrix(model: &ClosedForm, cfg: &EquilibriumConfig) -> Vec<Vec<f64>> {
-    let attacker_atoms = cfg.attacker_atoms();
-    cfg.defender_atoms
-        .iter()
-        .map(|&t| attacker_atoms.iter().map(|&a| model.loss(t, a)).collect())
-        .collect()
 }
 
 /// The continuum Stackelberg benchmark: leader loss
@@ -1075,21 +1209,14 @@ fn analytic_continuum(model: &ClosedForm, cfg: &EquilibriumConfig) -> (f64, f64)
     (continuum, pure_grid)
 }
 
-/// The quality-standard anchor the played-mixture paths use: the lowest
-/// defender atom (nothing in the loss accounting reads it).
-fn play_tth(cfg: &EquilibriumConfig) -> f64 {
-    cfg.defender_atoms[0]
-}
-
 /// Realized play of a mixed defender strategy on a substrate: mean
 /// per-round loss over the seed grid, against each pure attacker response
 /// column.
 ///
-/// Each (column × seed) cell builds a fresh [`RandomizedDefender`] from
-/// `row_strategy` and runs it through the engine — the policy sub-stream
-/// derives from the cell seed, so the fan-out is deterministic for any
-/// worker count. This is the "sweep-parallel ≡ sequential for randomized
-/// policies" surface.
+/// Each (column × seed) run builds a fresh [`RandomizedDefender`] from
+/// `row_strategy`; the policy sub-stream derives from the run's seed, so
+/// the result is the same for any worker count — sweep-parallel ≡
+/// sequential for randomized policies.
 ///
 /// # Panics
 /// Panics if `row_strategy` does not match the defender atoms or has no
@@ -1107,53 +1234,15 @@ pub fn play_mixed_vs_columns_on(
         "strategy/atom mismatch"
     );
     let attacker_atoms = cfg.attacker_atoms();
-    let cols = attacker_atoms.len();
-    let per_cell = cfg.seeds;
-    let seeds = cell_seeds(cfg);
-    let losses = parallel_map_with(
-        cols * per_cell,
-        cfg.workers,
-        || sub.new_scratch(),
-        |scratch, idx| {
-            let (j, s) = (idx / per_cell, idx % per_cell);
-            let defender = RandomizedDefender::new(&cfg.defender_atoms, row_strategy)
-                .expect("validated strategy");
-            sub.run_cell(
-                cfg,
-                play_tth(cfg),
-                Box::new(defender),
-                Box::new(AdversaryPolicy::Fixed {
-                    percentile: attacker_atoms[j],
-                }),
-                None,
-                seeds[s],
-                scratch,
-            )
-            .collector_loss
-        },
-    );
-    (0..cols)
-        .map(|j| {
-            let mut stats = OnlineStats::new();
-            for s in 0..per_cell {
-                stats.push(losses[j * per_cell + s]);
-            }
-            stats
-        })
-        .collect()
-}
-
-/// Scalar wrapper around [`play_mixed_vs_columns_on`].
-///
-/// # Panics
-/// Panics on a degenerate configuration or strategy.
-#[must_use]
-pub fn play_mixed_vs_columns(
-    pool: &[f64],
-    cfg: &EquilibriumConfig,
-    row_strategy: &[f64],
-) -> Vec<OnlineStats> {
-    play_mixed_vs_columns_on(&ScalarSubstrate::new(pool), cfg, row_strategy)
+    measure_matchups(sub, cfg, attacker_atoms.len(), |j, _| {
+        let attacker = AdversaryPolicy::Fixed {
+            percentile: attacker_atoms[j],
+        };
+        Matchup::mixed(cfg, row_strategy, Box::new(attacker), None)
+    })
+    .into_iter()
+    .map(|c| c.loss)
+    .collect()
 }
 
 /// Realized play of the solved equilibrium against the board-driven
@@ -1169,48 +1258,14 @@ pub fn play_vs_adaptive_on(
     row_strategy: &[f64],
 ) -> OnlineStats {
     cfg.validate();
-    let per_cell = cfg.seeds;
-    let seeds = cell_seeds(cfg);
-    let losses = parallel_map_with(
-        per_cell,
-        cfg.workers,
-        || sub.new_scratch(),
-        |scratch, s| {
-            let seed = seeds[s];
-            let defender = RandomizedDefender::new(&cfg.defender_atoms, row_strategy)
-                .expect("validated strategy");
-            let board = PublicBoard::new();
-            let attacker = AdaptiveAttacker::new(board.clone(), cfg.response_margin, 0.99);
-            sub.run_cell(
-                cfg,
-                play_tth(cfg),
-                Box::new(defender),
-                Box::new(attacker),
-                Some(board),
-                seed,
-                scratch,
-            )
-            .collector_loss
-        },
-    );
-    let mut stats = OnlineStats::new();
-    for loss in losses {
-        stats.push(loss);
-    }
-    stats
-}
-
-/// Scalar wrapper around [`play_vs_adaptive_on`].
-///
-/// # Panics
-/// Panics on a degenerate configuration or strategy.
-#[must_use]
-pub fn play_vs_adaptive(
-    pool: &[f64],
-    cfg: &EquilibriumConfig,
-    row_strategy: &[f64],
-) -> OnlineStats {
-    play_vs_adaptive_on(&ScalarSubstrate::new(pool), cfg, row_strategy)
+    let cell = measure_matchups(sub, cfg, 1, |_, _| {
+        let board = PublicBoard::new();
+        let attacker = AdaptiveAttacker::new(board.clone(), cfg.response_margin, 0.99);
+        Matchup::mixed(cfg, row_strategy, Box::new(attacker), Some(board))
+    })
+    .pop()
+    .expect("one cell");
+    cell.loss
 }
 
 /// Outcome of playing the solved mixture against the no-regret
@@ -1231,7 +1286,7 @@ pub struct Exp3Play {
 /// `rounds` rounds (per seed) on a substrate. The attacker's response set
 /// is the game's column set; its payoff bound is the substrate's poison
 /// share (the maximum per-round percentile damage), and its private
-/// sampling stream derives from the cell seed — replays are exact and
+/// sampling stream derives from the run's seed — replays are exact and
 /// worker-count independent.
 ///
 /// The equilibrium robustness contract: the attacker's long-run average
@@ -1253,50 +1308,25 @@ pub fn play_vs_exp3(
     assert!(rounds > 0, "need at least one round");
     let attacker_atoms = cfg.attacker_atoms();
     let payoff_bound = batch_poison_share(cfg.batch, cfg.attack_ratio).max(1e-9);
-    let mut play_cfg = cfg.clone();
-    play_cfg.rounds = rounds;
-    let per_cell = cfg.seeds;
-    let seeds = cell_seeds(cfg);
-    let outcomes = parallel_map_with(
-        per_cell,
-        cfg.workers,
-        || sub.new_scratch(),
-        |scratch, s| {
-            let seed = seeds[s];
-            let defender = RandomizedDefender::new(&cfg.defender_atoms, row_strategy)
-                .expect("validated strategy");
-            let attacker = Exp3Attacker::new(
-                &attacker_atoms,
-                rounds,
-                payoff_bound,
-                derive_seed(seed, EXP3_SEED_STREAM),
-            )
-            .expect("validated response set");
-            sub.run_cell(
-                &play_cfg,
-                play_tth(cfg),
-                Box::new(defender),
-                Box::new(attacker),
-                None,
-                seed,
-                scratch,
-            )
-        },
-    );
-    let mut attacker_payoff = OnlineStats::new();
-    let mut collector_loss = OnlineStats::new();
-    for out in outcomes {
-        attacker_payoff.push(out.attacker_gain);
-        collector_loss.push(out.collector_loss);
-    }
-    let regret_bound = Exp3Attacker::new(&attacker_atoms, rounds, payoff_bound, 0)
-        .expect("validated response set")
-        .average_regret_bound(rounds);
-    Exp3Play {
-        attacker_payoff,
-        collector_loss,
+    let exp3 = |seed: u64| {
+        Exp3Attacker::new(&attacker_atoms, rounds, payoff_bound, seed)
+            .expect("validated response set")
+    };
+    let play_cfg = EquilibriumConfig {
         rounds,
-        regret_bound,
+        ..cfg.clone()
+    };
+    let cell = measure_matchups(sub, &play_cfg, 1, |_, seed| {
+        let attacker = exp3(derive_seed(seed, EXP3_SEED_STREAM));
+        Matchup::mixed(cfg, row_strategy, Box::new(attacker), None)
+    })
+    .pop()
+    .expect("one cell");
+    Exp3Play {
+        attacker_payoff: cell.gain,
+        collector_loss: cell.loss,
+        rounds,
+        regret_bound: exp3(0).average_regret_bound(rounds),
     }
 }
 
@@ -1359,7 +1389,7 @@ pub struct SupportOptimization {
 /// Refines the defender's atom *placements* by coordinate descent: each
 /// atom in turn is golden-sectioned inside the bracket between its
 /// neighbours, with the candidate's payoff row re-estimated through the
-/// sweep workers ([`parallel_map_with`]) and the game re-solved against the
+/// same cell measurement as the dense grid and the game re-solved against the
 /// *fixed* attacker response columns of the starting grid. Moves are
 /// accepted only on strict improvement at the line-search precision, and
 /// the endpoint values are re-solved at the headline precision
@@ -1403,7 +1433,11 @@ pub fn optimize_support(
             .entry(t.to_bits())
             .or_insert_with(|| {
                 row_estimations += 1;
-                estimate_row(sub, cfg, t, &attacker_atoms)
+                let cells: Vec<(f64, f64)> = attacker_atoms.iter().map(|&a| (t, a)).collect();
+                measure_cells(sub, cfg, &cells)
+                    .into_iter()
+                    .map(|(mean, _)| mean)
+                    .collect()
             })
             .clone()
     };
@@ -1451,16 +1485,6 @@ pub fn optimize_support(
         row_estimations,
         moved: refined.moved,
     }
-}
-
-/// The `expt equilibrium` experiment report on the scalar substrate (the
-/// PR 3 entry point).
-///
-/// # Panics
-/// Panics on a degenerate configuration.
-#[must_use]
-pub fn equilibrium_report(cfg: &EquilibriumConfig) -> String {
-    equilibrium_report_for(SubstrateKind::Scalar, cfg)
 }
 
 /// The `expt equilibrium` experiment report, reading the substrate and
@@ -1724,13 +1748,13 @@ mod tests {
 
     #[test]
     fn estimate_is_scheduling_independent() {
-        let pool = standard_pool();
+        let sub = ScalarSubstrate::new(&standard_pool());
         let cfg = tiny();
-        let sequential = estimate(&pool, &cfg);
+        let sequential = estimate_on(&sub, &cfg);
         for workers in [2, 4, 7] {
             let mut c = cfg.clone();
             c.workers = workers;
-            let parallel = estimate(&pool, &c);
+            let parallel = estimate_on(&sub, &c);
             assert_eq!(
                 sequential.mean_loss, parallel.mean_loss,
                 "workers={workers}"
@@ -1744,26 +1768,26 @@ mod tests {
     fn randomized_play_is_scheduling_independent() {
         // Satellite contract: sweep-parallel == sequential holds for
         // randomized (sub-stream-sampling) policies too.
-        let pool = standard_pool();
+        let sub = ScalarSubstrate::new(&standard_pool());
         let cfg = tiny();
         let mix = [0.2, 0.5, 0.3];
-        let seq: Vec<f64> = play_mixed_vs_columns(&pool, &cfg, &mix)
+        let seq: Vec<f64> = play_mixed_vs_columns_on(&sub, &cfg, &mix)
             .iter()
             .map(OnlineStats::mean)
             .collect();
         for workers in [2, 5] {
             let mut c = cfg.clone();
             c.workers = workers;
-            let par: Vec<f64> = play_mixed_vs_columns(&pool, &c, &mix)
+            let par: Vec<f64> = play_mixed_vs_columns_on(&sub, &c, &mix)
                 .iter()
                 .map(OnlineStats::mean)
                 .collect();
             assert_eq!(seq, par, "workers={workers}");
         }
-        let a = play_vs_adaptive(&pool, &cfg, &mix);
+        let a = play_vs_adaptive_on(&sub, &cfg, &mix);
         let mut c = cfg.clone();
         c.workers = 3;
-        let b = play_vs_adaptive(&pool, &c, &mix);
+        let b = play_vs_adaptive_on(&sub, &c, &mix);
         assert_eq!(a.mean(), b.mean());
     }
 
@@ -1772,8 +1796,8 @@ mod tests {
         // Satellite contract: on the 3x3 smoke game the estimated
         // equilibrium value falls within the estimator's own confidence
         // interval of the analytic value.
-        let pool = standard_pool();
-        let est = estimate(&pool, &EquilibriumConfig::smoke());
+        let sub = ScalarSubstrate::new(&standard_pool());
+        let est = estimate_on(&sub, &EquilibriumConfig::smoke());
         assert_eq!(est.substrate, "scalar");
         assert!(
             est.within_tolerance(),
@@ -1787,7 +1811,7 @@ mod tests {
         // standard-error estimate.
         let mut cfg = EquilibriumConfig::smoke();
         cfg.seeds = 8;
-        let est = estimate(&pool, &cfg);
+        let est = estimate_on(&sub, &cfg);
         for i in 0..est.defender_atoms.len() {
             for j in 0..est.attacker_atoms.len() {
                 let diff = (est.mean_loss[i][j] - est.analytic_matrix[i][j]).abs();
@@ -1803,8 +1827,8 @@ mod tests {
 
     #[test]
     fn randomization_advantage_is_nonnegative() {
-        let pool = standard_pool();
-        let est = estimate(&pool, &EquilibriumConfig::smoke());
+        let sub = ScalarSubstrate::new(&standard_pool());
+        let est = estimate_on(&sub, &EquilibriumConfig::smoke());
         // Mixing can only help the defender in the same measured game
         // (up to the fictitious-play gap).
         assert!(
@@ -1822,8 +1846,8 @@ mod tests {
     #[test]
     fn report_renders_and_is_deterministic() {
         let cfg = tiny();
-        let a = equilibrium_report(&cfg);
-        let b = equilibrium_report(&cfg);
+        let a = equilibrium_report_for(SubstrateKind::Scalar, &cfg);
+        let b = equilibrium_report_for(SubstrateKind::Scalar, &cfg);
         assert_eq!(a, b);
         assert!(a.contains("empirical equilibrium"));
         assert!(a.contains("AdaptiveAttacker"));
@@ -1837,7 +1861,145 @@ mod tests {
     fn unsorted_atoms_rejected() {
         let mut cfg = tiny();
         cfg.defender_atoms = vec![0.95, 0.9];
-        let _ = estimate(&standard_pool(), &cfg);
+        let _ = estimate_on(&ScalarSubstrate::new(&standard_pool()), &cfg);
+    }
+
+    #[test]
+    fn dense_estimate_is_pinned_on_the_smoke_game() {
+        // Contract: the dense estimator's output on the scalar smoke game,
+        // bit for bit. Any change to the measurement fan-out, the per-cell
+        // fold, the seed streams or the cold solve shows up here.
+        let est = estimate_on(
+            &ScalarSubstrate::new(&standard_pool()),
+            &EquilibriumConfig::smoke(),
+        );
+        let bits = |m: &[Vec<f64>]| -> Vec<Vec<u64>> {
+            m.iter()
+                .map(|row| row.iter().map(|v| v.to_bits()).collect())
+                .collect()
+        };
+        assert_eq!(
+            [
+                est.empirical.value,
+                est.empirical.lower,
+                est.empirical.upper,
+                est.pure_empirical_value
+            ]
+            .map(f64::to_bits),
+            [
+                0x3fc7_a33d_8bc3_5ed7,
+                0x3fc7_a028_2913_f580,
+                0x3fc7_a652_ee72_c82e,
+                0x3fc8_c28f_5c28_f5c2
+            ]
+        );
+        assert_eq!(
+            bits(&est.mean_loss),
+            [
+                [
+                    0x3fd0_0bf2_58bf_258c,
+                    0x3fbb_1111_1111_1112,
+                    0x3fbb_1111_1111_1112
+                ],
+                [
+                    0x3fcb_da74_0da7_40dc,
+                    0x3fcc_b4e8_1b4e_81b5,
+                    0x3fb2_962f_c962_fc96
+                ],
+                [
+                    0x3fc7_0da7_40da_740c,
+                    0x3fc7_e81b_4e81_b4e9,
+                    0x3fc8_c28f_5c28_f5c2
+                ],
+            ]
+        );
+        assert_eq!(
+            bits(&est.ci_half_width),
+            [
+                [
+                    0x3f75_c28f_5c28_f5c0,
+                    0x3f75_c28f_5c28_f5e4,
+                    0x3f75_c28f_5c28_f5e4
+                ],
+                [
+                    0x3f75_c28f_5c28_f5a8,
+                    0x3f75_c28f_5c28_f620,
+                    0x3f75_c28f_5c28_f5c0
+                ],
+                [
+                    0x3f7a_e147_ae14_7ab8,
+                    0x3f7a_e147_ae14_7b00,
+                    0x3f7a_e147_ae14_7ab8
+                ],
+            ]
+        );
+    }
+
+    /// A scalar substrate whose cells must never run.
+    struct NoCells(ScalarSubstrate);
+
+    impl GameSubstrate for NoCells {
+        fn name(&self) -> &'static str {
+            "no-cells"
+        }
+
+        fn new_scratch(&self) -> CellScratch {
+            self.0.new_scratch()
+        }
+
+        fn run_cell(
+            &self,
+            _: &EquilibriumConfig,
+            _: f64,
+            _: Box<dyn ThresholdPolicy>,
+            _: Box<dyn AttackPolicy>,
+            _: Option<PublicBoard>,
+            _: u64,
+            _: &mut CellScratch,
+        ) -> CellOutcome {
+            panic!("a cell ran before the configuration was validated")
+        }
+
+        fn closed_form(&self, cfg: &EquilibriumConfig) -> ClosedForm {
+            self.0.closed_form(cfg)
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "fictitious-play iteration")]
+    fn zero_fp_iterations_rejected_before_any_cell_runs() {
+        let mut cfg = tiny();
+        cfg.fp_iterations = 0;
+        let _ = estimate_on(&NoCells(ScalarSubstrate::new(&standard_pool())), &cfg);
+    }
+
+    #[test]
+    fn eq_seeds_parse() {
+        assert_eq!(parse_eq_seeds("2"), Ok(2));
+        assert_eq!(parse_eq_seeds("12"), Ok(12));
+        for bad in ["abc", "1", "0", "", "-3", "2.5"] {
+            let err = parse_eq_seeds(bad).expect_err(bad);
+            assert!(err.contains(&format!("{bad:?}")), "{err}");
+        }
+    }
+
+    #[test]
+    fn sketch_epsilon_parse() {
+        for off in ["", "0", "false", "FALSE"] {
+            assert_eq!(parse_sketch_epsilon(off), Ok(None), "{off:?}");
+        }
+        for on in ["1", "true", "True"] {
+            assert_eq!(
+                parse_sketch_epsilon(on),
+                Ok(Some(DEFAULT_SKETCH_EPSILON)),
+                "{on:?}"
+            );
+        }
+        assert_eq!(parse_sketch_epsilon("0.05"), Ok(Some(0.05)));
+        for bad in ["abc", "0.5", "-0.1", "2", "nan"] {
+            let err = parse_sketch_epsilon(bad).expect_err(bad);
+            assert!(err.contains(&format!("{bad:?}")), "{err}");
+        }
     }
 
     #[test]
