@@ -81,7 +81,7 @@ use trimgame_ldp::piecewise::Piecewise;
 use trimgame_numerics::quantile::{ecdf, percentile_sorted, Interpolation};
 use trimgame_numerics::rand_ext::{derive_seed, seeded_rng};
 use trimgame_numerics::stats::OnlineStats;
-use trimgame_stream::board::PublicBoard;
+use trimgame_stream::board::RangedBoard;
 
 /// Stream index of the Exp3 attacker's private sampling sub-seed.
 const EXP3_SEED_STREAM: u64 = 0x4558_5033; // "EXP3"
@@ -429,7 +429,7 @@ pub trait GameSubstrate: Sync {
         tth: f64,
         defender: Box<dyn ThresholdPolicy>,
         attacker: Box<dyn AttackPolicy>,
-        board: Option<PublicBoard>,
+        board: Option<RangedBoard>,
         seed: u64,
         scratch: &mut CellScratch,
     ) -> CellOutcome;
@@ -576,7 +576,7 @@ impl GameSubstrate for ScalarSubstrate {
         tth: f64,
         defender: Box<dyn ThresholdPolicy>,
         attacker: Box<dyn AttackPolicy>,
-        board: Option<PublicBoard>,
+        board: Option<RangedBoard>,
         seed: u64,
         scratch: &mut CellScratch,
     ) -> CellOutcome {
@@ -641,7 +641,7 @@ impl GameSubstrate for MlSubstrate {
         tth: f64,
         defender: Box<dyn ThresholdPolicy>,
         attacker: Box<dyn AttackPolicy>,
-        board: Option<PublicBoard>,
+        board: Option<RangedBoard>,
         seed: u64,
         scratch: &mut CellScratch,
     ) -> CellOutcome {
@@ -740,7 +740,7 @@ impl GameSubstrate for LdpSubstrate {
         tth: f64,
         defender: Box<dyn ThresholdPolicy>,
         attacker: Box<dyn AttackPolicy>,
-        board: Option<PublicBoard>,
+        board: Option<RangedBoard>,
         seed: u64,
         scratch: &mut CellScratch,
     ) -> CellOutcome {
@@ -890,7 +890,7 @@ struct Matchup {
     tth: f64,
     defender: Box<dyn ThresholdPolicy>,
     attacker: Box<dyn AttackPolicy>,
-    board: Option<PublicBoard>,
+    board: Option<RangedBoard>,
 }
 
 impl Matchup {
@@ -912,7 +912,7 @@ impl Matchup {
         cfg: &EquilibriumConfig,
         row_strategy: &[f64],
         attacker: Box<dyn AttackPolicy>,
-        board: Option<PublicBoard>,
+        board: Option<RangedBoard>,
     ) -> Self {
         let defender =
             RandomizedDefender::new(&cfg.defender_atoms, row_strategy).expect("validated strategy");
@@ -1259,7 +1259,7 @@ pub fn play_vs_adaptive_on(
 ) -> OnlineStats {
     cfg.validate();
     let cell = measure_matchups(sub, cfg, 1, |_, _| {
-        let board = PublicBoard::new();
+        let board = RangedBoard::unbounded();
         let attacker = AdaptiveAttacker::new(board.clone(), cfg.response_margin, 0.99);
         Matchup::mixed(cfg, row_strategy, Box::new(attacker), Some(board))
     })
@@ -1953,7 +1953,7 @@ mod tests {
             _: f64,
             _: Box<dyn ThresholdPolicy>,
             _: Box<dyn AttackPolicy>,
-            _: Option<PublicBoard>,
+            _: Option<RangedBoard>,
             _: u64,
             _: &mut CellScratch,
         ) -> CellOutcome {

@@ -21,7 +21,7 @@ use std::borrow::Cow;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use trim_core::simulation::{run_game_engine, GameConfig, Scheme};
 use trimgame_numerics::stats::OnlineStats;
-use trimgame_stream::board::ShardedBoard;
+use trimgame_stream::board::RangedVenue;
 
 /// The stream shape of one sweep axis: how much data arrives per round,
 /// for how many rounds, and how hard the adversary presses.
@@ -185,7 +185,7 @@ fn run_cell_with(
     worker: &mut SweepWorker,
     grid: &SweepGrid,
     idx: usize,
-    board: Option<trimgame_stream::board::PublicBoard>,
+    board: Option<trimgame_stream::board::RangedBoard>,
 ) -> SweepCell {
     let (scheme, seed, shape) = grid.cell(idx);
     let cfg = grid.config(scheme, seed, shape);
@@ -363,12 +363,13 @@ pub fn run(pool: &[f64], grid: &SweepGrid, workers: usize) -> Vec<SweepCell> {
 }
 
 /// The shared-board sweep: every cell's engine publishes its per-round
-/// records into its own shard of one [`ShardedBoard`] venue, so the
-/// whole grid's public history is readable by a single cross-collector
-/// observer ([`ShardedBoard::merged`]) — the information-leakage channel
-/// a fleet of collectors exposes to a board-reading adversary. Cell
-/// outcomes are identical to [`run`] (the policies in the roster are not
-/// board-driven; the board only *records*).
+/// records into its own unbounded-span shard of one [`RangedVenue`], so
+/// the whole grid's public history is readable by a single
+/// cross-collector observer ([`RangedVenue::merged`]) — the
+/// information-leakage channel a fleet of collectors exposes to a
+/// board-reading adversary. Cell outcomes are identical to [`run`] (the
+/// policies in the roster are not board-driven; the board only
+/// *records*).
 ///
 /// # Panics
 /// Panics if the pool is empty, the grid is degenerate, or a worker
@@ -378,8 +379,8 @@ pub fn run_shared_board(
     pool: &[f64],
     grid: &SweepGrid,
     workers: usize,
-) -> (Vec<SweepCell>, ShardedBoard) {
-    let venue = ShardedBoard::new(grid.len().max(1));
+) -> (Vec<SweepCell>, RangedVenue) {
+    let venue = RangedVenue::new(grid.len().max(1), usize::MAX);
     let cells = parallel_map_with(
         grid.len(),
         workers,

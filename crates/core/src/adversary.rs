@@ -14,7 +14,7 @@
 
 use rand::{Rng, RngCore};
 use std::borrow::Cow;
-use trimgame_stream::board::{PublicBoard, RangedVenue};
+use trimgame_stream::board::{RangedBoard, RangedVenue};
 
 /// What the adversary observes before choosing this round's injection.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -32,7 +32,7 @@ pub struct AdversaryObservation {
 /// re-expressing an enum variant through the trait keeps fixed-seed
 /// trajectories bit-identical. Policies that need richer information than
 /// [`AdversaryObservation`] (the white-box threat model grants the full
-/// public record) hold a clone of the engine's [`PublicBoard`], as
+/// public record) hold a clone of the engine's [`RangedBoard`], as
 /// [`AdaptiveAttacker`] does.
 pub trait AttackPolicy: std::fmt::Debug {
     /// Human-readable attacker name (used in reports).
@@ -178,36 +178,28 @@ impl AttackPolicy for AdversaryPolicy {
 /// probability against injection height.
 #[derive(Debug, Clone)]
 pub struct AdaptiveAttacker {
-    feed: ThresholdFeed,
     offset: f64,
     fallback: f64,
     tol: f64,
     /// Distinct observed threshold atoms, ascending, with observation
-    /// counts — maintained incrementally via
-    /// [`PublicBoard::history_since`] so a `T`-round game costs `O(T)`
-    /// board reads total instead of re-copying the whole history each
+    /// counts — maintained incrementally so a `T`-round game costs `O(T)`
+    /// record reads total instead of re-reading the whole history each
     /// round.
     atoms: Vec<(f64, usize)>,
     /// Board records consumed so far.
     seen: usize,
-}
-
-/// Where an [`AdaptiveAttacker`] reads published thresholds from.
-#[derive(Debug, Clone)]
-enum ThresholdFeed {
-    /// A single collector's public board, consumed by record index.
-    Board(PublicBoard),
-    /// A sharded [`RangedVenue`], consumed through the bounded merge
-    /// ([`RangedVenue::merged_since_round`]) so fully-consumed cold spans
-    /// are skipped without being touched — under tiered storage they stay
-    /// compacted (or spilled) instead of being re-inflated every round.
-    Venue {
-        venue: RangedVenue,
-        /// Last round consumed per collector shard. The merge bound is
-        /// `min(last) + 1`: everything below it is consumed on *every*
-        /// shard, so no span holding only such rounds needs reading.
-        last: Vec<usize>,
-    },
+    /// Where published thresholds are read from, through the bounded
+    /// merge ([`RangedVenue::merged_since_round`]): each read starts at
+    /// the first unconsumed round, so consumed history is skipped by
+    /// binary search, and under tiered storage fully-consumed cold spans
+    /// stay compacted (or spilled) instead of being re-inflated.
+    venue: RangedVenue,
+    /// Last round consumed per collector shard. The merge bound is
+    /// `min(last) + 1`: everything below it is consumed on *every* shard,
+    /// so no span holding only such rounds needs reading. A record whose
+    /// round is not above its shard's watermark is skipped, so each shard
+    /// is read as strictly increasing rounds (an engine posts `1, 2, …`).
+    last: Vec<usize>,
 }
 
 impl AdaptiveAttacker {
@@ -218,23 +210,8 @@ impl AdaptiveAttacker {
     /// # Panics
     /// Panics unless `0 <= offset <= 1` and `0 <= fallback <= 1`.
     #[must_use]
-    pub fn new(board: PublicBoard, offset: f64, fallback: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&offset),
-            "offset {offset} not in [0, 1]"
-        );
-        assert!(
-            (0.0..=1.0).contains(&fallback),
-            "fallback {fallback} not in [0, 1]"
-        );
-        Self {
-            feed: ThresholdFeed::Board(board),
-            offset,
-            fallback,
-            tol: 1e-9,
-            atoms: Vec::new(),
-            seen: 0,
-        }
+    pub fn new(board: RangedBoard, offset: f64, fallback: f64) -> Self {
+        Self::over_venue(RangedVenue::from(board), offset, fallback)
     }
 
     /// Creates the attacker over a sharded [`RangedVenue`] — the white-box
@@ -256,33 +233,23 @@ impl AdaptiveAttacker {
             (0.0..=1.0).contains(&fallback),
             "fallback {fallback} not in [0, 1]"
         );
-        let last = vec![0; venue.collectors()];
         Self {
-            feed: ThresholdFeed::Venue { venue, last },
             offset,
             fallback,
             tol: 1e-9,
             atoms: Vec::new(),
             seen: 0,
-        }
-    }
-
-    /// The board view this attacker reads, if it is board-backed (a
-    /// venue-backed attacker reads a sharded merge instead).
-    #[must_use]
-    pub fn board(&self) -> Option<&PublicBoard> {
-        match &self.feed {
-            ThresholdFeed::Board(board) => Some(board),
-            ThresholdFeed::Venue { .. } => None,
+            last: vec![0; venue.collectors()],
+            venue,
         }
     }
 
     /// Folds records published since the last read into the atom counts
-    /// (an allocation-free visitor read of the chunked board, or of the
-    /// round-bounded venue merge).
+    /// (a visitor read of the round-bounded venue merge).
     fn ingest_new_records(&mut self) {
         let Self {
-            feed,
+            venue,
+            last,
             atoms,
             seen,
             tol,
@@ -297,28 +264,18 @@ impl AdaptiveAttacker {
                 _ => atoms.insert(idx, (t, 1)),
             }
         };
-        match feed {
-            ThresholdFeed::Board(board) => {
-                board.for_each_since(*seen, |record| {
-                    *seen += 1;
-                    fold(record.threshold_percentile);
-                });
+        let bound = last.iter().copied().min().unwrap_or(0) + 1;
+        venue.merged_since_round(bound).for_each(|shard, record| {
+            // Shards advance unevenly: the bound is the min across shards,
+            // so records a faster shard already yielded can reappear — the
+            // per-shard watermark drops them.
+            if record.round <= last[shard] {
+                return;
             }
-            ThresholdFeed::Venue { venue, last } => {
-                let bound = last.iter().copied().min().unwrap_or(0) + 1;
-                venue.merged_since_round(bound).for_each(|shard, record| {
-                    // Shards advance unevenly: the bound is the min across
-                    // shards, so records a faster shard already yielded can
-                    // reappear — the per-shard watermark drops them.
-                    if record.round <= last[shard] {
-                        return;
-                    }
-                    last[shard] = record.round;
-                    *seen += 1;
-                    fold(record.threshold_percentile);
-                });
-            }
-        }
+            last[shard] = record.round;
+            *seen += 1;
+            fold(record.threshold_percentile);
+        });
     }
 }
 
@@ -717,7 +674,7 @@ mod tests {
         }
     }
 
-    fn post_threshold(board: &PublicBoard, round: usize, threshold: f64) {
+    fn post_threshold(board: &RangedBoard, round: usize, threshold: f64) {
         board.post(trimgame_stream::board::RoundRecord {
             round,
             threshold_percentile: threshold,
@@ -731,7 +688,7 @@ mod tests {
 
     #[test]
     fn adaptive_attacker_falls_back_without_history() {
-        let board = PublicBoard::new();
+        let board = RangedBoard::unbounded();
         let mut a = AdaptiveAttacker::new(board, 0.01, 0.99);
         let mut rng = seeded_rng(1);
         assert_eq!(a.next_injection(&obs(None), &mut rng), 0.99);
@@ -739,7 +696,7 @@ mod tests {
 
     #[test]
     fn adaptive_attacker_tracks_a_deterministic_defender() {
-        let board = PublicBoard::new();
+        let board = RangedBoard::unbounded();
         let mut a = AdaptiveAttacker::new(board.clone(), 0.01, 0.99);
         for round in 1..=5 {
             post_threshold(&board, round, 0.9);
@@ -755,7 +712,7 @@ mod tests {
         // 80% of thresholds at 0.95, 20% at 0.85. Riding below 0.95 earns
         // 0.8 * 0.94 = 0.752; hiding below 0.85 earns 1.0 * 0.84 = 0.84.
         // The safe low position wins.
-        let board = PublicBoard::new();
+        let board = RangedBoard::unbounded();
         let mut a = AdaptiveAttacker::new(board.clone(), 0.01, 0.99);
         for round in 1..=10 {
             let t = if round <= 8 { 0.95 } else { 0.85 };
@@ -767,7 +724,7 @@ mod tests {
 
         // Tilt the mixture to 90% high: below-0.95 now earns
         // 0.9 * 0.94 = 0.846, beating below-0.85's 0.84.
-        let board2 = PublicBoard::new();
+        let board2 = RangedBoard::unbounded();
         let mut b = AdaptiveAttacker::new(board2.clone(), 0.01, 0.99);
         for round in 1..=10 {
             let t = if round <= 9 { 0.95 } else { 0.85 };
@@ -780,7 +737,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "not in [0, 1]")]
     fn adaptive_attacker_rejects_bad_offset() {
-        let _ = AdaptiveAttacker::new(PublicBoard::new(), 1.5, 0.9);
+        let _ = AdaptiveAttacker::new(RangedBoard::unbounded(), 1.5, 0.9);
     }
 
     #[test]
@@ -789,34 +746,20 @@ mod tests {
         let _ = AdaptiveAttacker::over_venue(RangedVenue::new(1, 8), 0.01, 1.5);
     }
 
-    fn post_ranged(board: &trimgame_stream::board::RangedBoard, round: usize, threshold: f64) {
-        board.post(trimgame_stream::board::RoundRecord {
-            round,
-            threshold_percentile: threshold,
-            threshold_value: None,
-            received: 100,
-            trimmed: 10,
-            retained: trimgame_numerics::stats::OnlineStats::new(),
-            quality: 1.0,
-        });
-    }
-
     #[test]
     fn venue_backed_attacker_matches_board_backed() {
         // Two shards publishing interleaved rounds: the venue merge yields
         // the same global threshold sequence a single board would, so both
         // attackers must best-respond identically at every step.
-        let board = PublicBoard::new();
+        let board = RangedBoard::unbounded();
         let venue = RangedVenue::new(2, 8);
         let mut on_board = AdaptiveAttacker::new(board.clone(), 0.01, 0.99);
         let mut on_venue = AdaptiveAttacker::over_venue(venue.clone(), 0.01, 0.99);
         let mut rng = seeded_rng(4);
-        assert!(on_venue.board().is_none());
-        assert!(on_board.board().is_some());
         for round in 1..=30 {
             let t = if round % 5 == 0 { 0.85 } else { 0.95 };
             post_threshold(&board, round, t);
-            post_ranged(&venue.collector(round % 2), round, t);
+            post_threshold(&venue.collector(round % 2), round, t);
             if round % 7 == 0 {
                 let a = on_board.next_injection(&obs(Some(t)), &mut rng);
                 let b = on_venue.next_injection(&obs(Some(t)), &mut rng);
@@ -833,7 +776,7 @@ mod tests {
         let mut a = AdaptiveAttacker::over_venue(venue.clone(), 0.01, 0.99);
         let mut rng = seeded_rng(5);
         for round in 1..=100 {
-            post_ranged(&shard, round, 0.9);
+            post_threshold(&shard, round, 0.9);
         }
         let x = a.next_injection(&obs(Some(0.9)), &mut rng);
         assert!((x - 0.89).abs() < 1e-12);
@@ -845,7 +788,7 @@ mod tests {
         assert!(stats.snapshot().frames_built > 0);
         let inflations_before = stats.snapshot().inflations;
         for round in 101..=110 {
-            post_ranged(&shard, round, 0.9);
+            post_threshold(&shard, round, 0.9);
             let x = a.next_injection(&obs(Some(0.9)), &mut rng);
             assert!((x - 0.89).abs() < 1e-12);
         }

@@ -38,7 +38,7 @@ use crate::strategy::{DefenderObservation, DefenderPolicy, ThresholdPolicy};
 use rand::Rng;
 use trimgame_numerics::rand_ext::seeded_rng;
 use trimgame_numerics::stats::OnlineStats;
-use trimgame_stream::board::{PublicBoard, RoundRecord};
+use trimgame_stream::board::{RangedBoard, RoundRecord};
 
 /// What one environment step reports back to the engine.
 #[derive(Debug, Clone, PartialEq)]
@@ -469,7 +469,7 @@ pub struct EngineOutcome<S> {
     /// Round at which a trigger defender terminated cooperation, if any.
     pub termination_round: Option<usize>,
     /// The public board with one record per round (Fig. 3 steps ①/⑥).
-    pub board: PublicBoard,
+    pub board: RangedBoard,
 }
 
 /// The Fig. 3 round loop over any [`Scenario`].
@@ -478,7 +478,7 @@ pub struct Engine<S: Scenario> {
     scenario: S,
     defender: Box<dyn ThresholdPolicy>,
     adversary: Box<dyn AttackPolicy>,
-    board: PublicBoard,
+    board: RangedBoard,
     policy_seed: u64,
 }
 
@@ -516,7 +516,7 @@ impl<S: Scenario> Engine<S> {
             scenario,
             defender,
             adversary,
-            board: PublicBoard::new(),
+            board: RangedBoard::unbounded(),
             policy_seed: Self::DEFAULT_POLICY_SEED,
         }
     }
@@ -524,7 +524,7 @@ impl<S: Scenario> Engine<S> {
     /// Shares an existing public board (e.g. one the adversary already
     /// holds a clone of) instead of creating a fresh one.
     #[must_use]
-    pub fn with_board(mut self, board: PublicBoard) -> Self {
+    pub fn with_board(mut self, board: RangedBoard) -> Self {
         self.board = board;
         self
     }
@@ -597,7 +597,7 @@ impl<S: Scenario> Engine<S> {
         S,
         Box<dyn ThresholdPolicy>,
         Box<dyn AttackPolicy>,
-        PublicBoard,
+        RangedBoard,
     ) {
         assert!(rounds > 0, "need at least one round");
         scratch.reset(rounds);
@@ -793,7 +793,7 @@ mod tests {
     #[test]
     fn adaptive_attacker_rides_engine_board() {
         use crate::adversary::AdaptiveAttacker;
-        let board = PublicBoard::new();
+        let board = RangedBoard::unbounded();
         let attacker = AdaptiveAttacker::new(board.clone(), 0.01, 0.99);
         let out = Engine::with_policies(
             ToyScenario {
@@ -896,7 +896,7 @@ mod tests {
 
         let mut stepper =
             EngineStepper::with_policy_seed(make_scenario(), make_defender(), make_adversary(), 31);
-        let board = PublicBoard::new();
+        let board = RangedBoard::unbounded();
         let mut rng = seeded_rng(21);
         let mut thresholds = Vec::new();
         let mut injections = Vec::new();
@@ -923,8 +923,12 @@ mod tests {
         assert_eq!(traj.u_a, owned.utilities.u_a);
         assert_eq!(traj.u_c, owned.utilities.u_c);
         // The hand-posted board matches the engine's record for record.
-        let ours = board.history();
-        let theirs = owned.board.history();
+        let history = |board: &RangedBoard| {
+            let mut out = Vec::new();
+            board.for_each_since_round(0, |r| out.push(r.clone()));
+            out
+        };
+        let (ours, theirs) = (history(&board), history(&owned.board));
         assert_eq!(ours.len(), theirs.len());
         for (a, b) in ours.iter().zip(theirs.iter()) {
             assert_eq!(a.round, b.round);

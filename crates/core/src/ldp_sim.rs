@@ -611,7 +611,7 @@ pub fn run_ldp_collection(population: &[f64], defense: LdpDefense, cfg: &LdpSimC
 /// [`crate::strategy::RandomizedDefender`] mixing over report-percentile
 /// thresholds) in place of the roster defender; `defense` still selects
 /// the estimator path (trimmed mean vs EMF). Pass `board` to share a
-/// [`PublicBoard`](trimgame_stream::board::PublicBoard) an outside
+/// [`RangedBoard`](trimgame_stream::board::RangedBoard) an outside
 /// observer (or a board-driven policy) already holds a clone of. The
 /// defender sub-stream is seeded from `cfg.seed` via
 /// [`POLICY_SEED_STREAM`].
@@ -624,7 +624,7 @@ pub fn run_ldp_collection_with(
     defense: LdpDefense,
     cfg: &LdpSimConfig,
     defender: Box<dyn ThresholdPolicy>,
-    board: Option<trimgame_stream::board::PublicBoard>,
+    board: Option<trimgame_stream::board::RangedBoard>,
 ) -> f64 {
     // The historical attack position: counterfeit input +1, every round.
     let adversary = AdversaryPolicy::Fixed { percentile: 1.0 };
@@ -665,7 +665,7 @@ pub fn run_ldp_collection_outcome<'a>(
     cfg: &LdpSimConfig,
     defender: Box<dyn ThresholdPolicy>,
     adversary: Box<dyn crate::adversary::AttackPolicy>,
-    board: Option<trimgame_stream::board::PublicBoard>,
+    board: Option<trimgame_stream::board::RangedBoard>,
 ) -> crate::engine::EngineOutcome<LdpScenario<'a>> {
     let mut rng = seeded_rng(cfg.seed);
     let scenario = LdpScenario::new(population, defense, cfg, &mut rng);
@@ -695,7 +695,7 @@ pub fn run_ldp_collection_with_scratch(
     cfg: &LdpSimConfig,
     defender: Box<dyn ThresholdPolicy>,
     adversary: Box<dyn crate::adversary::AttackPolicy>,
-    board: Option<trimgame_stream::board::PublicBoard>,
+    board: Option<trimgame_stream::board::RangedBoard>,
     arena: &mut LdpArena,
     scratch: &mut crate::engine::EngineScratch,
 ) -> crate::engine::EngineRun {

@@ -574,7 +574,7 @@ pub fn collect_poisoned_with_model(
 /// defenders and board-driven attackers play the feature-vector game
 /// exactly as the closed roster does (the anomaly-score substrate is
 /// unchanged; only the position dynamics differ). Pass `board` to share a
-/// [`PublicBoard`](trimgame_stream::board::PublicBoard) the attacker
+/// [`RangedBoard`](trimgame_stream::board::RangedBoard) the attacker
 /// already holds a clone of (an
 /// [`AdaptiveAttacker`](crate::adversary::AdaptiveAttacker) without it
 /// reads an empty history and degenerates to its fallback). `cfg.scheme`
@@ -590,7 +590,7 @@ pub fn collect_poisoned_with(
     cfg: &MlSimConfig,
     defender: Box<dyn crate::strategy::ThresholdPolicy>,
     adversary: Box<dyn crate::adversary::AttackPolicy>,
-    board: Option<trimgame_stream::board::PublicBoard>,
+    board: Option<trimgame_stream::board::RangedBoard>,
 ) -> CollectedSet {
     let out = collect_poisoned_outcome(data, cfg, defender, adversary, board);
     out.scenario.into_collected(cfg.scheme, &out.totals)
@@ -613,7 +613,7 @@ pub fn collect_poisoned_outcome<'a>(
     cfg: &MlSimConfig,
     defender: Box<dyn crate::strategy::ThresholdPolicy>,
     adversary: Box<dyn crate::adversary::AttackPolicy>,
-    board: Option<trimgame_stream::board::PublicBoard>,
+    board: Option<trimgame_stream::board::RangedBoard>,
 ) -> EngineOutcome<MlScenario<'a>> {
     let mut rng = seeded_rng(cfg.seed);
     let scenario = MlScenario::new(data, cfg);
@@ -642,7 +642,7 @@ pub fn collect_poisoned_with_scratch(
     cfg: &MlSimConfig,
     defender: Box<dyn crate::strategy::ThresholdPolicy>,
     adversary: Box<dyn crate::adversary::AttackPolicy>,
-    board: Option<trimgame_stream::board::PublicBoard>,
+    board: Option<trimgame_stream::board::RangedBoard>,
     arena: &mut MlArena,
     scratch: &mut crate::engine::EngineScratch,
 ) -> crate::engine::EngineRun {
@@ -955,10 +955,10 @@ mod tests {
     fn adaptive_attacker_sees_the_shared_board() {
         use crate::adversary::AdaptiveAttacker;
         use crate::strategy::DefenderPolicy;
-        use trimgame_stream::board::PublicBoard;
+        use trimgame_stream::board::RangedBoard;
         let data = blobs(9);
         let cfg = small_cfg(Scheme::Baseline09, 0.3);
-        let board = PublicBoard::new();
+        let board = RangedBoard::unbounded();
         let attacker = AdaptiveAttacker::new(board.clone(), 0.01, 0.99);
         let set = collect_poisoned_with(
             &data,

@@ -24,7 +24,6 @@ use trimgame_datasets::stream::RoundStream;
 use trimgame_numerics::quantile::{ecdf, percentile_sorted, Interpolation};
 use trimgame_numerics::rand_ext::seeded_rng;
 use trimgame_numerics::stats::OnlineStats;
-use trimgame_stream::round::RoundOutcome;
 use trimgame_stream::trim::{trim, SketchThreshold, TrimOp, TrimScratch};
 
 /// The six evaluation schemes of Section VI-A.
@@ -143,6 +142,27 @@ impl GameConfig {
             sketch_epsilon: None,
         }
     }
+}
+
+/// Everything that happened in one scalar round, with provenance.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RoundOutcome {
+    /// 1-based round number.
+    pub round: usize,
+    /// Percentile the collector trimmed at.
+    pub threshold_percentile: f64,
+    /// Values received (benign + poison).
+    pub received: usize,
+    /// Poison values received.
+    pub poison_received: usize,
+    /// Poison values that survived trimming.
+    pub poison_survived: usize,
+    /// Benign values that were (falsely) trimmed — the trimming overhead.
+    pub benign_trimmed: usize,
+    /// Retained values (benign + surviving poison), input order.
+    pub kept: Vec<f64>,
+    /// `Quality_Evaluation()` score of the received batch.
+    pub quality: f64,
 }
 
 /// Result of a scalar game.
@@ -558,7 +578,7 @@ pub const POLICY_SEED_STREAM: u64 = 0x504F_4C49_4359; // "POLICY"
 /// policies — the entry point for [`crate::strategy::RandomizedDefender`],
 /// [`crate::adversary::AdaptiveAttacker`] and downstream custom
 /// strategies. Pass `board` to share a
-/// [`PublicBoard`](trimgame_stream::board::PublicBoard) the attacker
+/// [`RangedBoard`](trimgame_stream::board::RangedBoard) the attacker
 /// already holds a clone of. The defender sub-stream is seeded from
 /// `config.seed` via [`POLICY_SEED_STREAM`].
 ///
@@ -570,7 +590,7 @@ pub fn run_game_with_policies(
     config: &GameConfig,
     defender: Box<dyn ThresholdPolicy>,
     adversary: Box<dyn AttackPolicy>,
-    board: Option<trimgame_stream::board::PublicBoard>,
+    board: Option<trimgame_stream::board::RangedBoard>,
     record_kept: bool,
 ) -> EngineOutcome<ScalarScenario> {
     assert!(config.rounds > 0, "need at least one round");
@@ -603,7 +623,7 @@ pub fn run_game_with_scratch(
     config: &GameConfig,
     defender: Box<dyn ThresholdPolicy>,
     adversary: Box<dyn AttackPolicy>,
-    board: Option<trimgame_stream::board::PublicBoard>,
+    board: Option<trimgame_stream::board::RangedBoard>,
     arena: &mut ScalarArena,
     scratch: &mut EngineScratch,
 ) -> EngineRun {
@@ -1036,11 +1056,11 @@ mod tests {
     fn randomized_defender_plays_adaptive_attacker() {
         use crate::adversary::AdaptiveAttacker;
         use crate::strategy::RandomizedDefender;
-        use trimgame_stream::board::PublicBoard;
+        use trimgame_stream::board::RangedBoard;
         let mut cfg = GameConfig::new(Scheme::BaselineStatic);
         cfg.rounds = 30;
         let run_once = || {
-            let board = PublicBoard::new();
+            let board = RangedBoard::unbounded();
             let attacker = AdaptiveAttacker::new(board.clone(), 0.01, 0.99);
             let defender = RandomizedDefender::new(&[0.86, 0.94], &[0.5, 0.5]).unwrap();
             run_game_with_policies(

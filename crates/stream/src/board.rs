@@ -1,5 +1,5 @@
-//! The public board of Fig. 3 — sharded and chunked for concurrent
-//! collectors.
+//! The public board of Fig. 3 — one board type, range-sharded and tiered,
+//! plus a venue of boards for concurrent collectors.
 //!
 //! "A public board, accessible to the adversary, enables the collector to
 //! record the untrimmed data (step ①, ⑥)." The board is the white-box
@@ -8,34 +8,24 @@
 //! example, the data collector's trimming positions". It is append-only
 //! and thread-safe so concurrent adversary/collector tasks can share it.
 //!
-//! Storage is **chunked append-only**: a shard seals records into
-//! immutable reference-counted chunks of `CHUNK_CAP` records as they
-//! fill, and
-//! keeps only the open tail mutable. Readers take a [`BoardSnapshot`] —
-//! an `Arc` bump per sealed chunk plus a copy of the short tail — and
-//! then walk the history without holding any lock and without cloning
-//! the bulk of the records. Aggregates ([`PublicBoard::len`],
-//! [`PublicBoard::cumulative_trim_fraction`]) are maintained as running
-//! totals, and [`PublicBoard::round`] resolves by binary search on the
-//! append-ordered round numbers instead of a linear scan.
+//! A [`RangedBoard`] is one collector's history, split into fixed
+//! **round-range** spans. Each hot span stores its records **chunked**:
+//! full chunks of `CHUNK_CAP` records are sealed into immutable
+//! reference-counted slices, and only the open tail stays mutable, so a
+//! merged read shares the sealed chunks instead of cloning them. Appends
+//! route to the live span in O(1), aggregates ([`RangedBoard::len`],
+//! [`RangedBoard::last_round`]) are lock-free counters, and round-keyed
+//! reads ([`RangedBoard::round`], [`RangedBoard::for_each_since_round`])
+//! binary-search the append-ordered rounds and open only the spans at or
+//! after the requested round. Spans behind the live one can be compacted
+//! and spilled (see [`crate::compact`]); reads re-inflate them
+//! transparently. An engine playing one game posts into
+//! [`RangedBoard::unbounded`], a board whose single span never ends.
 //!
-//! One [`PublicBoard`] is one collector's shard. Many concurrent engines
-//! that should publish into a *common* venue — the sweep's shared-board
-//! mode — use a [`ShardedBoard`]: per-collector shards (writers never
-//! contend on each other's locks) plus a [`ShardedBoard::merged`] view
-//! that k-way-merges the shards in round order for cross-collector
-//! observers studying information leakage.
-//!
-//! A long-running stream adds a second shard dimension: a [`RangedBoard`]
-//! splits one logical collector's history into fixed **round-range**
-//! spans, each its own [`PublicBoard`], so a stream with years of history
-//! stays O(chunk) hot — appends route to the live span in O(1) and
-//! [`RangedBoard::for_each_since_round`] opens only the spans at or after
-//! the requested round, never scanning cold ranges. [`RangedVenue`] is
-//! the collector service's publication venue: one [`RangedBoard`] per
-//! ingest worker (the PR 5 per-collector sharding) × round-range spans
-//! within each, with [`RangedVenue::merged`] staying round-ordered across
-//! both shard dimensions.
+//! A [`RangedVenue`] is the publication venue of many concurrent
+//! collectors: one board per collector, so writers never contend on each
+//! other's locks, and [`RangedVenue::merged`] k-way-merges them in
+//! `(round, collector)` order for cross-collector observers.
 
 use crate::compact::TierStats;
 use crate::fault::{with_retry, FaultLane, FaultSite, RetryPolicy};
@@ -66,21 +56,19 @@ pub struct RoundRecord {
 }
 
 /// Records per sealed chunk: big enough that a long game seals rarely,
-/// small enough that a snapshot's tail copy stays trivial.
+/// small enough that a merged read's tail copy stays trivial.
 const CHUNK_CAP: usize = 64;
 
+/// A hot span's chunked append-only storage.
 #[derive(Debug, Default)]
-struct ShardInner {
+struct HotSpan {
     /// Sealed, immutable chunks of exactly [`CHUNK_CAP`] records each.
     sealed: Vec<Arc<[RoundRecord]>>,
     /// The open chunk (`< CHUNK_CAP` records).
     tail: Vec<RoundRecord>,
-    /// Running totals for O(1) aggregates.
-    received_total: usize,
-    trimmed_total: usize,
 }
 
-impl ShardInner {
+impl HotSpan {
     fn len(&self) -> usize {
         self.sealed.len() * CHUNK_CAP + self.tail.len()
     }
@@ -95,330 +83,87 @@ impl ShardInner {
     }
 
     fn push(&mut self, record: RoundRecord) {
-        self.received_total += record.received;
-        self.trimmed_total += record.trimmed;
         self.tail.push(record);
         if self.tail.len() == CHUNK_CAP {
             self.sealed.push(self.tail.drain(..).collect());
         }
     }
-}
 
-/// Append-only, thread-safe board of [`RoundRecord`]s — one collector's
-/// shard. Cloning shares the underlying storage (both the collector and
-/// the adversary hold the same board).
-///
-/// Records are append-ordered by round (the engine posts round `1, 2, …`
-/// monotonically; gaps are fine) — [`PublicBoard::round`] relies on that
-/// order for its binary search.
-#[derive(Debug, Clone, Default)]
-pub struct PublicBoard {
-    inner: Arc<RwLock<ShardInner>>,
-}
-
-impl PublicBoard {
-    /// Creates an empty board.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Appends a round record.
-    pub fn post(&self, record: RoundRecord) {
-        self.inner.write().push(record);
-    }
-
-    /// Number of recorded rounds.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.inner.read().len()
-    }
-
-    /// True if no rounds have been recorded.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.inner.read().len() == 0
-    }
-
-    /// The most recent record, if any (what the adversary reads in step ⑥
-    /// to verify last round's trimming threshold).
-    #[must_use]
-    pub fn latest(&self) -> Option<RoundRecord> {
-        let guard = self.inner.read();
-        guard
-            .tail
-            .last()
-            .or_else(|| guard.sealed.last().map(|c| &c[CHUNK_CAP - 1]))
-            .cloned()
-    }
-
-    /// The most recent recorded round number, if any — `O(1)` and
-    /// snapshot-free (unlike [`PublicBoard::latest`] it clones no record,
-    /// so a coalescer can poll it on the ingest hot path).
-    #[must_use]
-    pub fn last_round(&self) -> Option<usize> {
-        let guard = self.inner.read();
-        guard
-            .tail
-            .last()
-            .or_else(|| guard.sealed.last().map(|c| &c[CHUNK_CAP - 1]))
-            .map(|r| r.round)
-    }
-
-    /// Record of a specific round (1-based), if recorded — `O(log n)`
-    /// binary search on the append-ordered round numbers (gaps between
-    /// rounds are fine; out-of-order posting voids the search order).
-    #[must_use]
-    pub fn round(&self, round: usize) -> Option<RoundRecord> {
-        let guard = self.inner.read();
-        let n = guard.len();
-        let mut lo = 0usize;
-        let mut hi = n;
+    /// Index of the first record with round `>= round` — a binary search
+    /// that relies on append-ordered round numbers (gaps are fine).
+    fn start_of(&self, round: usize) -> usize {
+        let (mut lo, mut hi) = (0, self.len());
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
-            if guard.get(mid).round < round {
+            if self.get(mid).round < round {
                 lo = mid + 1;
             } else {
                 hi = mid;
             }
         }
-        (lo < n && guard.get(lo).round == round).then(|| guard.get(lo).clone())
+        lo
     }
 
-    /// Snapshot of the full history as owned records. Prefer
-    /// [`PublicBoard::snapshot`] for bulk reads — it shares the sealed
-    /// chunks instead of cloning every record.
-    #[must_use]
-    pub fn history(&self) -> Vec<RoundRecord> {
-        self.snapshot().iter().cloned().collect()
-    }
-
-    /// Records appended at or after insertion index `from` (0-based) —
-    /// the incremental read an adaptive observer uses so a `T`-round
-    /// watch costs `O(T)` copies total instead of `O(T²)` full-history
-    /// snapshots.
-    #[must_use]
-    pub fn history_since(&self, from: usize) -> Vec<RoundRecord> {
-        let guard = self.inner.read();
-        (from..guard.len()).map(|i| guard.get(i).clone()).collect()
-    }
-
-    /// Visits records appended at or after insertion index `from` under
-    /// the read lock — the allocation-free incremental read (board-driven
-    /// attackers ingest new rounds this way).
-    pub fn for_each_since(&self, from: usize, mut f: impl FnMut(&RoundRecord)) {
-        let guard = self.inner.read();
-        for i in from..guard.len() {
-            f(guard.get(i));
+    fn for_each_from(&self, from: usize, f: &mut impl FnMut(&RoundRecord)) {
+        for i in from..self.len() {
+            f(self.get(i));
         }
     }
 
-    /// Visits records whose round number is `>= round` under the read
-    /// lock, in append order — `O(log n)` to find the start (the same
-    /// binary search as [`PublicBoard::round`], so it relies on
-    /// append-ordered round numbers), then `O(visited)`. This is the
-    /// range-shard read: a [`RangedBoard`] resolves the span holding
-    /// `round` and starts here, never scanning colder records.
-    pub fn for_each_from_round(&self, round: usize, mut f: impl FnMut(&RoundRecord)) {
-        let guard = self.inner.read();
-        let n = guard.len();
-        let mut lo = 0usize;
-        let mut hi = n;
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if guard.get(mid).round < round {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        for i in lo..n {
-            f(guard.get(i));
-        }
+    /// All records, cloned (the input of a span freeze).
+    fn records(&self) -> Vec<RoundRecord> {
+        (0..self.len()).map(|i| self.get(i).clone()).collect()
     }
 
-    /// A lock-free read view: `Arc` bumps for the sealed chunks plus a
-    /// copy of the open tail (at most `CHUNK_CAP − 1` records). Taking
-    /// a snapshot is `O(chunks)`, iterating it clones nothing.
-    #[must_use]
-    pub fn snapshot(&self) -> BoardSnapshot {
-        let guard = self.inner.read();
-        BoardSnapshot {
-            len: guard.len(),
-            chunks: guard.sealed.clone(),
-            tail: guard.tail.clone(),
+    /// Appends the records at and after index `from` to `out` as shared
+    /// segments: an `Arc` bump per sealed chunk, a copy of only the
+    /// in-range part of the open tail.
+    fn segments_from(&self, from: usize, out: &mut Vec<Segment>) {
+        for (c, chunk) in self.sealed.iter().enumerate().skip(from / CHUNK_CAP) {
+            out.push(Segment {
+                records: chunk.clone(),
+                start: from.saturating_sub(c * CHUNK_CAP),
+            });
         }
-    }
-
-    /// Cumulative fraction of received values that were trimmed — `O(1)`
-    /// from running totals.
-    #[must_use]
-    pub fn cumulative_trim_fraction(&self) -> f64 {
-        let guard = self.inner.read();
-        if guard.received_total == 0 {
-            0.0
-        } else {
-            guard.trimmed_total as f64 / guard.received_total as f64
+        let tail_from = from.saturating_sub(self.sealed.len() * CHUNK_CAP);
+        if tail_from < self.tail.len() {
+            out.push(Segment {
+                records: self.tail[tail_from..].into(),
+                start: 0,
+            });
         }
     }
 }
 
-/// A detached, immutable view of a board's history at snapshot time:
-/// shares the stored chunks, owns only the short tail.
-///
-/// Chunks may be **ragged**: a hot board snapshots into uniform
-/// `CHUNK_CAP` chunks, while a compacted span inflates into a single
-/// chunk holding the whole span — readers walk chunk by chunk and never
-/// assume a fixed chunk size.
-#[derive(Debug, Clone, Default)]
-pub struct BoardSnapshot {
-    len: usize,
-    chunks: Vec<Arc<[RoundRecord]>>,
-    tail: Vec<RoundRecord>,
-}
-
-impl BoardSnapshot {
-    /// Wraps an inflated cold span as a single-chunk snapshot.
-    pub(crate) fn from_records(records: Arc<[RoundRecord]>) -> Self {
-        Self {
-            len: records.len(),
-            chunks: vec![records],
-            tail: Vec::new(),
-        }
-    }
-
-    /// Number of records in the snapshot.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True if the snapshot holds no records.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Number of contiguous parts (chunks plus the tail).
-    fn parts(&self) -> usize {
-        self.chunks.len() + 1
-    }
-
-    /// Part `i` as a contiguous slice; the tail is always the last part.
-    fn part(&self, i: usize) -> &[RoundRecord] {
-        if i < self.chunks.len() {
-            &self.chunks[i]
-        } else {
-            &self.tail
-        }
-    }
-
-    /// The record at insertion index `idx`.
-    ///
-    /// # Panics
-    /// Panics if `idx` is out of range.
-    #[must_use]
-    pub fn get(&self, idx: usize) -> &RoundRecord {
-        let mut rest = idx;
-        for i in 0..self.parts() {
-            let part = self.part(i);
-            if rest < part.len() {
-                return &part[rest];
-            }
-            rest -= part.len();
-        }
-        panic!("snapshot index {idx} out of range {}", self.len)
-    }
-
-    /// Iterates the records in insertion order, without cloning.
-    pub fn iter(&self) -> impl Iterator<Item = &RoundRecord> {
-        self.chunks
-            .iter()
-            .flat_map(|c| c.iter())
-            .chain(self.tail.iter())
-    }
-}
-
-/// A shared publication venue for many concurrent collectors: one
-/// [`PublicBoard`] shard per collector, so writers never contend on a
-/// common lock, plus a merged read view for cross-collector observers.
-///
-/// This is the sweep's shared-board mode: every engine in a grid posts
-/// into its own shard of one venue, and an adversary reading
-/// [`ShardedBoard::merged`] sees the union of all collectors' public
-/// records — the cross-collector information-leakage channel.
+/// A non-empty run of stored records, read from `start` on — the unit a
+/// [`MergedHistory`] walks. Sealed chunks are shared, not copied.
 #[derive(Debug, Clone)]
-pub struct ShardedBoard {
-    shards: Arc<[PublicBoard]>,
+struct Segment {
+    records: Arc<[RoundRecord]>,
+    start: usize,
 }
 
-impl ShardedBoard {
-    /// Creates a venue with `collectors` empty shards.
-    ///
-    /// # Panics
-    /// Panics if `collectors == 0`.
-    #[must_use]
-    pub fn new(collectors: usize) -> Self {
-        assert!(collectors > 0, "need at least one collector");
-        Self {
-            shards: (0..collectors).map(|_| PublicBoard::new()).collect(),
-        }
-    }
-
-    /// Number of collector shards.
-    #[must_use]
-    pub fn collectors(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Collector `idx`'s shard — a [`PublicBoard`] handle sharing the
-    /// shard's storage (hand it to that collector's engine).
-    ///
-    /// # Panics
-    /// Panics if `idx` is out of range.
-    #[must_use]
-    pub fn collector(&self, idx: usize) -> PublicBoard {
-        self.shards[idx].clone()
-    }
-
-    /// Total records across all shards.
-    #[must_use]
-    pub fn total_len(&self) -> usize {
-        self.shards.iter().map(PublicBoard::len).sum()
-    }
-
-    /// The highest round recorded on any shard, if any — `O(shards)`
-    /// cheap reads, no snapshot materialized.
-    #[must_use]
-    pub fn last_round(&self) -> Option<usize> {
-        self.shards.iter().filter_map(PublicBoard::last_round).max()
-    }
-
-    /// A merged view of all shards at snapshot time, ordered by
-    /// `(round, collector)` — what a cross-collector observer reads.
-    #[must_use]
-    pub fn merged(&self) -> MergedHistory {
-        MergedHistory {
-            chains: self.shards.iter().map(|s| vec![s.snapshot()]).collect(),
-            min_round: 0,
-        }
+impl Segment {
+    fn records(&self) -> &[RoundRecord] {
+        &self.records[self.start..]
     }
 }
 
-/// One logical collector's history, sharded by **round range**: span `s`
-/// holds rounds `s·span + 1 ..= (s+1)·span`, each span its own
-/// [`PublicBoard`]. Appends route to the live span in O(1) (spans grow
-/// lazily), aggregate reads ([`RangedBoard::len`],
-/// [`RangedBoard::last_round`]) are lock-free atomics, and ranged reads
-/// open only the spans at or after the requested round — a stream with
-/// years of history stays O(chunk) hot. Cloning shares the storage.
+/// One logical collector's append-only, thread-safe history, sharded by
+/// **round range**: span `s` holds rounds `s·span + 1 ..= (s+1)·span`.
+/// Appends route to the live span in O(1) (spans grow lazily), aggregate
+/// reads ([`RangedBoard::len`], [`RangedBoard::last_round`]) are
+/// lock-free atomics, and ranged reads open only the spans at or after
+/// the requested round — a stream with years of history stays O(chunk)
+/// hot. Cloning shares the storage (both the collector and the adversary
+/// hold the same board).
 ///
-/// Like [`PublicBoard`], rounds must be posted in nondecreasing order for
-/// the per-span binary searches to hold.
+/// Rounds must be posted in nondecreasing order (gaps are fine) for the
+/// per-span binary searches to hold.
 ///
-/// **Tiering.** Each span lives in one of three tiers: *hot* (the chunked
-/// [`PublicBoard`] it was appended into), *framed* (compacted into an
-/// immutable bit-packed [`Frame`] by a [`crate::compact::Compactor`]), or
+/// **Tiering.** Each span lives in one of three tiers: *hot* (chunked
+/// records, the append target), *framed* (compacted into an immutable
+/// bit-packed [`Frame`] by a [`crate::compact::Compactor`]), or
 /// *spilled* (the frame's bytes written to a disk file, nothing
 /// resident). Every read path re-inflates cold spans transparently, so
 /// tiering never changes what a reader observes — only where the bytes
@@ -428,20 +173,30 @@ impl ShardedBoard {
 #[derive(Debug, Clone)]
 pub struct RangedBoard {
     span: usize,
-    spans: Arc<RwLock<Vec<SpanSlot>>>,
-    len: Arc<AtomicUsize>,
+    shared: Arc<BoardState>,
+}
+
+/// The storage and counters every clone of one board shares.
+#[derive(Debug)]
+struct BoardState {
+    spans: RwLock<Vec<SpanSlot>>,
+    len: AtomicUsize,
     /// Highest posted round; 0 encodes "none" (rounds are 1-based).
-    last_round: Arc<AtomicUsize>,
+    last_round: AtomicUsize,
     /// Tier activity counters (shared venue-wide when the board belongs
     /// to a [`RangedVenue`]).
     stats: Arc<TierStats>,
     /// LRU clock: bumped per cold-capable read, stamped onto the spans
     /// the read touches.
-    clock: Arc<AtomicU64>,
+    clock: AtomicU64,
     /// Injected-fault lane for this board's spill I/O (tests and chaos
     /// smokes only; unarmed boards take the fast path).
-    faults: Arc<OnceLock<FaultLane>>,
+    faults: OnceLock<FaultLane>,
 }
+
+/// The paper's name for the board of Fig. 3; the same type as
+/// [`RangedBoard`].
+pub type PublicBoard = RangedBoard;
 
 /// One span's storage slot: its tier plus the LRU stamp of the last read
 /// that touched it cold.
@@ -454,17 +209,19 @@ struct SpanSlot {
 impl SpanSlot {
     fn hot() -> Self {
         Self {
-            tier: SpanTier::Hot(PublicBoard::new()),
+            tier: SpanTier::Hot(Arc::default()),
             touched: AtomicU64::new(0),
         }
     }
 }
 
-/// Where a span's records currently live.
-#[derive(Debug)]
+/// Where a span's records currently live. Cloning is cheap (handles
+/// only): reads clone the tiers under the span lock, then decode and do
+/// file IO outside it.
+#[derive(Debug, Clone)]
 enum SpanTier {
     /// Mutable chunked storage — the append target.
-    Hot(PublicBoard),
+    Hot(Arc<RwLock<HotSpan>>),
     /// Compacted into an immutable resident frame.
     Framed(Arc<Frame>),
     /// Frame bytes on disk; nothing resident.
@@ -476,14 +233,6 @@ enum SpanTier {
 struct SpilledSpan {
     path: PathBuf,
     len: usize,
-}
-
-/// A clone of one span's tier, extracted under the read lock so decoding
-/// and file IO happen outside it.
-enum TierHandle {
-    Hot(PublicBoard),
-    Framed(Arc<Frame>),
-    Spilled(SpilledSpan),
 }
 
 /// What a successful span freeze produced, for the spill manifest (byte
@@ -539,29 +288,38 @@ impl RangedBoard {
         Self::with_stats(span, Arc::new(TierStats::default()))
     }
 
+    /// Creates an empty board whose single span never ends — the board
+    /// an engine posts one game into (nothing below the live span, so
+    /// nothing ever compacts).
+    #[must_use]
+    pub fn unbounded() -> Self {
+        Self::new(usize::MAX)
+    }
+
     /// Creates an empty board wired to share `stats` with other boards —
     /// how a [`RangedVenue`] aggregates tier counters venue-wide.
     ///
     /// # Panics
     /// Panics if `span == 0`.
-    #[must_use]
-    pub fn with_stats(span: usize, stats: Arc<TierStats>) -> Self {
+    fn with_stats(span: usize, stats: Arc<TierStats>) -> Self {
         assert!(span > 0, "round span must be positive");
         Self {
             span,
-            spans: Arc::new(RwLock::new(Vec::new())),
-            len: Arc::new(AtomicUsize::new(0)),
-            last_round: Arc::new(AtomicUsize::new(0)),
-            stats,
-            clock: Arc::new(AtomicU64::new(0)),
-            faults: Arc::new(OnceLock::new()),
+            shared: Arc::new(BoardState {
+                spans: RwLock::new(Vec::new()),
+                len: AtomicUsize::new(0),
+                last_round: AtomicUsize::new(0),
+                stats,
+                clock: AtomicU64::new(0),
+                faults: OnceLock::new(),
+            }),
         }
     }
 
     /// Arms this board's spill I/O with an injected-fault lane (chaos
     /// smokes and tests). First arm wins; later calls are ignored.
     pub fn arm_faults(&self, lane: FaultLane) {
-        let _ = self.faults.set(lane);
+        let _ = self.shared.faults.set(lane);
     }
 
     /// Rounds per range shard.
@@ -573,7 +331,7 @@ impl RangedBoard {
     /// The tier activity counters this board reports into.
     #[must_use]
     pub fn tier_stats(&self) -> Arc<TierStats> {
-        self.stats.clone()
+        self.shared.stats.clone()
     }
 
     /// The span index holding `round` (1-based rounds).
@@ -583,58 +341,27 @@ impl RangedBoard {
 
     /// The span index of the live (append-target) span.
     pub(crate) fn live_span(&self) -> usize {
-        self.span_of(self.last_round.load(Ordering::Relaxed))
+        self.span_of(self.shared.last_round.load(Ordering::Relaxed))
     }
 
-    /// The hot span board for `idx`, growing empty spans up to it if
-    /// needed.
-    ///
-    /// # Panics
-    /// Panics if span `idx` has been compacted — posting into a frozen
-    /// span means the nondecreasing-round posting contract was broken.
-    fn span_board(&self, idx: usize) -> PublicBoard {
-        {
-            let guard = self.spans.read();
-            if let Some(slot) = guard.get(idx) {
-                match &slot.tier {
-                    SpanTier::Hot(board) => return board.clone(),
-                    _ => panic!("posting into compacted span {idx}"),
-                }
-            }
-        }
-        let mut guard = self.spans.write();
-        while guard.len() <= idx {
-            guard.push(SpanSlot::hot());
-        }
-        match &guard[idx].tier {
-            SpanTier::Hot(board) => board.clone(),
-            _ => panic!("posting into compacted span {idx}"),
-        }
-    }
-
-    /// Clones the tier handles of spans `first..`, stamping the LRU clock
-    /// onto every cold span the read is about to touch.
-    fn tier_handles_from(&self, first: usize) -> Vec<TierHandle> {
-        let guard = self.spans.read();
-        let tick = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
+    /// Clones the tiers of spans `first..`, stamping the LRU clock onto
+    /// every cold span the read is about to touch.
+    fn tiers_from(&self, first: usize) -> Vec<SpanTier> {
+        let guard = self.shared.spans.read();
+        let tick = self.shared.clock.fetch_add(1, Ordering::Relaxed) + 1;
         guard
             .iter()
             .skip(first)
-            .map(|slot| match &slot.tier {
-                SpanTier::Hot(board) => TierHandle::Hot(board.clone()),
-                SpanTier::Framed(frame) => {
+            .map(|slot| {
+                if !matches!(slot.tier, SpanTier::Hot(_)) {
                     slot.touched.store(tick, Ordering::Relaxed);
-                    TierHandle::Framed(frame.clone())
                 }
-                SpanTier::Spilled(spill) => {
-                    slot.touched.store(tick, Ordering::Relaxed);
-                    TierHandle::Spilled(spill.clone())
-                }
+                slot.tier.clone()
             })
             .collect()
     }
 
-    /// Decodes a cold handle back into records, counting the inflation.
+    /// Decodes a cold span back into records, counting the inflation.
     ///
     /// A spilled frame's file is the span's only copy, so reads go
     /// through bounded retry-with-backoff (transient errors — including
@@ -643,29 +370,29 @@ impl RangedBoard {
     /// in [`TierStats`] as a lost span read and returned as an empty
     /// span, never a panic — the venue degrades to the records it can
     /// still serve.
-    fn inflate(&self, handle: &TierHandle) -> Arc<[RoundRecord]> {
-        match handle {
-            TierHandle::Hot(_) => unreachable!("hot spans are never inflated"),
-            TierHandle::Framed(frame) => {
-                self.stats.count_inflation();
+    fn inflate(&self, tier: &SpanTier) -> Arc<[RoundRecord]> {
+        match tier {
+            SpanTier::Hot(_) => unreachable!("hot spans are never inflated"),
+            SpanTier::Framed(frame) => {
+                self.shared.stats.count_inflation();
                 frame.decode().into()
             }
-            TierHandle::Spilled(spill) => {
-                self.stats.count_spill_load();
-                self.stats.count_inflation();
+            SpanTier::Spilled(spill) => {
+                self.shared.stats.count_spill_load();
+                self.shared.stats.count_inflation();
                 let (result, retries) =
                     with_retry(&RetryPolicy::default(), std::thread::sleep, || {
                         let mut bytes = std::fs::read(&spill.path).map_err(|e| e.to_string())?;
-                        if let Some(lane) = self.faults.get() {
+                        if let Some(lane) = self.shared.faults.get() {
                             lane.corrupt_read(&mut bytes);
                         }
                         Frame::from_bytes(&bytes).map_err(|e| e.to_string())
                     });
-                self.stats.add_io_retries(u64::from(retries));
+                self.shared.stats.add_io_retries(u64::from(retries));
                 match result {
                     Ok(frame) => frame.decode().into(),
                     Err(_) => {
-                        self.stats.count_lost_span_read();
+                        self.shared.stats.count_lost_span_read();
                         Vec::new().into()
                     }
                 }
@@ -691,14 +418,14 @@ impl RangedBoard {
     /// Hot spans account at raw record size, framed spans at their packed
     /// size, spilled spans at zero.
     pub(crate) fn span_summaries(&self) -> Vec<SpanSummary> {
-        let guard = self.spans.read();
+        let guard = self.shared.spans.read();
         guard
             .iter()
             .enumerate()
             .map(|(idx, slot)| {
                 let (resident_bytes, is_hot, is_framed, len) = match &slot.tier {
-                    SpanTier::Hot(board) => {
-                        let len = board.len();
+                    SpanTier::Hot(span) => {
+                        let len = span.read().len();
                         (len * std::mem::size_of::<RoundRecord>(), true, false, len)
                     }
                     SpanTier::Framed(frame) => (frame.packed_bytes(), false, true, frame.len()),
@@ -718,18 +445,20 @@ impl RangedBoard {
 
     /// Compacts hot span `idx` into a resident frame. Encoding runs
     /// outside the span lock; the swap re-checks that the span is still
-    /// the hot board it encoded. Returns the freeze's accounting receipt
+    /// the hot span it encoded. Returns the freeze's accounting receipt
     /// on success, `None` if the span is missing, empty, or already
     /// cold.
     pub(crate) fn freeze_span(&self, idx: usize) -> Option<FreezeReceipt> {
-        let board = {
-            let guard = self.spans.read();
+        let records = {
+            let guard = self.shared.spans.read();
             match &guard.get(idx)?.tier {
-                SpanTier::Hot(board) if !board.is_empty() => board.clone(),
+                SpanTier::Hot(span) => span.read().records(),
                 _ => return None,
             }
         };
-        let records = board.history();
+        if records.is_empty() {
+            return None;
+        }
         let raw_bytes = records.len() * std::mem::size_of::<RoundRecord>();
         let frame = Arc::new(Frame::encode(&records));
         let framed_bytes = frame.packed_bytes();
@@ -738,15 +467,18 @@ impl RangedBoard {
             base_round: records[0].round,
             last_round: records[records.len() - 1].round,
         };
-        let mut guard = self.spans.write();
+        let mut guard = self.shared.spans.write();
         let slot = guard.get_mut(idx)?;
         match &slot.tier {
             // A sealed span below the live one cannot grow, but re-check
             // anyway so a racing (contract-violating) post loses cleanly.
-            SpanTier::Hot(board) if board.len() == records.len() => {
+            SpanTier::Hot(span) if span.read().len() == records.len() => {
                 slot.tier = SpanTier::Framed(frame);
-                self.stats
-                    .count_frame(records.len() as u64, raw_bytes as u64, framed_bytes as u64);
+                self.shared.stats.count_frame(
+                    records.len() as u64,
+                    raw_bytes as u64,
+                    framed_bytes as u64,
+                );
                 Some(receipt)
             }
             _ => None,
@@ -768,14 +500,14 @@ impl RangedBoard {
         path: PathBuf,
     ) -> std::io::Result<Option<SpillReceipt>> {
         let frame = {
-            let guard = self.spans.read();
+            let guard = self.shared.spans.read();
             match guard.get(idx).map(|s| &s.tier) {
                 Some(SpanTier::Framed(frame)) => frame.clone(),
                 _ => return Ok(None),
             }
         };
         let bytes = frame.to_bytes();
-        if let Some(lane) = self.faults.get() {
+        if let Some(lane) = self.shared.faults.get() {
             if lane.fire(FaultSite::SpillWriteError) {
                 return Err(std::io::Error::other("injected spill write error"));
             }
@@ -791,7 +523,7 @@ impl RangedBoard {
         }
         let file_crc = crc32(&bytes);
         std::fs::write(&path, bytes)?;
-        let mut guard = self.spans.write();
+        let mut guard = self.shared.spans.write();
         let Some(slot) = guard.get_mut(idx) else {
             return Ok(None);
         };
@@ -807,7 +539,7 @@ impl RangedBoard {
                     path,
                     len: frame.len(),
                 });
-                self.stats.count_spill_write();
+                self.shared.stats.count_spill_write();
                 Ok(Some(receipt))
             }
             _ => Ok(None),
@@ -827,33 +559,54 @@ impl RangedBoard {
         len: usize,
         last_round: usize,
     ) {
-        let mut guard = self.spans.write();
+        let mut guard = self.shared.spans.write();
         assert_eq!(guard.len(), idx, "recovered spans adopt in order");
         guard.push(SpanSlot {
             tier: SpanTier::Spilled(SpilledSpan { path, len }),
             touched: AtomicU64::new(0),
         });
-        self.len.fetch_add(len, Ordering::Relaxed);
-        self.last_round.fetch_max(last_round, Ordering::Relaxed);
+        self.shared.len.fetch_add(len, Ordering::Relaxed);
+        self.shared
+            .last_round
+            .fetch_max(last_round, Ordering::Relaxed);
     }
 
     /// Appends a round record — O(1) routing to the live span, no scan of
     /// cold ranges.
     ///
     /// # Panics
-    /// Panics if `record.round == 0` (rounds are 1-based).
+    /// Panics if `record.round == 0` (rounds are 1-based), or if the
+    /// record's span has been compacted — posting into a frozen span
+    /// means the nondecreasing-round posting contract was broken.
     pub fn post(&self, record: RoundRecord) {
         assert!(record.round > 0, "rounds are 1-based");
-        let board = self.span_board(self.span_of(record.round));
-        self.last_round.fetch_max(record.round, Ordering::Relaxed);
-        self.len.fetch_add(1, Ordering::Relaxed);
-        board.post(record);
+        let idx = self.span_of(record.round);
+        let push = |slot: &SpanSlot, record: RoundRecord| {
+            let SpanTier::Hot(span) = &slot.tier else {
+                panic!("posting into compacted span {idx}");
+            };
+            let round = record.round;
+            span.write().push(record);
+            self.shared.last_round.fetch_max(round, Ordering::Relaxed);
+            self.shared.len.fetch_add(1, Ordering::Relaxed);
+        };
+        {
+            let guard = self.shared.spans.read();
+            if let Some(slot) = guard.get(idx) {
+                return push(slot, record);
+            }
+        }
+        let mut guard = self.shared.spans.write();
+        while guard.len() <= idx {
+            guard.push(SpanSlot::hot());
+        }
+        push(&guard[idx], record);
     }
 
     /// Total records across all spans — O(1) from a lock-free counter.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.len.load(Ordering::Relaxed)
+        self.shared.len.load(Ordering::Relaxed)
     }
 
     /// True if no rounds have been recorded.
@@ -866,104 +619,96 @@ impl RangedBoard {
     /// (the coalescer's hot-path monotonicity check).
     #[must_use]
     pub fn last_round(&self) -> Option<usize> {
-        match self.last_round.load(Ordering::Relaxed) {
+        match self.shared.last_round.load(Ordering::Relaxed) {
             0 => None,
             r => Some(r),
         }
     }
 
     /// Record of a specific round, if recorded — resolves the span in
-    /// O(1), then the span's O(log chunk) binary search (a cold span
-    /// inflates first).
+    /// O(1), then binary-searches it (a cold span inflates first).
     #[must_use]
     pub fn round(&self, round: usize) -> Option<RoundRecord> {
         if round == 0 {
             return None;
         }
-        let idx = self.span_of(round);
-        let handle = self.tier_handles_from(idx).into_iter().next()?;
-        match handle {
-            TierHandle::Hot(board) => board.round(round),
-            ref cold => {
-                let records = self.inflate(cold);
+        let found = |r: &RoundRecord| (r.round == round).then(|| r.clone());
+        match self.tiers_from(self.span_of(round)).into_iter().next()? {
+            SpanTier::Hot(span) => {
+                let span = span.read();
+                let at = span.start_of(round);
+                (at < span.len()).then(|| span.get(at)).and_then(found)
+            }
+            cold => {
+                let records = self.inflate(&cold);
                 let at = records.partition_point(|r| r.round < round);
-                records.get(at).filter(|r| r.round == round).cloned()
+                records.get(at).and_then(found)
             }
         }
     }
 
-    /// Visits every record with round `>= round` in append order. Only
-    /// the span holding `round` and the spans after it are opened; cold
-    /// ranges are never touched — the incremental read an observer over a
-    /// long-lived stream uses. Cold spans at or after the bound inflate
-    /// transparently (and count as inflations in the tier stats).
+    /// Visits every record with round `>= round` in append order, cloning
+    /// nothing. Only the span holding `round` and the spans after it are
+    /// opened, and a binary search skips the sub-bound records of the
+    /// first one — the incremental read an observer over a long-lived
+    /// stream uses. Cold spans at or after the bound inflate transparently
+    /// (and count as inflations in the tier stats).
     pub fn for_each_since_round(&self, round: usize, mut f: impl FnMut(&RoundRecord)) {
-        let first = self.span_of(round);
-        for (i, handle) in self.tier_handles_from(first).iter().enumerate() {
-            match handle {
-                TierHandle::Hot(board) => {
-                    if i == 0 {
-                        board.for_each_from_round(round, &mut f);
-                    } else {
-                        board.for_each_since(0, &mut f);
-                    }
+        for tier in self.tiers_from(self.span_of(round)) {
+            match tier {
+                SpanTier::Hot(span) => {
+                    let span = span.read();
+                    span.for_each_from(span.start_of(round), &mut f);
                 }
                 cold => {
-                    let records = self.inflate(cold);
-                    // Only the first span can hold rounds below the bound.
-                    let start = if i == 0 {
-                        records.partition_point(|r| r.round < round)
-                    } else {
-                        0
-                    };
-                    for r in &records[start..] {
-                        f(r);
-                    }
+                    let records = self.inflate(&cold);
+                    let start = records.partition_point(|r| r.round < round);
+                    records[start..].iter().for_each(&mut f);
                 }
             }
         }
     }
 
-    /// Snapshots of all spans in range order. Concatenated they are
-    /// round-nondecreasing (given monotone posting), which is what
-    /// [`MergedHistory`] k-way-merges across collectors.
-    #[must_use]
-    pub fn snapshot_chain(&self) -> Vec<BoardSnapshot> {
-        self.snapshot_chain_since(0)
-    }
-
-    /// Snapshots of only the spans that can hold rounds `>= round` — the
-    /// bounded variant board-driven observers use so a long cold history
-    /// is never materialized (or inflated) just to be skipped. The first
-    /// returned span may still contain earlier rounds; a
-    /// [`MergedHistory`] built over these chains applies the exact bound.
-    #[must_use]
-    pub fn snapshot_chain_since(&self, round: usize) -> Vec<BoardSnapshot> {
-        let first = self.span_of(round);
-        self.tier_handles_from(first)
-            .iter()
-            .map(|handle| match handle {
-                TierHandle::Hot(board) => board.snapshot(),
-                cold => BoardSnapshot::from_records(self.inflate(cold)),
-            })
-            .collect()
+    /// The records with round `>= round` as shared segments in append
+    /// order — what [`MergedHistory`] k-way-merges across collectors.
+    /// Spans below the bound are never opened, and each opened span is
+    /// entered at its first in-bound record by binary search.
+    fn segments_since(&self, round: usize) -> Vec<Segment> {
+        let mut out = Vec::new();
+        for tier in self.tiers_from(self.span_of(round)) {
+            match tier {
+                SpanTier::Hot(span) => {
+                    let span = span.read();
+                    span.segments_from(span.start_of(round), &mut out);
+                }
+                cold => {
+                    let records = self.inflate(&cold);
+                    let start = records.partition_point(|r| r.round < round);
+                    if start < records.len() {
+                        out.push(Segment { records, start });
+                    }
+                }
+            }
+        }
+        out
     }
 }
 
-/// The collector service's publication venue, sharded along **both**
-/// dimensions: one [`RangedBoard`] per ingest worker (writers never
-/// contend, as in [`ShardedBoard`]) and round-range spans within each
-/// worker's stream (history stays O(chunk) hot). [`RangedVenue::merged`]
+/// The publication venue of many concurrent collectors: one
+/// [`RangedBoard`] per collector (writers never contend on each other's
+/// locks), each split into round-range spans. [`RangedVenue::merged`]
 /// k-way-merges the whole venue in `(round, collector)` order across both
-/// dimensions.
+/// shard dimensions — the read of a cross-collector observer. The
+/// collector service gives each ingest worker a shard of bounded spans;
+/// the sweep's shared-board mode gives each engine an unbounded one.
 #[derive(Debug, Clone)]
 pub struct RangedVenue {
     shards: Arc<[RangedBoard]>,
 }
 
 impl RangedVenue {
-    /// Creates a venue with `collectors` empty worker shards of `span`
-    /// rounds per range.
+    /// Creates a venue with `collectors` empty shards of `span` rounds
+    /// per range (`usize::MAX` for unbounded spans).
     ///
     /// # Panics
     /// Panics if `collectors == 0` or `span == 0`.
@@ -1007,14 +752,14 @@ impl RangedVenue {
             .sum()
     }
 
-    /// Number of worker shards.
+    /// Number of collector shards.
     #[must_use]
     pub fn collectors(&self) -> usize {
         self.shards.len()
     }
 
-    /// Worker `idx`'s range-sharded stream — a handle sharing the storage
-    /// (hand it to that ingest worker).
+    /// Collector `idx`'s board — a handle sharing the storage (hand it to
+    /// that collector's engine or ingest worker).
     ///
     /// # Panics
     /// Panics if `idx` is out of range.
@@ -1029,8 +774,8 @@ impl RangedVenue {
         self.shards.iter().map(RangedBoard::len).sum()
     }
 
-    /// The highest round recorded by any worker, if any — O(collectors)
-    /// lock-free reads.
+    /// The highest round recorded by any collector, if any —
+    /// O(collectors) lock-free reads.
     #[must_use]
     pub fn last_round(&self) -> Option<usize> {
         self.shards.iter().filter_map(RangedBoard::last_round).max()
@@ -1043,118 +788,81 @@ impl RangedVenue {
         self.merged_since_round(0)
     }
 
-    /// A merged view bounded below at `round`: only the spans that can
-    /// hold rounds `>= round` are snapshotted (cold spans below the bound
-    /// are never inflated), and the k-way merge skips the sub-bound
-    /// records the first spans may still carry. This is the incremental
-    /// read path of a venue-driven observer over a long history.
+    /// A merged view of the records with round `>= round`: only the spans
+    /// that can hold such rounds are snapshotted (cold spans below the
+    /// bound are never inflated), and each is entered at its first
+    /// in-bound record, so the view costs O(log n + records in bound).
+    /// This is the incremental read path of a board-driven observer.
     #[must_use]
     pub fn merged_since_round(&self, round: usize) -> MergedHistory {
         MergedHistory {
             chains: self
                 .shards
                 .iter()
-                .map(|s| s.snapshot_chain_since(round))
+                .map(|s| s.segments_since(round))
                 .collect(),
-            min_round: round,
         }
     }
 }
 
-/// The merged, round-ordered view of a sharded venue at snapshot time.
-/// Each collector contributes a *chain* of snapshots whose concatenation
-/// is round-nondecreasing — a single board for [`ShardedBoard`], the
-/// range-span sequence for [`RangedVenue`] — and the view is a k-way
-/// merge over the chains, so round order holds across both shard
-/// dimensions.
+/// A one-collector venue over an existing board (sharing its storage and
+/// tier counters) — how a single engine's board is read through the
+/// venue merge.
+impl From<RangedBoard> for RangedVenue {
+    fn from(board: RangedBoard) -> Self {
+        Self {
+            shards: Arc::new([board]),
+        }
+    }
+}
+
+/// The merged, round-ordered view of a venue at snapshot time. Each
+/// collector contributes a *chain* of shared segments whose concatenation
+/// is round-nondecreasing, and the view is a k-way merge over the chains,
+/// so round order holds across both shard dimensions. Later posts never
+/// change a view already taken.
 #[derive(Debug, Clone)]
 pub struct MergedHistory {
-    chains: Vec<Vec<BoardSnapshot>>,
-    /// Records with `round < min_round` are skipped by the merge — the
-    /// `since_round` bound of [`RangedVenue::merged_since_round`]. 0 is
-    /// the unbounded view.
-    min_round: usize,
-}
-
-/// A per-collector merge cursor: snapshot, part within it, offset within
-/// the part — an O(1) walk even over ragged (inflated-span) snapshots.
-#[derive(Debug, Clone, Copy, Default)]
-struct ChainCursor {
-    snap: usize,
-    part: usize,
-    off: usize,
-}
-
-impl ChainCursor {
-    /// Skips exhausted parts/snapshots and records below `min_round`;
-    /// returns the current record, or `None` when the chain is exhausted.
-    fn current<'a>(
-        &mut self,
-        chain: &'a [BoardSnapshot],
-        min_round: usize,
-    ) -> Option<&'a RoundRecord> {
-        while let Some(snap) = chain.get(self.snap) {
-            while self.part < snap.parts() {
-                let part = snap.part(self.part);
-                if let Some(rec) = part.get(self.off) {
-                    if rec.round >= min_round {
-                        return Some(rec);
-                    }
-                    // Sub-bound prefix of a bounded view: skip it.
-                    self.off += 1;
-                    continue;
-                }
-                self.part += 1;
-                self.off = 0;
-            }
-            self.snap += 1;
-            self.part = 0;
-            self.off = 0;
-        }
-        None
-    }
+    chains: Vec<Vec<Segment>>,
 }
 
 impl MergedHistory {
-    /// Total records in the underlying snapshots. For a bounded view
-    /// ([`RangedVenue::merged_since_round`]) this counts the snapshotted
-    /// spans as-is — the first span of a chain may still carry sub-bound
-    /// records the merge will skip, so the visit count can be lower.
+    /// Number of records [`MergedHistory::for_each`] visits.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.chains.iter().flatten().map(BoardSnapshot::len).sum()
+        self.chains
+            .iter()
+            .flatten()
+            .map(|s| s.records().len())
+            .sum()
     }
 
-    /// True if no shard holds any record.
+    /// True if the view holds no record.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.chains.iter().flatten().all(BoardSnapshot::is_empty)
+        self.chains.iter().all(Vec::is_empty)
     }
 
     /// Visits every record as `(collector, record)`, ordered by
-    /// `(round, collector)`, cloning nothing. The cursor walk spans range
-    /// boundaries within each collector's chain transparently, and skips
-    /// records below the view's `since_round` bound.
+    /// `(round, collector)`, cloning nothing. Each collector's walk spans
+    /// chunk and range boundaries transparently.
     pub fn for_each(&self, mut f: impl FnMut(usize, &RoundRecord)) {
-        let mut cursors = vec![ChainCursor::default(); self.chains.len()];
+        let mut heads: Vec<_> = self
+            .chains
+            .iter()
+            .map(|chain| chain.iter().flat_map(Segment::records).peekable())
+            .collect();
         loop {
             let mut best: Option<(usize, usize)> = None; // (round, shard)
-            for (shard, chain) in self.chains.iter().enumerate() {
-                if let Some(record) = cursors[shard].current(chain, self.min_round) {
+            for (shard, head) in heads.iter_mut().enumerate() {
+                if let Some(record) = head.peek() {
                     if best.is_none_or(|(r, _)| record.round < r) {
                         best = Some((record.round, shard));
                     }
                 }
             }
             let Some((_, shard)) = best else { break };
-            let cursor = &mut cursors[shard];
-            f(
-                shard,
-                cursor
-                    .current(&self.chains[shard], self.min_round)
-                    .expect("non-exhausted"),
-            );
-            cursor.off += 1;
+            f(shard, heads[shard].next().expect("peeked"));
         }
     }
 
@@ -1186,43 +894,36 @@ mod tests {
         }
     }
 
+    fn rounds_since(board: &RangedBoard, from: usize) -> Vec<usize> {
+        let mut seen = Vec::new();
+        board.for_each_since_round(from, |r| seen.push(r.round));
+        seen
+    }
+
     #[test]
     fn post_and_read_back() {
-        let board = PublicBoard::new();
+        let board = RangedBoard::unbounded();
         assert!(board.is_empty());
         board.post(record(1, 5));
         board.post(record(2, 7));
         assert_eq!(board.len(), 2);
-        assert_eq!(board.latest().unwrap().round, 2);
+        assert_eq!(board.last_round(), Some(2));
         assert_eq!(board.round(1).unwrap().trimmed, 5);
         assert!(board.round(9).is_none());
     }
 
     #[test]
     fn clones_share_state() {
-        let board = PublicBoard::new();
+        let board = RangedBoard::unbounded();
         let adversary_view = board.clone();
         board.post(record(1, 3));
         assert_eq!(adversary_view.len(), 1);
-        assert_eq!(adversary_view.latest().unwrap().trimmed, 3);
-    }
-
-    #[test]
-    fn cumulative_trim_fraction_aggregates() {
-        let board = PublicBoard::new();
-        board.post(record(1, 10));
-        board.post(record(2, 30));
-        assert!((board.cumulative_trim_fraction() - 0.2).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_board_fraction_zero() {
-        assert_eq!(PublicBoard::new().cumulative_trim_fraction(), 0.0);
+        assert_eq!(adversary_view.round(1).unwrap().trimmed, 3);
     }
 
     #[test]
     fn concurrent_posting_is_safe() {
-        let board = PublicBoard::new();
+        let board = RangedBoard::unbounded();
         std::thread::scope(|s| {
             for t in 0..4 {
                 let b = board.clone();
@@ -1234,13 +935,14 @@ mod tests {
             }
         });
         assert_eq!(board.len(), 200);
+        assert_eq!(board.last_round(), Some(200));
     }
 
     #[test]
     fn history_snapshot_is_detached() {
-        let board = PublicBoard::new();
+        let board = RangedBoard::unbounded();
         board.post(record(1, 1));
-        let snapshot = board.history();
+        let snapshot = RangedVenue::from(board.clone()).merged();
         board.post(record(2, 2));
         assert_eq!(snapshot.len(), 1);
         assert_eq!(board.len(), 2);
@@ -1248,50 +950,55 @@ mod tests {
 
     #[test]
     fn history_since_reads_incrementally() {
-        let board = PublicBoard::new();
-        assert!(board.history_since(0).is_empty());
+        let board = RangedBoard::unbounded();
+        assert!(rounds_since(&board, 0).is_empty());
         board.post(record(1, 1));
         board.post(record(2, 2));
         board.post(record(3, 3));
-        let tail = board.history_since(1);
-        assert_eq!(tail.len(), 2);
-        assert_eq!(tail[0].round, 2);
+        assert_eq!(rounds_since(&board, 2), vec![2, 3]);
         // Past-the-end and far-out-of-range reads are empty, not panics.
-        assert!(board.history_since(3).is_empty());
-        assert!(board.history_since(99).is_empty());
+        assert!(rounds_since(&board, 4).is_empty());
+        assert!(rounds_since(&board, 99).is_empty());
     }
 
     #[test]
     fn chunked_storage_spans_seal_boundaries() {
-        // Well past several chunk seals: every access path must agree
-        // across the sealed/tail boundary.
-        let board = PublicBoard::new();
+        // Well past several chunk seals inside one unbounded span: every
+        // access path must agree across the sealed/tail boundary.
+        let board = RangedBoard::unbounded();
         let n = 5 * CHUNK_CAP + 17;
         for round in 1..=n {
             board.post(record(round, round % 7));
         }
         assert_eq!(board.len(), n);
-        assert_eq!(board.latest().unwrap().round, n);
+        assert_eq!(board.last_round(), Some(n));
         for probe in [1, CHUNK_CAP, CHUNK_CAP + 1, 3 * CHUNK_CAP, n] {
             assert_eq!(board.round(probe).unwrap().round, probe, "round {probe}");
         }
-        let history = board.history();
-        assert_eq!(history.len(), n);
-        assert!(history.iter().enumerate().all(|(i, r)| r.round == i + 1));
-        let snap = board.snapshot();
-        assert_eq!(snap.len(), n);
-        assert_eq!(snap.iter().count(), n);
-        assert_eq!(snap.get(n - 1).round, n);
-        let since = board.history_since(CHUNK_CAP - 2);
-        assert_eq!(since.len(), n - (CHUNK_CAP - 2));
-        assert_eq!(since[0].round, CHUNK_CAP - 1);
+        assert_eq!(rounds_since(&board, 0), (1..=n).collect::<Vec<_>>());
+        let venue = RangedVenue::from(board.clone());
+        for from in [
+            0,
+            CHUNK_CAP - 1,
+            CHUNK_CAP,
+            CHUNK_CAP + 1,
+            4 * CHUNK_CAP,
+            n,
+            n + 1,
+        ] {
+            let view = venue.merged_since_round(from);
+            let rounds: Vec<usize> = view.records().iter().map(|(_, r)| r.round).collect();
+            assert_eq!(rounds, (from.max(1)..=n).collect::<Vec<_>>(), "from {from}");
+            assert_eq!(view.len(), rounds.len(), "from {from}");
+            assert_eq!(view.is_empty(), rounds.is_empty(), "from {from}");
+        }
     }
 
     #[test]
     fn round_lookup_handles_gaps_and_one_based_rounds() {
         // Append-ordered but gappy round numbers: binary search must find
         // exactly the recorded rounds and reject everything in between.
-        let board = PublicBoard::new();
+        let board = RangedBoard::unbounded();
         for round in [1usize, 3, 7, 8, 100, 101, 250] {
             board.post(record(round, 1));
         }
@@ -1305,31 +1012,31 @@ mod tests {
 
     #[test]
     fn for_each_since_visits_without_cloning() {
-        let board = PublicBoard::new();
+        let board = RangedBoard::unbounded();
         for round in 1..=(CHUNK_CAP + 5) {
             board.post(record(round, 0));
         }
-        let mut seen = Vec::new();
-        board.for_each_since(CHUNK_CAP - 1, |r| seen.push(r.round));
+        let seen = rounds_since(&board, CHUNK_CAP);
         assert_eq!(seen.len(), 6);
         assert_eq!(seen[0], CHUNK_CAP);
     }
 
     #[test]
     fn snapshot_is_immutable_under_later_posts() {
-        let board = PublicBoard::new();
+        let venue = RangedVenue::new(1, usize::MAX);
         for round in 1..=(2 * CHUNK_CAP) {
-            board.post(record(round, 0));
+            venue.collector(0).post(record(round, 0));
         }
-        let snap = board.snapshot();
-        board.post(record(2 * CHUNK_CAP + 1, 0));
+        let snap = venue.merged();
+        venue.collector(0).post(record(2 * CHUNK_CAP + 1, 0));
         assert_eq!(snap.len(), 2 * CHUNK_CAP);
-        assert_eq!(board.len(), 2 * CHUNK_CAP + 1);
+        assert_eq!(snap.records().len(), 2 * CHUNK_CAP);
+        assert_eq!(venue.total_len(), 2 * CHUNK_CAP + 1);
     }
 
     #[test]
     fn sharded_board_isolates_writers_and_merges_by_round() {
-        let venue = ShardedBoard::new(3);
+        let venue = RangedVenue::new(3, usize::MAX);
         // Collector 1 runs longer; collector 2 starts later (gaps).
         for round in 1..=4 {
             venue.collector(0).post(record(round, 0));
@@ -1360,8 +1067,8 @@ mod tests {
     #[test]
     fn last_round_is_cheap_across_storage_states() {
         // Empty, open-tail, exactly-sealed and resealed states must all
-        // agree with latest() without materializing a snapshot.
-        let board = PublicBoard::new();
+        // agree with the round lookup.
+        let board = RangedBoard::unbounded();
         assert_eq!(board.last_round(), None);
         board.post(record(3, 0));
         assert_eq!(board.last_round(), Some(3));
@@ -1371,16 +1078,19 @@ mod tests {
         // Tail just past a seal.
         assert_eq!(board.len(), CHUNK_CAP);
         assert_eq!(board.last_round(), Some(CHUNK_CAP + 2));
-        // Exactly at a seal boundary: the tail is empty, the answer comes
-        // from the last sealed chunk.
+        // Exactly at a seal boundary: the tail is empty, the last record
+        // lives in the last sealed chunk.
         for round in CHUNK_CAP + 3..=2 * CHUNK_CAP + 2 {
             board.post(record(round, 0));
         }
         assert_eq!(board.len(), 2 * CHUNK_CAP);
         assert_eq!(board.last_round(), Some(2 * CHUNK_CAP + 2));
-        assert_eq!(board.last_round(), board.latest().map(|r| r.round));
+        assert_eq!(
+            board.round(2 * CHUNK_CAP + 2).map(|r| r.round),
+            board.last_round()
+        );
 
-        let venue = ShardedBoard::new(2);
+        let venue = RangedVenue::new(2, usize::MAX);
         assert_eq!(venue.last_round(), None);
         venue.collector(1).post(record(7, 0));
         assert_eq!(venue.last_round(), Some(7));
@@ -1390,19 +1100,14 @@ mod tests {
 
     #[test]
     fn for_each_from_round_starts_at_the_bound() {
-        let board = PublicBoard::new();
+        let board = RangedBoard::unbounded();
         for round in [2usize, 5, 5, 9, 12] {
             board.post(record(round, 0));
         }
-        let collect_from = |r: usize| {
-            let mut seen = Vec::new();
-            board.for_each_from_round(r, |rec| seen.push(rec.round));
-            seen
-        };
-        assert_eq!(collect_from(0), vec![2, 5, 5, 9, 12]);
-        assert_eq!(collect_from(5), vec![5, 5, 9, 12]);
-        assert_eq!(collect_from(6), vec![9, 12]);
-        assert_eq!(collect_from(13), Vec::<usize>::new());
+        assert_eq!(rounds_since(&board, 0), vec![2, 5, 5, 9, 12]);
+        assert_eq!(rounds_since(&board, 5), vec![5, 5, 9, 12]);
+        assert_eq!(rounds_since(&board, 6), vec![9, 12]);
+        assert_eq!(rounds_since(&board, 13), Vec::<usize>::new());
     }
 
     #[test]
@@ -1424,17 +1129,16 @@ mod tests {
         // for_each_since_round never visits rounds below the bound and
         // crosses span boundaries seamlessly.
         for from in [0usize, 1, 4, 5, 7, 13, n, n + 3] {
-            let mut seen = Vec::new();
-            board.for_each_since_round(from, |r| seen.push(r.round));
             let expect: Vec<usize> = (from.max(1)..=n).collect();
-            assert_eq!(seen, expect, "from {from}");
+            assert_eq!(rounds_since(&board, from), expect, "from {from}");
         }
-        // The snapshot chain concatenation is the full history in order.
-        let chain = board.snapshot_chain();
-        assert_eq!(chain.len(), 5);
-        let rounds: Vec<usize> = chain
+        // The merged view walks the span sequence as the full history.
+        assert_eq!(board.span_summaries().len(), 5);
+        let rounds: Vec<usize> = RangedVenue::from(board)
+            .merged()
+            .records()
             .iter()
-            .flat_map(|s| s.iter().map(|r| r.round).collect::<Vec<_>>())
+            .map(|(_, r)| r.round)
             .collect();
         assert_eq!(rounds, (1..=n).collect::<Vec<_>>());
     }
@@ -1512,7 +1216,7 @@ mod tests {
 
     #[test]
     fn sharded_board_concurrent_collectors_do_not_contend() {
-        let venue = ShardedBoard::new(4);
+        let venue = RangedVenue::new(4, usize::MAX);
         std::thread::scope(|s| {
             for c in 0..4 {
                 let shard = venue.collector(c);

@@ -1,11 +1,10 @@
 //! The tiering policy over ranged boards: compaction, eviction, spill.
 //!
-//! A [`crate::board::RangedBoard`] accumulates one hot
-//! [`crate::board::PublicBoard`] per round-range span forever; this
-//! module is the maintenance side of the storage tiers. A [`Compactor`]
-//! runs **between rounds** in a collector worker's loop (it never holds
-//! the span lock across an encode or a file write, so appends and reads
-//! are never blocked on compression):
+//! A [`crate::board::RangedBoard`] accumulates one hot chunked span per
+//! round range forever; this module is the maintenance side of the
+//! storage tiers. A [`Compactor`] runs **between rounds** in a collector
+//! worker's loop (it never holds the span lock across an encode or a file
+//! write, so appends and reads are never blocked on compression):
 //!
 //! 1. **Compact** — sealed spans behind the hot tail are frozen into
 //!    immutable bit-packed [`crate::frame::Frame`]s (typically 4–10×
@@ -618,13 +617,16 @@ mod tests {
         assert_eq!(venue.merged().records(), before);
         // The bounded view skips cold history without inflating it.
         let inflations_before = venue.tier_stats().snapshot().inflations;
-        let bounded = venue.merged_since_round(115).records();
+        let bounded_view = venue.merged_since_round(115);
+        let bounded = bounded_view.records();
         let expect: Vec<(usize, RoundRecord)> = before
             .iter()
             .filter(|(_, r)| r.round >= 115)
             .cloned()
             .collect();
         assert_eq!(bounded, expect);
+        // len() counts the in-bound records only, not whole spans.
+        assert_eq!(bounded_view.len(), expect.len());
         // Rounds 113.. live in the last spans (113..=120 with span 8 is
         // span 14, the live span) — no cold span needed inflating.
         assert_eq!(venue.tier_stats().snapshot().inflations, inflations_before);

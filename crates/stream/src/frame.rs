@@ -27,11 +27,11 @@
 //! [`Frame::from_bytes`] give the same frame a portable byte layout for
 //! the disk spill tier.
 //!
-//! **Wire format versions.** `TGF2` (written by [`Frame::to_bytes`]) is
-//! the `TGF1` layout plus a trailing [`crc32`] over every preceding byte,
-//! so a torn write or bit flip on the spill tier is detected before any
-//! structure is trusted ([`FrameError::ChecksumMismatch`]). `TGF1` files
-//! written by earlier builds still deserialize. [`Frame::from_bytes`]
+//! **Wire format.** `TGF2` (written by [`Frame::to_bytes`]) ends in a
+//! trailing [`crc32`] over every preceding byte, so a torn write or bit
+//! flip on the spill tier is detected before any structure is trusted
+//! ([`FrameError::ChecksumMismatch`]). The unchecksummed `TGF1` layout
+//! of earlier builds is rejected as [`FrameError::BadMagic`]. [`Frame::from_bytes`]
 //! never panics on arbitrary input: every length, width, dictionary and
 //! round-delta invariant is validated with checked arithmetic before a
 //! single allocation is sized from untrusted bytes.
@@ -376,38 +376,36 @@ impl Frame {
         out
     }
 
-    /// Deserializes a frame written by [`Frame::to_bytes`] — either the
-    /// current CRC-trailed `TGF2` layout or the legacy `TGF1` one.
+    /// Deserializes a frame written by [`Frame::to_bytes`] (the
+    /// CRC-trailed `TGF2` layout).
     ///
     /// # Errors
     /// Returns a [`FrameError`] if the bytes are truncated, carry the
     /// wrong magic, fail the `TGF2` checksum, or violate the format's
     /// internal invariants. Never panics, whatever the input.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, FrameError> {
-        let body = if bytes.starts_with(MAGIC) {
-            // TGF2: a trailing CRC-32 over everything before it. Verify
-            // before trusting any structure.
-            if bytes.len() < MAGIC.len() + 4 {
-                return Err(FrameError::Truncated);
-            }
-            let (payload, trailer) = bytes.split_at(bytes.len() - 4);
-            let stored = u32::from_le_bytes(trailer.try_into().expect("4-byte trailer"));
-            if crc32(payload) != stored {
-                return Err(FrameError::ChecksumMismatch);
-            }
-            &payload[MAGIC.len()..]
-        } else if bytes.starts_with(MAGIC_V1) {
-            &bytes[MAGIC_V1.len()..]
-        } else if bytes.len() < MAGIC.len() {
+        if !bytes.starts_with(MAGIC) {
+            return Err(if bytes.len() < MAGIC.len() {
+                FrameError::Truncated
+            } else {
+                FrameError::BadMagic
+            });
+        }
+        // A trailing CRC-32 over everything before it. Verify before
+        // trusting any structure.
+        if bytes.len() < MAGIC.len() + 4 {
             return Err(FrameError::Truncated);
-        } else {
-            return Err(FrameError::BadMagic);
-        };
-        Self::parse_body(body)
+        }
+        let (payload, trailer) = bytes.split_at(bytes.len() - 4);
+        let stored = u32::from_le_bytes(trailer.try_into().expect("4-byte trailer"));
+        if crc32(payload) != stored {
+            return Err(FrameError::ChecksumMismatch);
+        }
+        Self::parse_body(&payload[MAGIC.len()..])
     }
 
-    /// Parses the version-independent frame body (everything between the
-    /// magic and the optional checksum trailer).
+    /// Parses the frame body (everything between the magic and the
+    /// checksum trailer).
     fn parse_body(body: &[u8]) -> Result<Self, FrameError> {
         let mut r = ByteReader {
             bytes: body,
@@ -508,10 +506,6 @@ impl Frame {
 
 /// Spill-file magic: "TGF" + format version (CRC-trailed).
 const MAGIC: &[u8] = b"TGF2";
-
-/// Legacy spill-file magic: the same body layout with no checksum
-/// trailer. Still readable; never written.
-const MAGIC_V1: &[u8] = b"TGF1";
 
 /// Rebuilds a record from the twelve raw column values.
 fn record_from_raw(v: [u64; NUM_COLS]) -> RawRecord {
@@ -799,22 +793,15 @@ mod tests {
     }
 
     #[test]
-    fn legacy_tgf1_frames_still_deserialize() {
+    fn tgf1_frames_are_rejected_as_bad_magic() {
         let records = sample_records(50);
         let frame = Frame::encode(&records);
-        // Rebuild the v1 wire image: same body, v1 magic, no trailer.
+        // The unchecksummed v1 wire image: same body, `TGF1` magic, no
+        // trailer. It is no longer read.
         let mut v1 = frame.to_bytes();
         v1.truncate(v1.len() - 4);
-        v1[..MAGIC_V1.len()].copy_from_slice(MAGIC_V1);
-        let back = Frame::from_bytes(&v1).expect("TGF1 stays readable");
-        assert_eq!(frame, back);
-        // The v1 path has no checksum: corruption inside a column lands on
-        // a structural error (or decodes — never a panic), while body
-        // truncation is still length-caught.
-        assert_eq!(
-            Frame::from_bytes(&v1[..v1.len() - 1]),
-            Err(FrameError::Truncated)
-        );
+        v1[..MAGIC.len()].copy_from_slice(b"TGF1");
+        assert_eq!(Frame::from_bytes(&v1), Err(FrameError::BadMagic));
     }
 
     #[test]

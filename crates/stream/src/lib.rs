@@ -3,19 +3,19 @@
 //! The infinite collection game runs on a concrete streaming substrate:
 //! a data collector gathers a fixed-size batch per round (step ③), trims it
 //! at a threshold (step ④), records the retained data on a **public board**
-//! readable by the adversary (steps ①/⑥), evaluates data quality with a
-//! publicly recognized `Quality_Evaluation()` standard, and determines the
-//! next round's trimming threshold (step ⑤). This crate implements that
-//! machinery; the *policies* that choose thresholds (Tit-for-tat, Elastic,
-//! baselines) live in `trim-core`.
+//! readable by the adversary (steps ①/⑥), and determines the next round's
+//! trimming threshold (step ⑤). This crate implements the streaming
+//! machinery — board, trimming, ingest channels and storage tiers; the
+//! round loop, quality scoring and the *policies* that choose thresholds
+//! (Tit-for-tat, Elastic, baselines) live in `trim-core`.
 //!
 //! * [`mod@trim`] — trimming operators over scalar batches.
 //! * the explicit-SIMD mask-compact filter kernels behind them live in
 //!   [`trimgame_numerics::simd`] (AVX-512 / AVX2 / NEON, portable
 //!   fallback), shared with the percentile machinery.
-//! * [`quality`] — `Quality_Evaluation()` implementations.
-//! * [`board`] — the thread-safe, chunked append-only public board,
-//!   shardable per collector for contention-free concurrent venues.
+//! * [`board`] — the public board: one thread-safe, append-only
+//!   [`RangedBoard`] type (chunked hot spans, compactable cold ones) and
+//!   a [`RangedVenue`] of boards with a round-ordered merged read.
 //! * [`frame`] — delta-encoded, bit-packed frames of sealed board
 //!   history: the cold tier's columnar storage format.
 //! * [`compact`] — the tiering policy over ranged boards: compacts
@@ -25,9 +25,6 @@
 //!   feeding the streaming collector's ingest workers.
 //! * [`coalesce`] — reorder-window batch coalescing with a watermark
 //!   rule for late/out-of-order arrivals.
-//! * [`collector`] — per-round collect → trim → record pipeline.
-//! * [`round`] — the generic round loop gluing streams, injectors and
-//!   threshold policies together.
 //! * [`fault`] — deterministic seeded fault injection (stalls,
 //!   disconnects, torn spill writes, read bit-flips) plus the bounded
 //!   retry-with-backoff wrapper the spill I/O paths use.
@@ -38,35 +35,27 @@
 pub mod board;
 pub mod channel;
 pub mod coalesce;
-pub mod collector;
 pub mod compact;
 pub mod fault;
 pub mod frame;
-pub mod quality;
 pub mod recover;
-pub mod round;
 pub mod trim;
 
-pub use board::{
-    BoardSnapshot, MergedHistory, PublicBoard, RangedBoard, RangedVenue, RoundRecord, ShardedBoard,
-};
+pub use board::{MergedHistory, PublicBoard, RangedBoard, RangedVenue, RoundRecord};
 pub use channel::{bounded, Receiver, SendError, Sender};
 pub use coalesce::{
     CoalesceStats, Coalescer, CoalescerConfig, IngestRecord, LatePolicy, RoundBatch,
 };
-pub use collector::Collector;
 pub use compact::{Compactor, TierConfig, TierStats, TierStatsSnapshot};
 pub use fault::{
     with_retry, FaultLane, FaultPlan, FaultSite, FaultSpec, FaultStats, FaultStatsSnapshot,
     RetryPolicy,
 };
 pub use frame::{Frame, FrameCursor, FrameError};
-pub use quality::{MeanShiftQuality, QualityEvaluation, TailMassQuality};
 pub use recover::{
     read_manifest, ManifestEntry, ManifestFile, ManifestWriter, RecoveryReport, ShardRecovery,
     SpanManifest,
 };
-pub use round::{run_rounds, RoundOutcome};
 pub use trim::{
     trim, SketchThreshold, TrimOp, TrimOutcome, TrimScratch, TrimScratchF32, TrimStats,
 };

@@ -1,10 +1,9 @@
 //! Property-based tests for the collection engine.
 
 use proptest::prelude::*;
-use trimgame_stream::board::{PublicBoard, RangedVenue, RoundRecord};
+use trimgame_stream::board::{RangedBoard, RangedVenue, RoundRecord};
 use trimgame_stream::compact::{Compactor, TierConfig};
 use trimgame_stream::frame::Frame;
-use trimgame_stream::quality::{MeanShiftQuality, QualityEvaluation, TailMassQuality};
 use trimgame_stream::trim::{trim, TrimOp, TrimOutcome, TrimScratch, TrimScratchF32};
 
 /// Straightforward sort-based reference implementation of the upper
@@ -21,6 +20,11 @@ fn reference_upper_cut(values: &[f64], p: f64) -> TrimOutcome {
         kept_mask,
         threshold_value: Some(threshold),
     }
+}
+
+/// The highest round any shard reaches for the given gap sequences.
+fn total_max(gaps: &[Vec<usize>]) -> usize {
+    gaps.iter().map(|g| g.iter().sum()).max().unwrap_or(0)
 }
 
 fn records(n: usize) -> Vec<RoundRecord> {
@@ -242,56 +246,35 @@ proptest! {
     }
 
     #[test]
-    fn tail_mass_quality_monotone_in_poison(
-        base in prop::collection::vec(0.0_f64..100.0, 50..150),
-        extra in 1_usize..50,
-    ) {
-        let q = TailMassQuality::new(90.0, 0.1);
-        let clean_score = q.evaluate(&base);
-        let mut poisoned = base.clone();
-        poisoned.extend(std::iter::repeat_n(99.0, extra));
-        prop_assert!(q.evaluate(&poisoned) <= clean_score + 1e-12);
-    }
-
-    #[test]
-    fn quality_scores_bounded(
-        values in prop::collection::vec(-1e3_f64..1e3, 2..100),
-    ) {
-        let tail = TailMassQuality::new(0.0, 0.5);
-        let s = tail.evaluate(&values);
-        prop_assert!((0.0..=1.0).contains(&s));
-        let shift = MeanShiftQuality::new(0.0, 100.0, 3.0);
-        let s = shift.evaluate(&values);
-        prop_assert!((0.0..=1.0).contains(&s));
-        prop_assert!((0.0..=1.0).contains(&tail.normalized_badness(&values)));
-    }
-
-    #[test]
-    fn board_preserves_order_and_counts(n in 1_usize..60) {
-        let board = PublicBoard::new();
+    fn board_preserves_order_and_counts(n in 1_usize..200) {
+        // Past several CHUNK_CAP=64 seals inside one unbounded hot span.
+        let board = RangedBoard::unbounded();
         for r in records(n) {
             board.post(r);
         }
         prop_assert_eq!(board.len(), n);
-        let history = board.history();
-        for (i, rec) in history.iter().enumerate() {
-            prop_assert_eq!(rec.round, i + 1);
-        }
-        prop_assert_eq!(board.latest().unwrap().round, n);
+        let mut history = Vec::new();
+        board.for_each_since_round(0, |r| history.push(r.round));
+        prop_assert_eq!(history, (1..=n).collect::<Vec<_>>());
+        prop_assert_eq!(board.last_round(), Some(n));
+        prop_assert_eq!(board.round(n).map(|r| r.round), Some(n));
     }
 
     #[test]
     fn merged_view_under_concurrent_sharded_append_matches_sequential_reference(
         // Per-shard round-gap sequences: lengths past several CHUNK_CAP=64
         // seals and gaps up to 4, so cumulative rounds cross many span
-        // boundaries at span 7. One writer thread per shard, appending
-        // concurrently — the venue's contract.
+        // boundaries at the small spans, and chunk seams inside one span
+        // at the unbounded one (the engine board and the sweep's venue).
+        // One writer thread per shard, appending concurrently — the
+        // venue's contract.
         gaps in prop::collection::vec(
             prop::collection::vec(1_usize..=4, 0..160),
             1..=4,
         ),
+        span_idx in 0_usize..4,
     ) {
-        let span = 7;
+        let span = [1, 7, 64, usize::MAX][span_idx];
         let venue = RangedVenue::new(gaps.len(), span);
         // The sequential reference: every (round, shard) pair, sorted.
         let mut reference: Vec<(usize, usize)> = Vec::new();
@@ -340,7 +323,15 @@ proptest! {
                 board.last_round(),
                 (total > 0).then_some(total)
             );
-            for from in [0, 1, span, span + 1, 2 * span, total / 2, total] {
+            for from in [
+                0,
+                1,
+                span,
+                span.saturating_add(1),
+                span.saturating_mul(2),
+                total / 2,
+                total,
+            ] {
                 let mut seen = Vec::new();
                 board.for_each_since_round(from, |r| seen.push(r.round));
                 let expect: Vec<usize> = reference
@@ -351,6 +342,20 @@ proptest! {
                 prop_assert_eq!(&seen, &expect, "shard {} from {}", shard, from);
             }
         }
+        // The bounded merged view is the reference suffix, and its len()
+        // counts exactly the records it visits.
+        for from in [1, span, total_max(&gaps) / 2, total_max(&gaps)] {
+            let bounded = venue.merged_since_round(from);
+            let order: Vec<(usize, usize)> = bounded
+                .records()
+                .iter()
+                .map(|(c, r)| (r.round, *c))
+                .collect();
+            let expect: Vec<(usize, usize)> =
+                reference.iter().copied().filter(|&(r, _)| r >= from).collect();
+            prop_assert_eq!(bounded.len(), expect.len(), "from {}", from);
+            prop_assert_eq!(&order, &expect, "from {}", from);
+        }
     }
 
     #[test]
@@ -358,20 +363,25 @@ proptest! {
         n in 1_usize..200,
         from_frac in 0.0_f64..=1.0,
     ) {
-        let board = PublicBoard::new();
+        let board = RangedBoard::unbounded();
         for r in records(n) {
             board.post(r);
         }
         let from = ((n as f64) * from_frac) as usize;
+        let mut history = Vec::new();
+        board.for_each_since_round(0, |r| history.push(r.round));
+        let reference: Vec<usize> = history.into_iter().filter(|&r| r >= from).collect();
         let mut seen = Vec::new();
-        board.for_each_since(from, |r| seen.push(r.round));
-        let reference: Vec<usize> = board
-            .history()
+        board.for_each_since_round(from, |r| seen.push(r.round));
+        prop_assert_eq!(&seen, &reference);
+        // The venue merge enters the span at the same record.
+        let merged: Vec<usize> = RangedVenue::from(board)
+            .merged_since_round(from)
+            .records()
             .iter()
-            .skip(from)
-            .map(|r| r.round)
+            .map(|(_, r)| r.round)
             .collect();
-        prop_assert_eq!(seen, reference);
+        prop_assert_eq!(&merged, &reference);
     }
 }
 

@@ -62,7 +62,7 @@
 //! | [`datasets`] | `trimgame-datasets` | Table II dataset generators, streams, poison injectors |
 //! | [`ml`] | `trimgame-ml` | k-means, linear SVM, SOM, confusion/PPV/FDR metrics |
 //! | [`ldp`] | `trimgame-ldp` | LDP mechanisms, manipulation attacks, EM filter |
-//! | [`stream`] | `trimgame-stream` | public board, collector pipeline, trimming ops, quality |
+//! | [`stream`] | `trimgame-stream` | public board and venue, trimming ops, ingest channels, tiered storage |
 //! | [`numerics`] | `trimgame-numerics` | quantiles, stats, RK4, Lagrangians, variational checks |
 
 pub use trim_core as core;
