@@ -3,6 +3,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use trimgame_numerics::rand_ext::seeded_rng;
+use trimgame_numerics::stats::OnlineStats;
 use trimgame_stream::trim::{trim, SketchThreshold, TrimOp, TrimScratch};
 
 fn batch(n: usize) -> Vec<f64> {
@@ -58,5 +59,23 @@ fn bench_trimming(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_trimming);
+/// The retained-data summary every round posts to the public board,
+/// at the kept-batch sizes of a collector round (17 values) and of an
+/// equilibrium cell round (1100 values).
+fn bench_retained_summary(c: &mut Criterion) {
+    let mut group = c.benchmark_group("stats");
+    for n in [17usize, 1_100] {
+        let values = batch(n);
+        group.bench_with_input(BenchmarkId::new("extend", n), &values, |b, v| {
+            b.iter(|| {
+                let mut acc = OnlineStats::new();
+                acc.extend(black_box(v));
+                acc
+            });
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_trimming, bench_retained_summary);
 criterion_main!(benches);

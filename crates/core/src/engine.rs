@@ -95,6 +95,25 @@ impl Default for RoundReport {
     }
 }
 
+/// Provenance counts `(poison_received, poison_survived, benign_trimmed)`
+/// of a trimmed batch laid out benign first: the first `n_benign` entries
+/// of `kept_mask` are benign values and the rest are poison — the layout
+/// every scenario builds its batch in.
+///
+/// # Panics
+/// Panics if `n_benign > kept_mask.len()`.
+pub(crate) fn provenance_counts(kept_mask: &[bool], n_benign: usize) -> (usize, usize, usize) {
+    // `u32` counters vectorize twice as wide as `usize` ones; the chunks
+    // keep them from overflowing.
+    let kept = |mask: &[bool]| -> usize {
+        mask.chunks(u32::MAX as usize)
+            .map(|chunk| chunk.iter().fold(0u32, |n, &k| n + u32::from(k)) as usize)
+            .sum()
+    };
+    let (benign, poison) = kept_mask.split_at(n_benign);
+    (poison.len(), kept(poison), benign.len() - kept(benign))
+}
+
 /// The environment side of one workload: batch generation, poison
 /// materialization, trimming and payoff accounting for a single round.
 ///
@@ -625,6 +644,16 @@ impl<S: Scenario> Engine<S> {
 mod tests {
     use super::*;
     use trimgame_numerics::rand_ext::seeded_rng;
+
+    #[test]
+    fn provenance_counts_split_at_the_benign_prefix() {
+        //            benign: kept, trimmed, kept | poison: kept, trimmed
+        let mask = [true, false, true, true, false];
+        assert_eq!(provenance_counts(&mask, 3), (2, 1, 1));
+        assert_eq!(provenance_counts(&mask, 5), (0, 0, 2));
+        assert_eq!(provenance_counts(&mask, 0), (5, 3, 0));
+        assert_eq!(provenance_counts(&[], 0), (0, 0, 0));
+    }
 
     /// A deterministic toy scenario: "poison" is a fixed fraction of the
     /// batch placed at the injection percentile of 0..100; the cut keeps

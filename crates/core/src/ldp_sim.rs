@@ -25,7 +25,7 @@
 //! inflection at small ε.
 
 use crate::adversary::AdversaryPolicy;
-use crate::engine::{Engine, RoundReport, Scenario};
+use crate::engine::{provenance_counts, Engine, RoundReport, Scenario};
 use crate::simulation::POLICY_SEED_STREAM;
 use crate::strategy::{DefenderPolicy, ThresholdPolicy};
 use crate::titfortat::TitForTat;
@@ -411,15 +411,8 @@ fn ldp_round<R: Rng + ?Sized>(
     };
     // Provenance the simulator (not the defender) knows: the attack
     // reports are the tail segment of the batch.
-    let mask = bufs.trim.kept_mask();
-    let poison_survived = mask[params.users_per_round..]
-        .iter()
-        .filter(|&&m| m)
-        .count();
-    let benign_trimmed = mask[..params.users_per_round]
-        .iter()
-        .filter(|&&m| !m)
-        .count();
+    let (_, poison_survived, benign_trimmed) =
+        provenance_counts(bufs.trim.kept_mask(), params.users_per_round);
     report.trimmed = stats.trimmed;
     report.poison_survived = poison_survived;
     report.benign_trimmed = benign_trimmed;

@@ -13,7 +13,9 @@
 //! [`crate::simulation`]; this module adds the geometry, the retained
 //! training set, and the three learners' metrics.
 
-use crate::engine::{Engine, EngineOutcome, EngineTotals, RoundReport, Scenario};
+use crate::engine::{
+    provenance_counts, Engine, EngineOutcome, EngineTotals, RoundReport, Scenario,
+};
 use crate::simulation::Scheme;
 use rand::Rng;
 use trimgame_datasets::Dataset;
@@ -352,21 +354,9 @@ fn ml_round<R: Rng + ?Sized>(
         / bufs.dists.len() as f64;
     let quality = 1.0 - (above - params.expected_tail).max(0.0);
 
-    let mut poison_received = 0;
-    let mut poison_survived = 0;
-    let mut benign_trimmed = 0;
     let received = bufs.is_poison.len();
-    for (i, &is_poison) in bufs.is_poison.iter().enumerate() {
-        let keep = bufs.trim.kept_mask()[i];
-        if is_poison {
-            poison_received += 1;
-            if keep {
-                poison_survived += 1;
-            }
-        } else if !keep {
-            benign_trimmed += 1;
-        }
-    }
+    let (poison_received, poison_survived, benign_trimmed) =
+        provenance_counts(bufs.trim.kept_mask(), params.batch);
 
     // The defender observes the adversary's realized reference
     // percentile via the public record (complete information).

@@ -14,7 +14,9 @@
 //! feed the Section IV analytical checks in [`crate::lagrange`].
 
 use crate::adversary::{AdversaryPolicy, AttackPolicy};
-use crate::engine::{Engine, EngineOutcome, EngineRun, EngineScratch, RoundReport, Scenario};
+use crate::engine::{
+    provenance_counts, Engine, EngineOutcome, EngineRun, EngineScratch, RoundReport, Scenario,
+};
 use crate::lagrange::UtilityTrajectory;
 use crate::strategy::{DefenderPolicy, ThresholdPolicy};
 use rand::Rng;
@@ -214,13 +216,12 @@ impl GameResult {
 }
 
 /// Reusable per-round buffers of the scalar round step: the benign
-/// sample, the combined benign+poison batch with provenance, and the trim
+/// sample, the combined batch (benign first, then poison) and the trim
 /// scratch. Cleared — never shrunk — between rounds and between runs.
 #[derive(Debug, Clone, Default)]
 pub struct ScalarBufs {
     benign: Vec<f64>,
     values: Vec<f64>,
-    is_poison: Vec<bool>,
     trim: TrimScratch,
 }
 
@@ -320,7 +321,7 @@ fn scalar_round<R: Rng + ?Sized>(
         params.attack_ratio,
         InjectionPosition::Value(ref_at(injection)),
     );
-    spec.inject_into(&bufs.benign, rng, &mut bufs.values, &mut bufs.is_poison);
+    spec.inject_into(&bufs.benign, rng, &mut bufs.values);
     let above = 1.0 - ecdf(&bufs.values, params.ref_value);
     let quality = 1.0 - (above - params.expected_tail).max(0.0);
     // The defender's cut value: the GK sketch answer when the
@@ -333,20 +334,8 @@ fn scalar_round<R: Rng + ?Sized>(
     };
     let stats = TrimOp::Absolute(cut).apply_in_place(&bufs.values, &mut bufs.trim);
 
-    let mut poison_received = 0;
-    let mut poison_survived = 0;
-    let mut benign_trimmed = 0;
-    for (idx, &is_poison) in bufs.is_poison.iter().enumerate() {
-        let kept = bufs.trim.kept_mask()[idx];
-        if is_poison {
-            poison_received += 1;
-            if kept {
-                poison_survived += 1;
-            }
-        } else if !kept {
-            benign_trimmed += 1;
-        }
-    }
+    let (poison_received, poison_survived, benign_trimmed) =
+        provenance_counts(bufs.trim.kept_mask(), bufs.benign.len());
 
     // Percentile-damage utility proxy.
     let batch_len = bufs.values.len().max(1);

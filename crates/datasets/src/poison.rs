@@ -145,35 +145,28 @@ impl PoisonSpec {
     /// Panics if `benign` is empty and poison placement needs percentiles.
     pub fn inject<R: Rng + ?Sized>(&self, benign: &[f64], rng: &mut R) -> PoisonBatch {
         let mut values = Vec::with_capacity(benign.len());
-        let mut is_poison = Vec::with_capacity(benign.len());
-        self.inject_into(benign, rng, &mut values, &mut is_poison);
+        self.inject_into(benign, rng, &mut values);
+        let mut is_poison = vec![false; benign.len()];
+        is_poison.resize(values.len(), true);
         PoisonBatch { values, is_poison }
     }
 
-    /// [`PoisonSpec::inject`] into caller-owned buffers — the
-    /// allocation-free form the engine hot path uses: `values` and
-    /// `is_poison` are cleared and refilled (benign first, then poison),
-    /// with draws and placements identical to the allocating form.
+    /// [`PoisonSpec::inject`] into a caller-owned buffer — the
+    /// allocation-free form the engine hot path uses: `values` is cleared
+    /// and refilled with the benign batch followed by every poison value,
+    /// with draws and placements identical to the allocating form. The
+    /// layout *is* the provenance: `values[..benign.len()]` is benign and
+    /// the rest is poison.
     ///
     /// # Panics
     /// Panics if `benign` is empty and poison placement needs percentiles.
-    pub fn inject_into<R: Rng + ?Sized>(
-        &self,
-        benign: &[f64],
-        rng: &mut R,
-        values: &mut Vec<f64>,
-        is_poison: &mut Vec<bool>,
-    ) {
+    pub fn inject_into<R: Rng + ?Sized>(&self, benign: &[f64], rng: &mut R, values: &mut Vec<f64>) {
         let n_poison = (self.ratio * benign.len() as f64).round() as usize;
         values.clear();
         values.reserve(benign.len() + n_poison);
         values.extend_from_slice(benign);
-        is_poison.clear();
-        is_poison.reserve(benign.len() + n_poison);
-        is_poison.resize(benign.len(), false);
         for _ in 0..n_poison {
             values.push(self.position.resolve(benign, rng));
-            is_poison.push(true);
         }
     }
 }
@@ -306,5 +299,34 @@ mod tests {
         let batch = spec.inject(&data, &mut rng);
         assert_eq!(&batch.values[..1000], &data[..]);
         assert!(batch.is_poison[..1000].iter().all(|&b| !b));
+    }
+
+    #[test]
+    fn inject_into_appends_poison_after_benign_prefix() {
+        // Round provenance counts split the batch at the benign length;
+        // that needs this layout for every position kind.
+        let data = benign();
+        let positions = [
+            InjectionPosition::Percentile(0.95),
+            InjectionPosition::Range { lo: 0.9, hi: 1.0 },
+            InjectionPosition::Mixed {
+                p: 0.5,
+                hi: 0.99,
+                lo: 0.9,
+            },
+            InjectionPosition::Value(-3.0),
+        ];
+        for position in positions {
+            let spec = PoisonSpec::new(0.25, position);
+            let mut values = vec![f64::NAN; 7]; // stale contents are cleared
+            spec.inject_into(&data, &mut seeded_rng(11), &mut values);
+            assert_eq!(values.len(), 1250, "{position:?}");
+            assert_eq!(&values[..1000], &data[..], "{position:?}");
+
+            let batch = spec.inject(&data, &mut seeded_rng(11));
+            assert_eq!(batch.values, values, "{position:?}");
+            assert!(batch.is_poison[..1000].iter().all(|&p| !p), "{position:?}");
+            assert!(batch.is_poison[1000..].iter().all(|&p| p), "{position:?}");
+        }
     }
 }

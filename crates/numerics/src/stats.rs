@@ -3,8 +3,8 @@
 //! The evaluation section of the paper reports SSE (sum of squared errors,
 //! Fig. 4/5), Euclidean centroid distance (Fig. 4/5) and MSE (Fig. 9). These
 //! helpers implement those metrics plus the usual moments. [`OnlineStats`]
-//! is a Welford accumulator so round-wise collectors can track data quality
-//! without buffering values.
+//! is a streaming moments accumulator so round-wise collectors can track
+//! data quality without buffering values.
 
 /// Arithmetic mean of a slice. Returns `0.0` for an empty slice.
 #[must_use]
@@ -118,7 +118,14 @@ pub fn max(xs: &[f64]) -> Option<f64> {
         })
 }
 
-/// Numerically stable streaming moments (Welford's algorithm).
+/// Numerically stable streaming moments.
+///
+/// [`OnlineStats::push`] feeds one value with Welford's update.
+/// [`OnlineStats::extend`] feeds a slice with a batch kernel: a
+/// two-pass lane-parallel sum and centred sum of squares, folded in
+/// with Chan et al.'s parallel merge ([`OnlineStats::merge`]). The two
+/// agree to rounding, but `extend` is not bitwise equal to repeated
+/// `push`.
 ///
 /// Used by the collector to keep per-round quality statistics without
 /// retaining raw values, mirroring the "public board" which records only
@@ -160,11 +167,14 @@ impl OnlineStats {
         }
     }
 
-    /// Feeds every value of a slice.
+    /// Feeds every value of a slice: a batch kernel computes the slice's
+    /// own moments, which fold in with [`OnlineStats::merge`].
+    ///
+    /// One divide per call instead of one per value. The result agrees
+    /// with repeated [`OnlineStats::push`] to rounding, not bit for bit,
+    /// and its bits do not depend on the CPU.
     pub fn extend(&mut self, xs: &[f64]) {
-        for &x in xs {
-            self.push(x);
-        }
+        self.merge(&slice_moments(xs));
     }
 
     /// Number of observations so far.
@@ -239,7 +249,8 @@ impl OnlineStats {
         }
     }
 
-    /// Merges another accumulator into this one (parallel Welford merge).
+    /// Merges another accumulator into this one (Chan et al.'s parallel
+    /// update of the Welford moments).
     pub fn merge(&mut self, other: &OnlineStats) {
         if other.n == 0 {
             return;
@@ -258,6 +269,80 @@ impl OnlineStats {
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
     }
+}
+
+/// Lane count of the [`slice_moments`] accumulators: eight independent
+/// chains, so no add waits on the one before it.
+const LANES: usize = 8;
+
+/// The moments of one slice in two passes over `[f64; LANES]`
+/// accumulators: sum, min and max, then `Σ (x − mean)²` about the
+/// slice mean. The lanes combine in a fixed order and nothing fuses a
+/// multiply-add, so the bits depend on the input alone, never on the
+/// CPU — the board serializes them and recovery asserts bit identity.
+/// Like [`OnlineStats::push`], min and max skip NaN.
+fn slice_moments(xs: &[f64]) -> OnlineStats {
+    if xs.is_empty() {
+        return OnlineStats::new();
+    }
+    let chunks = xs.chunks_exact(LANES);
+    let tail = chunks.remainder();
+
+    let mut sum = [0.0; LANES];
+    let mut lo = [f64::INFINITY; LANES];
+    let mut hi = [f64::NEG_INFINITY; LANES];
+    for chunk in chunks.clone() {
+        for j in 0..LANES {
+            sum[j] += chunk[j];
+            lo[j] = lesser(lo[j], chunk[j]);
+            hi[j] = greater(hi[j], chunk[j]);
+        }
+    }
+    let total = tail.iter().fold(fold_lanes(sum), |t, &x| t + x);
+    let min = lo
+        .into_iter()
+        .chain(tail.iter().copied())
+        .fold(f64::INFINITY, lesser);
+    let max = hi
+        .into_iter()
+        .chain(tail.iter().copied())
+        .fold(f64::NEG_INFINITY, greater);
+    let mean = total / xs.len() as f64;
+
+    let mut sq = [0.0; LANES];
+    for chunk in chunks {
+        for j in 0..LANES {
+            let d = chunk[j] - mean;
+            sq[j] += d * d;
+        }
+    }
+    let m2 = tail
+        .iter()
+        .fold(fold_lanes(sq), |acc, &x| acc + (x - mean) * (x - mean));
+    OnlineStats::from_raw_parts(xs.len() as u64, mean, m2, min, max)
+}
+
+/// `x` if it is below `m`, else `m` — a NaN `x` never wins.
+fn lesser(m: f64, x: f64) -> f64 {
+    if x < m {
+        x
+    } else {
+        m
+    }
+}
+
+/// `x` if it is above `m`, else `m` — a NaN `x` never wins.
+fn greater(m: f64, x: f64) -> f64 {
+    if x > m {
+        x
+    } else {
+        m
+    }
+}
+
+/// Pairwise sum of the lane accumulators, in a fixed tree order.
+fn fold_lanes(v: [f64; LANES]) -> f64 {
+    ((v[0] + v[1]) + (v[2] + v[3])) + ((v[4] + v[5]) + (v[6] + v[7]))
 }
 
 #[cfg(test)]
@@ -384,6 +469,49 @@ mod tests {
         assert_eq!(min, f64::INFINITY);
         assert_eq!(max, f64::NEG_INFINITY);
         assert_eq!(OnlineStats::from_raw_parts(n, mean, m2, min, max), empty);
+    }
+
+    /// 1100 values (the eq-dense kept batch) from exact IEEE arithmetic
+    /// alone, so the slice is the same on every platform.
+    fn golden_slice(offset: f64, scale: f64) -> Vec<f64> {
+        (0..1100)
+            .map(|i| offset + scale * (f64::from(i) * 0.618_033_988_749_895).fract())
+            .collect()
+    }
+
+    #[test]
+    fn extend_bits_are_pinned() {
+        // A change to the kernel's accumulation order must fail here, not
+        // slip into board records and recovered spills.
+        let mut acc = OnlineStats::new();
+        acc.extend(&golden_slice(-20.0, 100.0));
+        let (n, mean, m2, min, max) = acc.raw_parts();
+        assert_eq!(n, 1100);
+        assert_eq!(mean.to_bits(), 0x403d_f7b9_feb0_d7f9);
+        assert_eq!(m2.to_bits(), 0x412b_ffe2_6fb0_8592);
+        assert_eq!(min.to_bits(), 0xc034_0000_0000_0000);
+        assert_eq!(max.to_bits(), 0x4053_fd19_a278_2d60);
+    }
+
+    #[test]
+    fn extend_survives_offset_where_naive_sum_of_squares_fails() {
+        let xs = golden_slice(1e8, 2e5);
+        let mut pushed = OnlineStats::new();
+        for &x in &xs {
+            pushed.push(x);
+        }
+        let mut batch = OnlineStats::new();
+        batch.extend(&xs);
+        let n = xs.len() as f64;
+        let naive =
+            xs.iter().map(|x| x * x).sum::<f64>() / n - (xs.iter().sum::<f64>() / n).powi(2);
+        let rel = |v: f64| (v - pushed.variance()).abs() / pushed.variance();
+        assert!(
+            rel(batch.variance()) < 1e-12,
+            "batch off by {}",
+            rel(batch.variance())
+        );
+        assert!(rel(naive) > 1e-9, "naive off by only {}", rel(naive));
     }
 
     #[test]

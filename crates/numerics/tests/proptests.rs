@@ -13,6 +13,43 @@ fn finite_vec(max_len: usize) -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(-1e6_f64..1e6_f64, 1..max_len)
 }
 
+/// Values `offset + scale·u` for `u ∈ [0, 1)`, long enough for every
+/// `extend` length the batch-kernel property probes: unit-scale data, and
+/// data riding a 1e8 offset where a naive `Σx² − n·mean²` loses the
+/// digits the 1e-12 bound asks for.
+fn shifted_vec() -> impl Strategy<Value = Vec<f64>> {
+    (prop::collection::vec(0.0_f64..1.0, 2100), 0_u8..2).prop_map(|(us, regime)| {
+        let (offset, scale) = if regime == 0 { (0.0, 1.0) } else { (1e8, 2e5) };
+        us.into_iter().map(|u| offset + scale * u).collect()
+    })
+}
+
+/// `a` and `b` hold the same moments: `n`, `min` and `max` exactly, the
+/// mean and variance to 1e-12 relative. The variance bound also allows
+/// the rounding of the mean itself: half an ulp of the mean shifts every
+/// deviation, so it moves the variance by about `ulp(mean)·σ`. That is
+/// the floor of Welford's own error on a short slice with a small spread
+/// next to its mean: two values 355 apart near 1e8 already disagree by
+/// 4e-11 relative between `push` and `extend`.
+fn same_moments(a: &OnlineStats, b: &OnlineStats) -> Result<(), TestCaseError> {
+    prop_assert_eq!(a.count(), b.count());
+    prop_assert_eq!(a.min(), b.min());
+    prop_assert_eq!(a.max(), b.max());
+    let (ma, mb) = (a.mean(), b.mean());
+    prop_assert!(
+        (ma - mb).abs() <= 1e-12 * ma.abs().max(mb.abs()),
+        "mean {ma} vs {mb}"
+    );
+    let (va, vb) = (a.variance(), b.variance());
+    let var = va.max(vb);
+    let mean_ulp = f64::EPSILON * ma.abs().max(mb.abs());
+    prop_assert!(
+        (va - vb).abs() <= 1e-12 * var + 2.0 * mean_ulp * var.sqrt(),
+        "variance {va} vs {vb}"
+    );
+    Ok(())
+}
+
 proptest! {
     #[test]
     fn percentile_is_monotone_in_p(data in finite_vec(64), p1 in 0.0_f64..1.0, p2 in 0.0_f64..1.0) {
@@ -108,6 +145,33 @@ proptest! {
         prop_assert_eq!(left.count(), combined.count());
         prop_assert!((left.mean() - combined.mean()).abs() < 1e-6 * combined.mean().abs().max(1.0));
         prop_assert!((left.variance() - combined.variance()).abs() < 1e-6 * combined.variance().max(1.0));
+    }
+
+    #[test]
+    fn online_stats_extend_matches_push(data in shifted_vec(), blocks in 0_usize..262, cut in 0_usize..2100) {
+        // Every remainder mod 8 of the kernel's lane width, lengths 0..=2095.
+        for len in (0..8).map(|r| blocks * 8 + r) {
+            let xs = &data[..len];
+            let mut pushed = OnlineStats::new();
+            for &x in xs {
+                pushed.push(x);
+            }
+            let mut batch = OnlineStats::new();
+            batch.extend(xs);
+            same_moments(&batch, &pushed)?;
+
+            // Two extends agree with one over the concatenation.
+            let (a, b) = xs.split_at(cut.min(len));
+            let mut split = OnlineStats::new();
+            split.extend(a);
+            split.extend(b);
+            same_moments(&split, &batch)?;
+
+            // An empty slice leaves the accumulator untouched.
+            let before = batch;
+            batch.extend(&[]);
+            prop_assert_eq!(batch.raw_parts(), before.raw_parts());
+        }
     }
 
     #[test]
