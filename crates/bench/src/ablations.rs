@@ -15,7 +15,7 @@ use trimgame_numerics::quantile::{percentile, Interpolation};
 use trimgame_numerics::rand_ext::{derive_seed, seeded_rng, standard_normal};
 use trimgame_numerics::sketch::P2Quantile;
 use trimgame_numerics::stats::mean;
-use trimgame_stream::trim::{TrimOp, TrimScratch};
+use trimgame_stream::trim::TrimScratch;
 
 /// Response intensity `k`: convergence speed of the coupled map, analytic
 /// equilibrium offset, transient cost, and Theorem 4 oscillation scales.
@@ -279,7 +279,7 @@ pub fn ablate_mechanism() -> String {
                         (users as f64 * ratio) as usize,
                         &mut rng,
                     ));
-                    let _ = TrimOp::Absolute(cut).apply_in_place(reports, scratch);
+                    let _ = scratch.cut(reports, cut);
                     let est = mean(scratch.kept()) + bias;
                     total += (est - truth) * (est - truth);
                 }

@@ -15,7 +15,7 @@
 
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
-use trimgame_stream::trim::{SketchThreshold, TrimOp, TrimScratch};
+use trimgame_stream::trim::{SketchThreshold, TrimScratch};
 
 use crate::double_oracle::{double_oracle, DoubleOracleConfig};
 use crate::empirical::{
@@ -78,28 +78,10 @@ pub fn run_cases(warmup: Duration, measure: Duration) -> Vec<BenchCase> {
         let values = batch_values(n);
         let mut scratch = TrimScratch::with_capacity(n);
 
-        let op = TrimOp::UpperPercentile(0.9);
-        let _ = op.apply_in_place(&values, &mut scratch);
-        push(
-            format!("trim/in_place/{n}"),
-            time_ns(warmup, measure, || {
-                std::hint::black_box(op.apply_in_place(&values, &mut scratch).trimmed);
-            }),
-        );
-
-        let op = TrimOp::Absolute(900.0);
         push(
             format!("trim/absolute_in_place/{n}"),
             time_ns(warmup, measure, || {
-                std::hint::black_box(op.apply_in_place(&values, &mut scratch).trimmed);
-            }),
-        );
-
-        let op = TrimOp::TwoSided { lo: 0.05, hi: 0.95 };
-        push(
-            format!("trim/two_sided_in_place/{n}"),
-            time_ns(warmup, measure, || {
-                std::hint::black_box(op.apply_in_place(&values, &mut scratch).trimmed);
+                std::hint::black_box(scratch.cut(&values, 900.0));
             }),
         );
 
@@ -108,8 +90,8 @@ pub fn run_cases(warmup: Duration, measure: Duration) -> Vec<BenchCase> {
         push(
             format!("trim/sketch_query_only/{n}"),
             time_ns(warmup, measure, || {
-                let op = source.op(0.9).expect("observed");
-                std::hint::black_box(op.apply_in_place(&values, &mut scratch).trimmed);
+                let cut = source.cut(0.9).expect("observed");
+                std::hint::black_box(scratch.cut(&values, cut));
             }),
         );
     }
@@ -687,10 +669,11 @@ pub fn bench_report() -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "== Hot-path perf snapshot ({} cases, warmup {} ms, measure {} ms) ==",
+        "== Hot-path perf snapshot ({} cases, warmup {} ms, measure {} ms, kernel {}) ==",
         cases.len(),
         warmup.as_millis(),
-        measure.as_millis()
+        measure.as_millis(),
+        trimgame_numerics::simd::active_kernel()
     );
     for case in &cases {
         let _ = writeln!(out, "{:<32} {:>12.1} ns/iter", case.name, case.mean_ns);
@@ -718,7 +701,7 @@ mod tests {
     #[test]
     fn suite_runs_with_tiny_windows_and_serializes() {
         let cases = run_cases(Duration::from_millis(1), Duration::from_millis(2));
-        assert_eq!(cases.len(), 43);
+        assert_eq!(cases.len(), 37);
         for case in &cases {
             assert!(case.mean_ns > 0.0, "{}: {}", case.name, case.mean_ns);
         }
@@ -726,7 +709,7 @@ mod tests {
         assert!(json.starts_with("{\n"));
         assert!(json.trim_end().ends_with('}'));
         assert_eq!(json.matches(':').count(), cases.len());
-        assert!(json.contains("\"trim/in_place/1000\""));
+        assert!(json.contains("\"trim/absolute_in_place/1000\""));
         assert!(json.contains("\"gk/ingest_batch/100000\""));
         assert!(json.contains("\"gk/ingest_batches4_warm/10000\""));
         assert!(json.contains("\"frame/encode/256\""));

@@ -271,18 +271,6 @@ where
     parallel_map_with(n, workers, || (), |(), idx| job(idx))
 }
 
-/// Write handle for the lock-free result slots: each claimed index is
-/// written by exactly one worker (the atomic cursor hands indices out
-/// uniquely), so the disjoint `&mut` writes never alias, and the scope
-/// join publishes them to the collecting thread.
-struct SlotWriter<T>(*mut Option<T>);
-
-// SAFETY: the raw pointer is only dereferenced at indices handed out
-// uniquely by the claim cursor; `T: Send` makes moving results across
-// the worker threads sound.
-#[allow(unsafe_code)]
-unsafe impl<T: Send> Sync for SlotWriter<T> {}
-
 /// [`parallel_map`] with per-worker state: `init` runs once on each
 /// worker thread (and once for the sequential path), and every job on
 /// that worker receives `&mut` of its state — the engine-scratch /
@@ -291,9 +279,10 @@ unsafe impl<T: Send> Sync for SlotWriter<T> {}
 /// dependent which jobs share a worker); the determinism contract is the
 /// same as [`parallel_map`]'s.
 ///
-/// Results are written into disjoint pre-allocated slots — no per-item
-/// lock, so tiny jobs (a 10-round equilibrium cell) pay nothing beyond
-/// the claim cursor.
+/// Each worker collects its `(index, result)` pairs in a private vector
+/// — no per-item lock, so tiny jobs (a 10-round equilibrium cell) pay
+/// nothing beyond the claim cursor — and returns it through its join
+/// handle; the results are scattered into index order after the scope.
 ///
 /// # Panics
 /// Panics if a worker panics.
@@ -310,32 +299,34 @@ where
         return (0..n).map(|idx| job(&mut state, idx)).collect();
     }
     let cursor = AtomicUsize::new(0);
+    let per_worker: Vec<Vec<(usize, T)>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                let (init, job, cursor) = (&init, &job, &cursor);
+                scope.spawn(move || {
+                    let mut state = init();
+                    let mut done = Vec::new();
+                    loop {
+                        let idx = cursor.fetch_add(1, Ordering::Relaxed);
+                        if idx >= n {
+                            break;
+                        }
+                        done.push((idx, job(&mut state, idx)));
+                    }
+                    done
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .collect()
+    });
     let mut slots: Vec<Option<T>> = Vec::with_capacity(n);
     slots.resize_with(n, || None);
-    let writer = SlotWriter(slots.as_mut_ptr());
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let writer = &writer;
-            let (init, job, cursor) = (&init, &job, &cursor);
-            scope.spawn(move || {
-                let mut state = init();
-                loop {
-                    let idx = cursor.fetch_add(1, Ordering::Relaxed);
-                    if idx >= n {
-                        break;
-                    }
-                    let result = job(&mut state, idx);
-                    // SAFETY: `idx < n` is in bounds of the slot buffer,
-                    // and the fetch_add claim makes this worker the only
-                    // writer of slot `idx`; the buffer outlives the scope.
-                    #[allow(unsafe_code)]
-                    unsafe {
-                        *writer.0.add(idx) = Some(result);
-                    }
-                }
-            });
-        }
-    });
+    for (idx, result) in per_worker.into_iter().flatten() {
+        slots[idx] = Some(result);
+    }
     slots
         .into_iter()
         .map(|slot| slot.expect("every index claimed exactly once"))

@@ -39,7 +39,7 @@ use trimgame_ldp::piecewise::Piecewise;
 use trimgame_numerics::quantile::{ecdf, Interpolation};
 use trimgame_numerics::rand_ext::{derive_seed, seeded_rng};
 use trimgame_numerics::stats::{mean, OnlineStats};
-use trimgame_stream::trim::{SketchThreshold, TrimOp, TrimScratch};
+use trimgame_stream::trim::{SketchThreshold, TrimScratch};
 
 /// The Fig. 9 defense roster.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -393,8 +393,9 @@ fn ldp_round<R: Rng + ?Sized>(
             Interpolation::Linear,
         ),
     };
-    let stats = TrimOp::Absolute(cut).apply_in_place(&bufs.reports, &mut bufs.trim);
-    let (estimate_delta, kept_delta) = if stats.kept > 0 {
+    let trimmed = bufs.trim.cut(&bufs.reports, cut);
+    let kept = bufs.trim.kept().len();
+    let (estimate_delta, kept_delta) = if kept > 0 {
         // `trim_bias(cut)`: the honest-stream mean shift the cut induces.
         let n_below = bufs.calib.partition_point(|&v| v <= cut);
         let bias = if n_below == 0 {
@@ -402,10 +403,7 @@ fn ldp_round<R: Rng + ?Sized>(
         } else {
             params.calib_mean - bufs.prefix[n_below - 1] / n_below as f64
         };
-        (
-            (mean(bufs.trim.kept()) + bias) * stats.kept as f64,
-            stats.kept,
-        )
+        ((mean(bufs.trim.kept()) + bias) * kept as f64, kept)
     } else {
         (0.0, 0)
     };
@@ -413,7 +411,7 @@ fn ldp_round<R: Rng + ?Sized>(
     // reports are the tail segment of the batch.
     let (_, poison_survived, benign_trimmed) =
         provenance_counts(bufs.trim.kept_mask(), params.users_per_round);
-    report.trimmed = stats.trimmed;
+    report.trimmed = trimmed;
     report.poison_survived = poison_survived;
     report.benign_trimmed = benign_trimmed;
     // Percentile-damage proxy, as on the other substrates: surviving
@@ -423,7 +421,7 @@ fn ldp_round<R: Rng + ?Sized>(
     report.gain_adversary =
         poison_survived as f64 / received.max(1) as f64 * injection.clamp(0.0, 1.0);
     report.overhead = benign_trimmed as f64 / received.max(1) as f64;
-    report.threshold_value = stats.threshold_value;
+    report.threshold_value = Some(cut);
     let mut retained = OnlineStats::new();
     retained.extend(bufs.trim.kept());
     report.retained = retained;

@@ -25,7 +25,7 @@ use trimgame_ml::svm::{SvmConfig, SvmModel};
 use trimgame_numerics::quantile::{percentile_of, Interpolation};
 use trimgame_numerics::rand_ext::{seeded_rng, standard_normal};
 use trimgame_numerics::stats::{euclidean, OnlineStats};
-use trimgame_stream::trim::{SketchThreshold, TrimOp, TrimScratch};
+use trimgame_stream::trim::{SketchThreshold, TrimScratch};
 
 /// Configuration of a poisoned multi-round collection over a dataset.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -347,7 +347,7 @@ fn ml_round<R: Rng + ?Sized>(
             .expect("sketch ingested the clean reference stream"),
         None => model.ref_at(threshold.clamp(0.0, 1.0)),
     };
-    let stats = TrimOp::Absolute(cut).apply_in_place(&bufs.dists, &mut bufs.trim);
+    let trimmed = bufs.trim.cut(&bufs.dists, cut);
 
     // Quality: excess tail mass above the clean reference distance.
     let above = bufs.dists.iter().filter(|&&d| d > params.ref_value).count() as f64
@@ -371,14 +371,14 @@ fn ml_round<R: Rng + ?Sized>(
     RoundReport {
         quality,
         received,
-        trimmed: stats.trimmed,
+        trimmed,
         poison_received,
         poison_survived,
         benign_trimmed,
         gain_adversary: poison_survived as f64 / batch_len as f64 * injection,
         overhead: benign_trimmed as f64 / batch_len as f64,
         observed_injection: Some(observed),
-        threshold_value: stats.threshold_value,
+        threshold_value: Some(cut),
         retained: retained_stats,
     }
 }

@@ -26,7 +26,7 @@ use trimgame_datasets::stream::RoundStream;
 use trimgame_numerics::quantile::{ecdf, percentile_sorted, Interpolation};
 use trimgame_numerics::rand_ext::seeded_rng;
 use trimgame_numerics::stats::OnlineStats;
-use trimgame_stream::trim::{trim, SketchThreshold, TrimOp, TrimScratch};
+use trimgame_stream::trim::{SketchThreshold, TrimScratch};
 
 /// The six evaluation schemes of Section VI-A.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -332,7 +332,7 @@ fn scalar_round<R: Rng + ?Sized>(
             .expect("sketch observed the pool at construction"),
         None => ref_at(threshold),
     };
-    let stats = TrimOp::Absolute(cut).apply_in_place(&bufs.values, &mut bufs.trim);
+    let trimmed = bufs.trim.cut(&bufs.values, cut);
 
     let (poison_received, poison_survived, benign_trimmed) =
         provenance_counts(bufs.trim.kept_mask(), bufs.benign.len());
@@ -348,14 +348,14 @@ fn scalar_round<R: Rng + ?Sized>(
     RoundReport {
         quality,
         received: bufs.values.len(),
-        trimmed: stats.trimmed,
+        trimmed,
         poison_received,
         poison_survived,
         benign_trimmed,
         gain_adversary: g_a,
         overhead,
         observed_injection: Some(injection),
-        threshold_value: stats.threshold_value,
+        threshold_value: Some(cut),
         retained: retained_stats,
     }
 }
@@ -667,14 +667,6 @@ pub fn averaged_game(pool: &[f64], config: &GameConfig, reps: usize) -> (f64, f6
     (poison_total / reps as f64, term_total / reps as f64)
 }
 
-/// Removes values above the `p`-percentile of a batch — convenience used
-/// by downstream consumers that only need one-shot trimming semantics
-/// identical to the game's.
-#[must_use]
-pub fn oneshot_trim(values: &[f64], p: f64) -> Vec<f64> {
-    trim(values, TrimOp::UpperPercentile(p)).kept
-}
-
 /// One row of the Table III study at mix probability `p`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Table3Row {
@@ -734,6 +726,7 @@ pub fn run_table3_point(pool: &[f64], p: f64, k: f64, reps: usize, master_seed: 
     let mut tft_fraction_total = 0.0;
     let mut ela_fraction_total = 0.0;
 
+    let mut scratch = TrimScratch::new();
     for rep in 0..reps {
         let seed = trimgame_numerics::rand_ext::derive_seed(master_seed, rep as u64);
         let mut rng = seeded_rng(seed);
@@ -761,10 +754,9 @@ pub fn run_table3_point(pool: &[f64], p: f64, k: f64, reps: usize, master_seed: 
             let threshold = if triggered.is_some() { tth } else { tth + 0.01 };
             let spec = PoisonSpec::new(ratio, InjectionPosition::Value(ref_at(positions[i])));
             let batch_v = spec.inject(benign, &mut rng);
-            let cut = ref_at(threshold);
-            let outcome = trim(&batch_v.values, TrimOp::Absolute(cut));
-            for (j, &is_p) in batch_v.is_poison.iter().enumerate() {
-                if outcome.kept_mask[j] {
+            let _ = scratch.cut(&batch_v.values, ref_at(threshold));
+            for (&is_p, &kept) in batch_v.is_poison.iter().zip(scratch.kept_mask()) {
+                if kept {
                     tft_kept += 1;
                     if is_p {
                         tft_poison += 1;
@@ -794,9 +786,9 @@ pub fn run_table3_point(pool: &[f64], p: f64, k: f64, reps: usize, master_seed: 
         for (i, benign) in benign_rounds.iter().enumerate() {
             let spec = PoisonSpec::new(ratio, InjectionPosition::Value(ref_at(positions[i])));
             let batch_v = spec.inject(benign, &mut rng);
-            let outcome = trim(&batch_v.values, TrimOp::Absolute(ref_at(ela_threshold)));
-            for (j, &is_p) in batch_v.is_poison.iter().enumerate() {
-                if outcome.kept_mask[j] {
+            let _ = scratch.cut(&batch_v.values, ref_at(ela_threshold));
+            for (&is_p, &kept) in batch_v.is_poison.iter().zip(scratch.kept_mask()) {
+                if kept {
                     ela_kept += 1;
                     if is_p {
                         ela_poison += 1;
@@ -1012,13 +1004,6 @@ mod tests {
             assert_eq!(scratch.thresholds(), owned.thresholds.as_slice());
             assert_eq!(scratch.injections(), owned.injections.as_slice());
         }
-    }
-
-    #[test]
-    fn oneshot_trim_matches_trim_op() {
-        let values: Vec<f64> = (0..100).map(f64::from).collect();
-        let kept = oneshot_trim(&values, 0.9);
-        assert_eq!(kept.len(), 90);
     }
 
     #[test]

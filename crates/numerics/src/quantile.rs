@@ -69,10 +69,7 @@ pub fn percentile_sorted(sorted: &[f64], p: f64, interp: Interpolation) -> f64 {
 }
 
 /// The anchor rank and interpolation weight of probability `p` over `n`
-/// samples under `interp` — the single source of rank arithmetic shared
-/// by [`percentile_sorted`], [`percentile_select`] and
-/// [`percentile_partition`], whose bit-identical contract depends on the
-/// three paths never diverging. Callers handle `p == 0` / `p == 1` /
+/// samples under `interp`. The caller handles `p == 0` / `p == 1` /
 /// `n == 1` before calling. Lower/Nearest need a single exact order
 /// statistic (`frac == 0`), Linear/Matlab two adjacent ones.
 fn rank_position(n: usize, p: f64, interp: Interpolation) -> (usize, f64) {
@@ -101,174 +98,6 @@ fn rank_position(n: usize, p: f64, interp: Interpolation) -> (usize, f64) {
             (h.round() as usize, 0.0)
         }
     }
-}
-
-/// Percentile by in-place selection instead of a full sort.
-///
-/// Computes exactly the same value as [`percentile_sorted`] on the sorted
-/// copy of `buf`, but in `O(n)` expected time via `select_nth_unstable`:
-/// the interpolation anchors `sorted[⌊h⌋]` and `sorted[⌈h⌉]` are found by
-/// one selection plus a minimum scan of the upper partition. `buf` is
-/// reordered arbitrarily — callers own a scratch copy (see
-/// `trimgame-stream`'s `TrimScratch`), which is what makes the trim hot
-/// path allocation-free.
-///
-/// # Panics
-/// Panics if `buf` is empty, `p` is not in `[0, 1]`, or the data contains
-/// a NaN (every element participates in the first partition pass, so NaN
-/// cannot slip through unnoticed).
-#[must_use]
-pub fn percentile_select(buf: &mut [f64], p: f64, interp: Interpolation) -> f64 {
-    assert!(!buf.is_empty(), "percentile of empty data");
-    assert!(
-        (0.0..=1.0).contains(&p),
-        "percentile probability {p} not in [0,1]"
-    );
-    let n = buf.len();
-    if n == 1 {
-        let only = buf[0];
-        assert!(!only.is_nan(), "percentile: NaN in data");
-        return only;
-    }
-    let cmp = |a: &f64, b: &f64| a.partial_cmp(b).expect("percentile: NaN in data");
-    if p == 0.0 {
-        return *buf
-            .iter()
-            .min_by(|a, b| cmp(a, b))
-            .expect("non-empty checked above");
-    }
-    if p == 1.0 {
-        return *buf
-            .iter()
-            .max_by(|a, b| cmp(a, b))
-            .expect("non-empty checked above");
-    }
-    let (lo, frac) = rank_position(n, p, interp);
-    let (_, lo_v, upper) = buf.select_nth_unstable_by(lo, cmp);
-    let lo_v = *lo_v;
-    if frac == 0.0 {
-        return lo_v;
-    }
-    // sorted[lo + 1] is the minimum of the partition above the pivot.
-    let hi_v = *upper
-        .iter()
-        .min_by(|a, b| cmp(a, b))
-        .expect("frac > 0 implies lo < n - 1");
-    lo_v + frac * (hi_v - lo_v)
-}
-
-/// Batches below this size resolve percentiles by plain copy +
-/// [`percentile_select`]: the sampling machinery only pays for itself
-/// once the partition pass is large enough to amortize it.
-const PARTITION_MIN: usize = 4096;
-
-/// Ceiling on the pivot pre-pass sample (deterministic stride sampling;
-/// the sort of the sample is the only super-linear work). Mid-size
-/// batches sample `n / 16` so the pre-pass never rivals the partition
-/// pass itself.
-const PARTITION_SAMPLE: usize = 1024;
-
-/// Percentile by sampled two-pivot partitioning (Floyd–Rivest style):
-/// the same value as [`percentile_sorted`] on a sorted copy, **without
-/// reordering or copying the batch**. A deterministic stride sample is
-/// sorted to bracket the target rank between two pivots, one fused
-/// SIMD pass ([`crate::simd::partition_band`]) counts the mass outside
-/// the bracket and compacts the in-bracket candidates into `scratch`
-/// (~10–20% of the batch), and the exact order statistics are selected
-/// inside the bracket. If the bracket misses the rank — possible only on
-/// adversarial stride-aligned data — the code falls back to a full
-/// [`percentile_select`] on a scratch copy, so the result is *always*
-/// exact and bit-identical to the sorted reference.
-///
-/// `scratch` is the candidate/fallback buffer, reused across calls: a
-/// warm caller performs no allocation.
-///
-/// # Panics
-/// Panics if `data` is empty, `p` is not in `[0, 1]`, or the data
-/// contains a NaN (a NaN escapes all three partition classes, which the
-/// pass detects by count).
-#[must_use]
-pub fn percentile_partition(
-    data: &[f64],
-    p: f64,
-    interp: Interpolation,
-    scratch: &mut Vec<f64>,
-) -> f64 {
-    assert!(!data.is_empty(), "percentile of empty data");
-    assert!(
-        (0.0..=1.0).contains(&p),
-        "percentile probability {p} not in [0,1]"
-    );
-    let n = data.len();
-    let fallback = |scratch: &mut Vec<f64>| {
-        scratch.clear();
-        scratch.extend_from_slice(data);
-        percentile_select(scratch, p, interp)
-    };
-    if n < PARTITION_MIN || p == 0.0 || p == 1.0 {
-        return fallback(scratch);
-    }
-    let (k, frac) = rank_position(n, p, interp);
-
-    // Deterministic stride sample on the stack, sorted to place the
-    // pivot bracket (the sample never exceeds ~4/3·PARTITION_SAMPLE for
-    // any n above the cutoff, so the fixed buffer always fits).
-    let stride = (n / PARTITION_SAMPLE).max(16);
-    let mut sample = [0.0_f64; 2 * PARTITION_SAMPLE];
-    let mut s = 0usize;
-    let mut i = 0usize;
-    while i < n {
-        sample[s] = data[i];
-        s += 1;
-        i += stride;
-    }
-    let sample = &mut sample[..s];
-    sample.sort_unstable_by(|a, b| a.partial_cmp(b).expect("percentile: NaN in data"));
-    // Rank bracket: the sample rank of the target ± a Floyd–Rivest-style
-    // margin (2·√s keeps the expected in-bracket mass near 4/√s of the
-    // batch while making a miss vanishingly unlikely on non-adversarial
-    // strides).
-    let margin = 2 * (s as f64).sqrt().ceil() as usize;
-    let t_idx = ((k as f64 / n as f64) * s as f64).round() as usize;
-    let lo_pivot = if t_idx <= margin {
-        f64::NEG_INFINITY
-    } else {
-        sample[t_idx - margin]
-    };
-    let hi_pivot = if t_idx + margin >= s {
-        f64::INFINITY
-    } else {
-        sample[t_idx + margin]
-    };
-
-    // One fused pass: count below / compact the bracket / count above.
-    // The scratch keeps its length across calls (stale tail contents are
-    // never read), so a warm caller pays no clear-and-refill pass.
-    if scratch.len() < n {
-        scratch.resize(n, 0.0);
-    }
-    let (below, band_len, above) =
-        crate::simd::partition_band(data, lo_pivot, hi_pivot, &mut scratch[..n]);
-    assert!(below + band_len + above == n, "percentile: NaN in data");
-    let need = if frac > 0.0 { k + 1 } else { k };
-    if k < below || need - below >= band_len {
-        // The bracket missed the target rank (stride-aliased data):
-        // resolve exactly on a full scratch copy.
-        return fallback(scratch);
-    }
-    let r = k - below;
-    let band = &mut scratch[..band_len];
-    let cmp = |a: &f64, b: &f64| a.partial_cmp(b).expect("percentile: NaN in data");
-    let (_, lo_v, upper) = band.select_nth_unstable_by(r, cmp);
-    let lo_v = *lo_v;
-    if frac == 0.0 {
-        return lo_v;
-    }
-    let hi_v = *upper
-        .iter()
-        .min_by(|a, b| cmp(a, b))
-        .expect("k + 1 in bracket implies a non-empty upper partition");
-    lo_v + frac * (hi_v - lo_v)
 }
 
 /// Inverse percentile: the fraction of `data` strictly below `x` plus half
@@ -431,135 +260,14 @@ mod tests {
             ] {
                 assert_eq!(percentile(&data, 0.0, interp), data[0], "min n={n}");
                 assert_eq!(percentile(&data, 1.0, interp), data[n - 1], "max n={n}");
-                let mut buf = data.clone();
-                assert_eq!(percentile_select(&mut buf, 0.0, interp), data[0]);
-                let mut buf = data.clone();
-                assert_eq!(percentile_select(&mut buf, 1.0, interp), data[n - 1]);
             }
         }
-    }
-
-    #[test]
-    fn select_matches_sorted_everywhere() {
-        let data: Vec<f64> = (0..257)
-            .map(|i| ((i * 97) % 131) as f64 * 0.7 - 5.0)
-            .collect();
-        for interp in [
-            Interpolation::Linear,
-            Interpolation::Matlab,
-            Interpolation::Lower,
-            Interpolation::Nearest,
-        ] {
-            for i in 0..=50 {
-                let p = i as f64 / 50.0;
-                let mut buf = data.clone();
-                let via_select = percentile_select(&mut buf, p, interp);
-                let via_sort = percentile(&data, p, interp);
-                assert_eq!(via_select, via_sort, "p={p} interp={interp:?}");
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "NaN in data")]
-    fn select_rejects_nan_input() {
-        let mut buf = vec![1.0, f64::NAN, 3.0, 4.0];
-        let _ = percentile_select(&mut buf, 0.5, Interpolation::Linear);
-    }
-
-    #[test]
-    fn partition_matches_sorted_on_large_batches() {
-        // Past the fallback cutoff, so the sampled bracket path runs:
-        // uniform, periodic (stride-aliased), constant-heavy and
-        // two-point distributions, across every interpolation mode.
-        let shapes: Vec<Vec<f64>> = vec![
-            (0..10_000)
-                .map(|i| ((i * 2_654_435_761_u64 % 10_007) as f64) * 0.1)
-                .collect(),
-            (0..10_000).map(|i| (i % 1000) as f64 / 10.0).collect(),
-            vec![7.25; 10_000],
-            (0..10_000)
-                .map(|i| if i % 3 == 0 { 1.0 } else { 2.0 })
-                .collect(),
-        ];
-        let mut scratch = Vec::new();
-        for data in &shapes {
-            for interp in [
-                Interpolation::Linear,
-                Interpolation::Matlab,
-                Interpolation::Lower,
-                Interpolation::Nearest,
-            ] {
-                for i in 0..=40 {
-                    let p = f64::from(i) / 40.0;
-                    let expect = percentile(data, p, interp);
-                    let got = percentile_partition(data, p, interp, &mut scratch);
-                    assert_eq!(got.to_bits(), expect.to_bits(), "p={p} interp={interp:?}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn partition_small_batches_use_exact_fallback() {
-        let data: Vec<f64> = (0..257)
-            .map(|i| ((i * 97) % 131) as f64 * 0.7 - 5.0)
-            .collect();
-        let mut scratch = Vec::new();
-        for i in 0..=20 {
-            let p = f64::from(i) / 20.0;
-            assert_eq!(
-                percentile_partition(&data, p, Interpolation::Linear, &mut scratch),
-                percentile(&data, p, Interpolation::Linear),
-            );
-        }
-    }
-
-    #[test]
-    fn partition_scratch_is_reused_without_growth() {
-        let data: Vec<f64> = (0..50_000).map(|i| (i % 997) as f64).collect();
-        let mut scratch = Vec::new();
-        let _ = percentile_partition(&data, 0.9, Interpolation::Linear, &mut scratch);
-        let cap = scratch.capacity();
-        for i in 0..16 {
-            let p = 0.5 + f64::from(i) * 0.03;
-            let _ = percentile_partition(&data, p, Interpolation::Linear, &mut scratch);
-        }
-        assert_eq!(scratch.capacity(), cap, "warm scratch must not regrow");
-    }
-
-    #[test]
-    #[should_panic(expected = "NaN in data")]
-    fn partition_rejects_nan_input() {
-        let mut data: Vec<f64> = (0..8_192).map(f64::from).collect();
-        data[5_000] = f64::NAN;
-        let _ = percentile_partition(&data, 0.5, Interpolation::Linear, &mut Vec::new());
-    }
-
-    #[test]
-    #[should_panic(expected = "NaN in data")]
-    fn select_rejects_single_nan() {
-        let mut buf = vec![f64::NAN];
-        let _ = percentile_select(&mut buf, 0.5, Interpolation::Linear);
     }
 
     #[test]
     #[should_panic(expected = "NaN in data")]
     fn sort_path_rejects_nan_input() {
         let _ = percentile(&[1.0, f64::NAN, 3.0], 0.5, Interpolation::Linear);
-    }
-
-    #[test]
-    #[should_panic(expected = "not in [0,1]")]
-    fn select_rejects_nan_probability() {
-        let mut buf = vec![1.0, 2.0];
-        let _ = percentile_select(&mut buf, f64::NAN, Interpolation::Linear);
-    }
-
-    #[test]
-    #[should_panic(expected = "empty")]
-    fn select_rejects_empty() {
-        let _ = percentile_select(&mut [], 0.5, Interpolation::Linear);
     }
 
     #[test]

@@ -1,37 +1,38 @@
 //! Explicit-SIMD mask-compact filter kernels for the trim hot path.
 //!
 //! One round of trimming is a *filter*: materialize the keep-mask of a
-//! batch against a threshold band, then compact the kept values in input
-//! order. `trimgame-stream`'s `TrimOp::apply_in_place` runs it every
-//! round on every engine, so it is the innermost loop of every sweep and
-//! every equilibrium estimate; [`crate::quantile::percentile_partition`]
-//! drives its pivot pass through the same machinery.
+//! batch against an upper cut, then compact the kept values in input
+//! order. `trimgame-stream`'s `TrimScratch::cut` runs it every round on
+//! every engine, so it is the innermost loop of every sweep and every
+//! equilibrium estimate.
 //!
-//! This module provides three implementations behind one contract and
-//! picks the widest one the CPU supports at runtime:
+//! [`filter_f64`] picks the widest implementation the CPU supports at
+//! runtime:
 //!
-//! * **AVX-512** (`x86_64`, runtime-detected `avx512f`): 8 `f64` / 16
-//!   `f32` lanes per iteration — one vector compare producing a bitmask,
-//!   one table-driven 8-byte mask write, and one `compress` that
-//!   left-packs the kept lanes in a single instruction.
-//! * **AVX2** (`x86_64`, runtime-detected `avx2`): 4 `f64` / 8 `f32`
-//!   lanes — vector compare + `movemask`, the same table-driven mask
-//!   write, and a `permutevar8x32` left-pack driven by a per-mask shuffle
-//!   table.
-//! * **NEON** (`aarch64`, baseline feature): 2 `f64` / 4 `f32` lanes —
-//!   vector compare with per-lane mask extraction and a branch-free
-//!   cursor-bump compaction.
+//! * **AVX-512** (`x86_64`, runtime-detected `avx512f`): 8 `f64` lanes
+//!   per iteration — one vector compare producing a bitmask, one
+//!   table-driven 8-byte mask write, and one `compress` that left-packs
+//!   the kept lanes in a single instruction.
+//! * **AVX2** (`x86_64`, runtime-detected `avx2`): 4 `f64` lanes — vector
+//!   compare + `movemask`, the same table-driven mask write, and a
+//!   `permutevar8x32` left-pack driven by a per-mask shuffle table.
+//! * **portable** everywhere else: a chunked mask-then-compact loop (a
+//!   pure comparison pass the autovectorizer handles, then an
+//!   unconditional-write compaction).
 //!
-//! Everything else falls back to the portable chunked mask-then-compact
-//! kernel introduced in an earlier revision (a pure comparison loop the
-//! autovectorizer handles, then an unconditional-write compaction).
+//! The one other intrinsic kernel is the AVX2 counting pass of
+//! [`radix_digit_histograms`], which the GK sketch's staged radix sort
+//! uses.
 //!
-//! **Contract** (property-tested in `tests/proptests.rs`): for NaN-free
-//! input, every implementation produces bit-identical masks, bit-identical
-//! kept values in input order, and identical counts — including ties
-//! exactly at the threshold, all-kept and all-trimmed batches. The
-//! comparisons are IEEE ordered (`_CMP_LE_OQ` / `vcle`), which agree with
-//! Rust's scalar `<=` on every non-NaN input.
+//! **Contract** (driven per kernel in this module's tests, NaN and `±∞`
+//! lanes included, and property-tested on tie-heavy batches in
+//! `tests/proptests.rs`): on every input, NaN and `±∞` included,
+//! every implementation produces bit-identical masks, bit-identical kept
+//! values in input order, and identical counts — including ties exactly
+//! at the cut, all-kept and all-trimmed batches. A value is kept exactly
+//! when Rust's scalar `v <= hi` holds: the vector compare is IEEE ordered
+//! (`_CMP_LE_OQ`), so a NaN lane is always trimmed and a NaN cut trims
+//! everything.
 
 // The workspace denies `unsafe_code`; vendor-intrinsic kernels are the
 // one sanctioned exception. Every unsafe block is confined to this module
@@ -73,19 +74,14 @@ const fn mask_bytes() -> [u64; 256] {
 /// unconditional write and a mask-driven cursor bump
 /// (`k += mask as usize`), so a mispredicted tail value never stalls the
 /// pipeline.
-fn filter_portable<T: Copy>(
-    values: &[T],
-    mask: &mut [bool],
-    kept: &mut [T],
-    keep: impl Fn(T) -> bool,
-) -> usize {
+fn filter_portable(values: &[f64], mask: &mut [bool], kept: &mut [f64], hi: f64) -> usize {
     let mut k = 0usize;
     for (chunk, mask_chunk) in values
         .chunks(FILTER_CHUNK)
         .zip(mask.chunks_mut(FILTER_CHUNK))
     {
         for (m, &v) in mask_chunk.iter_mut().zip(chunk) {
-            *m = keep(v);
+            *m = v <= hi;
         }
         for (&v, &m) in chunk.iter().zip(mask_chunk.iter()) {
             kept[k] = v;
@@ -95,127 +91,27 @@ fn filter_portable<T: Copy>(
     k
 }
 
-/// Filters `values` into `kept` (input order) against the keep-band
-/// `[lo, hi]` (`lo = None` means upper cut only), writing the keep-mask
-/// alongside. Returns the kept count.
+/// Filters `values` into `kept` (input order), keeping every value with
+/// `v <= hi`, and writes the keep-mask alongside. Returns the kept count.
 ///
 /// # Panics
 /// Panics unless `mask` and `kept` are exactly `values.len()` long (the
 /// caller sizes them; the kernels rely on it for their block stores).
-pub fn filter_f64(
-    values: &[f64],
-    mask: &mut [bool],
-    kept: &mut [f64],
-    lo: Option<f64>,
-    hi: f64,
-) -> usize {
+pub fn filter_f64(values: &[f64], mask: &mut [bool], kept: &mut [f64], hi: f64) -> usize {
     assert_eq!(mask.len(), values.len(), "mask must match the batch");
     assert_eq!(kept.len(), values.len(), "kept must match the batch");
     #[cfg(target_arch = "x86_64")]
     {
         if std::arch::is_x86_feature_detected!("avx512f") {
             // SAFETY: avx512f verified at runtime; buffer lengths checked.
-            return unsafe { avx512::filter_f64(values, mask, kept, lo, hi) };
+            return unsafe { avx512::filter_f64(values, mask, kept, hi) };
         }
         if std::arch::is_x86_feature_detected!("avx2") {
             // SAFETY: avx2 verified at runtime; buffer lengths checked.
-            return unsafe { avx2::filter_f64(values, mask, kept, lo, hi) };
+            return unsafe { avx2::filter_f64(values, mask, kept, hi) };
         }
     }
-    #[cfg(target_arch = "aarch64")]
-    {
-        // NEON is a baseline feature of AArch64.
-        return neon::filter_f64(values, mask, kept, lo, hi);
-    }
-    #[allow(unreachable_code)]
-    match lo {
-        None => filter_portable(values, mask, kept, |v| v <= hi),
-        Some(lo) => filter_portable(values, mask, kept, |v| (v >= lo) & (v <= hi)),
-    }
-}
-
-/// The `f32` twin of [`filter_f64`]: same contract, single-precision
-/// lanes (twice the SIMD width per iteration).
-///
-/// # Panics
-/// Panics unless `mask` and `kept` are exactly `values.len()` long.
-pub fn filter_f32(
-    values: &[f32],
-    mask: &mut [bool],
-    kept: &mut [f32],
-    lo: Option<f32>,
-    hi: f32,
-) -> usize {
-    assert_eq!(mask.len(), values.len(), "mask must match the batch");
-    assert_eq!(kept.len(), values.len(), "kept must match the batch");
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx512f") {
-            // SAFETY: avx512f verified at runtime; buffer lengths checked.
-            return unsafe { avx512::filter_f32(values, mask, kept, lo, hi) };
-        }
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: avx2 verified at runtime; buffer lengths checked.
-            return unsafe { avx2::filter_f32(values, mask, kept, lo, hi) };
-        }
-    }
-    #[cfg(target_arch = "aarch64")]
-    {
-        return neon::filter_f32(values, mask, kept, lo, hi);
-    }
-    #[allow(unreachable_code)]
-    match lo {
-        None => filter_portable(values, mask, kept, |v| v <= hi),
-        Some(lo) => filter_portable(values, mask, kept, |v| (v >= lo) & (v <= hi)),
-    }
-}
-
-/// Fused three-way partition pass for the sampled percentile select:
-/// counts the values strictly below `lo` and strictly above `hi`, and
-/// compacts the in-band values (`lo <= v <= hi`) into `band` in input
-/// order. Returns `(below, band_len, above)`.
-///
-/// A NaN falls in none of the three classes, so
-/// `below + band_len + above < n` detects it — the caller asserts the
-/// sum (this keeps the pass itself branchless).
-///
-/// # Panics
-/// Panics unless `band` is exactly `values.len()` long.
-pub fn partition_band(values: &[f64], lo: f64, hi: f64, band: &mut [f64]) -> (usize, usize, usize) {
-    assert_eq!(band.len(), values.len(), "band must match the batch");
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx512f") {
-            // SAFETY: avx512f verified at runtime; buffer length checked.
-            return unsafe { avx512::partition_band(values, lo, hi, band) };
-        }
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: avx2 verified at runtime; buffer length checked.
-            return unsafe { avx2::partition_band(values, lo, hi, band) };
-        }
-    }
-    partition_band_portable(values, lo, hi, band)
-}
-
-/// Portable fallback of [`partition_band`]: branch-light three-way
-/// classification with an unconditional band write and counter bumps.
-fn partition_band_portable(
-    values: &[f64],
-    lo: f64,
-    hi: f64,
-    band: &mut [f64],
-) -> (usize, usize, usize) {
-    let mut below = 0usize;
-    let mut above = 0usize;
-    let mut k = 0usize;
-    for &v in values {
-        let in_band = (v >= lo) & (v <= hi);
-        below += usize::from(v < lo);
-        above += usize::from(v > hi);
-        band[k] = v;
-        k += usize::from(in_band);
-    }
-    (below, k, above)
+    filter_portable(values, mask, kept, hi)
 }
 
 /// Builds all eight per-digit byte histograms of an LSD radix sort in one
@@ -251,8 +147,8 @@ fn radix_digit_histograms_portable(keys: &[u64], hist: &mut [[u32; 256]; 8]) {
     }
 }
 
-/// Which kernel [`filter_f64`]/[`filter_f32`] resolve to on this machine —
-/// surfaced so benches and reports can label their numbers.
+/// Which kernel [`filter_f64`] resolves to on this machine — surfaced so
+/// benches and reports can label their numbers.
 #[must_use]
 pub fn active_kernel() -> &'static str {
     #[cfg(target_arch = "x86_64")]
@@ -264,11 +160,6 @@ pub fn active_kernel() -> &'static str {
             return "avx2";
         }
     }
-    #[cfg(target_arch = "aarch64")]
-    {
-        return "neon";
-    }
-    #[allow(unreachable_code)]
     "portable"
 }
 
@@ -276,18 +167,16 @@ pub fn active_kernel() -> &'static str {
 mod avx512 {
     use super::MASK_BYTES;
     use std::arch::x86_64::{
-        __m512, __m512d, _mm512_cmp_pd_mask, _mm512_cmp_ps_mask, _mm512_loadu_pd, _mm512_loadu_ps,
-        _mm512_maskz_compress_pd, _mm512_maskz_compress_ps, _mm512_set1_pd, _mm512_set1_ps,
-        _mm512_storeu_pd, _mm512_storeu_ps, _CMP_GE_OQ, _CMP_LE_OQ,
+        __m512d, _mm512_cmp_pd_mask, _mm512_loadu_pd, _mm512_maskz_compress_pd, _mm512_set1_pd,
+        _mm512_storeu_pd, _CMP_LE_OQ,
     };
 
-    /// 8-lane `f64` filter. Each full block: one (or two, for a band)
-    /// vector compare into an 8-bit mask, one table-driven 8-byte mask
-    /// store, one `compress` left-pack stored at the kept cursor. The
-    /// full-width store at `kept[k..k + 8]` is in bounds because
-    /// `k <= i <= n − 8` at every block head; lanes beyond the kept count
-    /// are overwritten by later blocks or discarded by the caller's
-    /// truncate.
+    /// 8-lane `f64` filter. Each full block: one vector compare into an
+    /// 8-bit mask, one table-driven 8-byte mask store, one `compress`
+    /// left-pack stored at the kept cursor. The full-width store at
+    /// `kept[k..k + 8]` is in bounds because `k <= i <= n − 8` at every
+    /// block head; lanes beyond the kept count are overwritten by later
+    /// blocks or discarded by the caller's truncate.
     ///
     /// # Safety
     /// `avx512f` must be available; `mask` and `kept` must be exactly
@@ -298,7 +187,6 @@ mod avx512 {
         values: &[f64],
         mask: &mut [bool],
         kept: &mut [f64],
-        lo: Option<f64>,
         hi: f64,
     ) -> usize {
         let n = values.len();
@@ -306,16 +194,11 @@ mod avx512 {
         let mp = mask.as_mut_ptr();
         let kp = kept.as_mut_ptr();
         let hi_v = _mm512_set1_pd(hi);
-        let lo_v = _mm512_set1_pd(lo.unwrap_or(f64::NEG_INFINITY));
-        let band = lo.is_some();
         let mut k = 0usize;
         let mut i = 0usize;
         while i + 8 <= n {
             let v: __m512d = _mm512_loadu_pd(vp.add(i));
-            let mut m = _mm512_cmp_pd_mask::<_CMP_LE_OQ>(v, hi_v);
-            if band {
-                m &= _mm512_cmp_pd_mask::<_CMP_GE_OQ>(v, lo_v);
-            }
+            let m = _mm512_cmp_pd_mask::<_CMP_LE_OQ>(v, hi_v);
             (mp.add(i).cast::<u64>()).write_unaligned(MASK_BYTES[m as usize]);
             _mm512_storeu_pd(kp.add(k), _mm512_maskz_compress_pd(m, v));
             k += usize::from(m.count_ones() as u8);
@@ -323,104 +206,7 @@ mod avx512 {
         }
         while i < n {
             let v = *vp.add(i);
-            let keep = (v <= hi) & (!band || v >= lo.unwrap_or(f64::NEG_INFINITY));
-            *mp.add(i) = keep;
-            *kp.add(k) = v;
-            k += usize::from(keep);
-            i += 1;
-        }
-        k
-    }
-
-    /// 8-lane fused three-way partition: two compare masks classify each
-    /// block, `compress` compacts the band at its cursor, popcounts
-    /// accumulate the outside classes. NaN matches no class, so the
-    /// caller's count-sum check catches it.
-    ///
-    /// # Safety
-    /// `avx512f` must be available; `band` must be exactly
-    /// `values.len()` long (checked by the public wrapper).
-    #[inline(never)]
-    #[target_feature(enable = "avx512f")]
-    pub(super) unsafe fn partition_band(
-        values: &[f64],
-        lo: f64,
-        hi: f64,
-        band: &mut [f64],
-    ) -> (usize, usize, usize) {
-        use std::arch::x86_64::{_CMP_GT_OQ, _CMP_LT_OQ};
-        let n = values.len();
-        let vp = values.as_ptr();
-        let bp = band.as_mut_ptr();
-        let lo_v = _mm512_set1_pd(lo);
-        let hi_v = _mm512_set1_pd(hi);
-        let mut below = 0usize;
-        let mut above = 0usize;
-        let mut k = 0usize;
-        let mut i = 0usize;
-        while i + 8 <= n {
-            let v = _mm512_loadu_pd(vp.add(i));
-            let m_lt = _mm512_cmp_pd_mask::<_CMP_LT_OQ>(v, lo_v);
-            let m_gt = _mm512_cmp_pd_mask::<_CMP_GT_OQ>(v, hi_v);
-            let m_band = _mm512_cmp_pd_mask::<_CMP_GE_OQ>(v, lo_v)
-                & _mm512_cmp_pd_mask::<_CMP_LE_OQ>(v, hi_v);
-            _mm512_storeu_pd(bp.add(k), _mm512_maskz_compress_pd(m_band, v));
-            below += usize::from(m_lt.count_ones() as u8);
-            above += usize::from(m_gt.count_ones() as u8);
-            k += usize::from(m_band.count_ones() as u8);
-            i += 8;
-        }
-        while i < n {
-            let v = *vp.add(i);
-            below += usize::from(v < lo);
-            above += usize::from(v > hi);
-            *bp.add(k) = v;
-            k += usize::from((v >= lo) & (v <= hi));
-            i += 1;
-        }
-        (below, k, above)
-    }
-
-    /// 16-lane `f32` filter; same structure as the `f64` kernel with a
-    /// 16-bit compare mask split into two table-driven 8-byte mask
-    /// stores.
-    ///
-    /// # Safety
-    /// `avx512f` must be available; `mask` and `kept` must be exactly
-    /// `values.len()` long (checked by the public wrapper).
-    #[inline(never)]
-    #[target_feature(enable = "avx512f")]
-    pub(super) unsafe fn filter_f32(
-        values: &[f32],
-        mask: &mut [bool],
-        kept: &mut [f32],
-        lo: Option<f32>,
-        hi: f32,
-    ) -> usize {
-        let n = values.len();
-        let vp = values.as_ptr();
-        let mp = mask.as_mut_ptr();
-        let kp = kept.as_mut_ptr();
-        let hi_v = _mm512_set1_ps(hi);
-        let lo_v = _mm512_set1_ps(lo.unwrap_or(f32::NEG_INFINITY));
-        let band = lo.is_some();
-        let mut k = 0usize;
-        let mut i = 0usize;
-        while i + 16 <= n {
-            let v: __m512 = _mm512_loadu_ps(vp.add(i));
-            let mut m = _mm512_cmp_ps_mask::<_CMP_LE_OQ>(v, hi_v);
-            if band {
-                m &= _mm512_cmp_ps_mask::<_CMP_GE_OQ>(v, lo_v);
-            }
-            (mp.add(i).cast::<u64>()).write_unaligned(MASK_BYTES[(m & 0xff) as usize]);
-            (mp.add(i + 8).cast::<u64>()).write_unaligned(MASK_BYTES[(m >> 8) as usize]);
-            _mm512_storeu_ps(kp.add(k), _mm512_maskz_compress_ps(m, v));
-            k += m.count_ones() as usize;
-            i += 16;
-        }
-        while i < n {
-            let v = *vp.add(i);
-            let keep = (v <= hi) & (!band || v >= lo.unwrap_or(f32::NEG_INFINITY));
+            let keep = v <= hi;
             *mp.add(i) = keep;
             *kp.add(k) = v;
             k += usize::from(keep);
@@ -434,10 +220,9 @@ mod avx512 {
 mod avx2 {
     use super::MASK_BYTES;
     use std::arch::x86_64::{
-        __m256i, _mm256_castpd_ps, _mm256_castps_pd, _mm256_cmp_pd, _mm256_cmp_ps, _mm256_loadu_pd,
-        _mm256_loadu_ps, _mm256_loadu_si256, _mm256_movemask_pd, _mm256_movemask_ps,
-        _mm256_permutevar8x32_ps, _mm256_set1_pd, _mm256_set1_ps, _mm256_storeu_pd,
-        _mm256_storeu_ps, _CMP_GE_OQ, _CMP_LE_OQ,
+        __m256i, _mm256_castpd_ps, _mm256_castps_pd, _mm256_cmp_pd, _mm256_loadu_pd,
+        _mm256_loadu_si256, _mm256_movemask_pd, _mm256_permutevar8x32_ps, _mm256_set1_pd,
+        _mm256_storeu_pd, _CMP_LE_OQ,
     };
 
     /// Left-pack shuffle table for the 4-lane `f64` kernel: for each
@@ -455,29 +240,6 @@ mod avx2 {
                 if (m >> j) & 1 == 1 {
                     table[m][2 * out] = 2 * j;
                     table[m][2 * out + 1] = 2 * j + 1;
-                    out += 1;
-                }
-                j += 1;
-            }
-            m += 1;
-        }
-        table
-    }
-
-    /// Left-pack shuffle table for the 8-lane `f32` kernel: for each
-    /// 8-bit keep-mask, the lane order that compacts kept lanes to the
-    /// front.
-    static PACK_PS: [[i32; 8]; 256] = pack_ps();
-
-    const fn pack_ps() -> [[i32; 8]; 256] {
-        let mut table = [[0i32; 8]; 256];
-        let mut m = 0;
-        while m < 256 {
-            let mut out = 0;
-            let mut j = 0;
-            while j < 8 {
-                if (m >> j) & 1 == 1 {
-                    table[m][out] = j;
                     out += 1;
                 }
                 j += 1;
@@ -547,7 +309,6 @@ mod avx2 {
         values: &[f64],
         mask: &mut [bool],
         kept: &mut [f64],
-        lo: Option<f64>,
         hi: f64,
     ) -> usize {
         let n = values.len();
@@ -555,20 +316,11 @@ mod avx2 {
         let mp = mask.as_mut_ptr();
         let kp = kept.as_mut_ptr();
         let hi_v = _mm256_set1_pd(hi);
-        let lo_v = _mm256_set1_pd(lo.unwrap_or(f64::NEG_INFINITY));
-        let band = lo.is_some();
         let mut k = 0usize;
         let mut i = 0usize;
         while i + 4 <= n {
             let v = _mm256_loadu_pd(vp.add(i));
-            let le = _mm256_cmp_pd::<_CMP_LE_OQ>(v, hi_v);
-            let keep = if band {
-                let ge = _mm256_cmp_pd::<_CMP_GE_OQ>(v, lo_v);
-                std::arch::x86_64::_mm256_and_pd(le, ge)
-            } else {
-                le
-            };
-            let m = _mm256_movemask_pd(keep) as usize;
+            let m = _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_LE_OQ>(v, hi_v)) as usize;
             (mp.add(i).cast::<u32>()).write_unaligned(MASK_BYTES[m] as u32);
             let idx = _mm256_loadu_si256(PACK_PD[m].as_ptr().cast::<__m256i>());
             let packed = _mm256_permutevar8x32_ps(_mm256_castpd_ps(v), idx);
@@ -578,222 +330,9 @@ mod avx2 {
         }
         while i < n {
             let v = *vp.add(i);
-            let keep = (v <= hi) & (!band || v >= lo.unwrap_or(f64::NEG_INFINITY));
+            let keep = v <= hi;
             *mp.add(i) = keep;
             *kp.add(k) = v;
-            k += usize::from(keep);
-            i += 1;
-        }
-        k
-    }
-
-    /// 4-lane fused three-way partition: compares + `movemask` classify
-    /// each block, the `permutevar8x32` left-pack compacts the band at
-    /// its cursor, popcounts accumulate the outside classes.
-    ///
-    /// # Safety
-    /// `avx2` must be available; `band` must be exactly `values.len()`
-    /// long (checked by the public wrapper).
-    #[inline(never)]
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn partition_band(
-        values: &[f64],
-        lo: f64,
-        hi: f64,
-        band: &mut [f64],
-    ) -> (usize, usize, usize) {
-        use std::arch::x86_64::{_mm256_and_pd, _CMP_GT_OQ, _CMP_LT_OQ};
-        let n = values.len();
-        let vp = values.as_ptr();
-        let bp = band.as_mut_ptr();
-        let lo_v = _mm256_set1_pd(lo);
-        let hi_v = _mm256_set1_pd(hi);
-        let mut below = 0usize;
-        let mut above = 0usize;
-        let mut k = 0usize;
-        let mut i = 0usize;
-        while i + 4 <= n {
-            let v = _mm256_loadu_pd(vp.add(i));
-            let m_lt = _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_LT_OQ>(v, lo_v)) as u32;
-            let m_gt = _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_GT_OQ>(v, hi_v)) as u32;
-            let in_band = _mm256_and_pd(
-                _mm256_cmp_pd::<_CMP_GE_OQ>(v, lo_v),
-                _mm256_cmp_pd::<_CMP_LE_OQ>(v, hi_v),
-            );
-            let m = _mm256_movemask_pd(in_band) as usize;
-            let idx = _mm256_loadu_si256(PACK_PD[m].as_ptr().cast::<__m256i>());
-            let packed = _mm256_permutevar8x32_ps(_mm256_castpd_ps(v), idx);
-            _mm256_storeu_pd(bp.add(k), _mm256_castps_pd(packed));
-            below += m_lt.count_ones() as usize;
-            above += m_gt.count_ones() as usize;
-            k += m.count_ones() as usize;
-            i += 4;
-        }
-        while i < n {
-            let v = *vp.add(i);
-            below += usize::from(v < lo);
-            above += usize::from(v > hi);
-            *bp.add(k) = v;
-            k += usize::from((v >= lo) & (v <= hi));
-            i += 1;
-        }
-        (below, k, above)
-    }
-
-    /// 8-lane `f32` filter: compare + `movemask`, table-driven 8-byte
-    /// mask store, `permutevar8x32` left-pack.
-    ///
-    /// # Safety
-    /// `avx2` must be available; `mask` and `kept` must be exactly
-    /// `values.len()` long (checked by the public wrapper).
-    #[inline(never)]
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn filter_f32(
-        values: &[f32],
-        mask: &mut [bool],
-        kept: &mut [f32],
-        lo: Option<f32>,
-        hi: f32,
-    ) -> usize {
-        let n = values.len();
-        let vp = values.as_ptr();
-        let mp = mask.as_mut_ptr();
-        let kp = kept.as_mut_ptr();
-        let hi_v = _mm256_set1_ps(hi);
-        let lo_v = _mm256_set1_ps(lo.unwrap_or(f32::NEG_INFINITY));
-        let band = lo.is_some();
-        let mut k = 0usize;
-        let mut i = 0usize;
-        while i + 8 <= n {
-            let v = _mm256_loadu_ps(vp.add(i));
-            let le = _mm256_cmp_ps::<_CMP_LE_OQ>(v, hi_v);
-            let keep = if band {
-                let ge = _mm256_cmp_ps::<_CMP_GE_OQ>(v, lo_v);
-                std::arch::x86_64::_mm256_and_ps(le, ge)
-            } else {
-                le
-            };
-            let m = _mm256_movemask_ps(keep) as usize;
-            (mp.add(i).cast::<u64>()).write_unaligned(MASK_BYTES[m]);
-            let idx = _mm256_loadu_si256(PACK_PS[m].as_ptr().cast::<__m256i>());
-            _mm256_storeu_ps(kp.add(k), _mm256_permutevar8x32_ps(v, idx));
-            k += m.count_ones() as usize;
-            i += 8;
-        }
-        while i < n {
-            let v = *vp.add(i);
-            let keep = (v <= hi) & (!band || v >= lo.unwrap_or(f32::NEG_INFINITY));
-            *mp.add(i) = keep;
-            *kp.add(k) = v;
-            k += usize::from(keep);
-            i += 1;
-        }
-        k
-    }
-}
-
-#[cfg(target_arch = "aarch64")]
-mod neon {
-    use std::arch::aarch64::{
-        vcgeq_f32, vcgeq_f64, vcleq_f32, vcleq_f64, vdupq_n_f32, vdupq_n_f64, vgetq_lane_f32,
-        vgetq_lane_f64, vgetq_lane_u32, vgetq_lane_u64, vld1q_f32, vld1q_f64,
-    };
-
-    /// 2-lane `f64` filter: NEON compare with per-lane mask extraction
-    /// and a branch-free cursor-bump compaction (NEON has no compress).
-    pub(super) fn filter_f64(
-        values: &[f64],
-        mask: &mut [bool],
-        kept: &mut [f64],
-        lo: Option<f64>,
-        hi: f64,
-    ) -> usize {
-        let n = values.len();
-        let band = lo.is_some();
-        let lo_s = lo.unwrap_or(f64::NEG_INFINITY);
-        let mut k = 0usize;
-        let mut i = 0usize;
-        // SAFETY: NEON is a baseline AArch64 feature; all accesses are
-        // bounds-checked by the loop conditions (lengths verified by the
-        // public wrapper).
-        unsafe {
-            let hi_v = vdupq_n_f64(hi);
-            let lo_v = vdupq_n_f64(lo_s);
-            while i + 2 <= n {
-                let v = vld1q_f64(values.as_ptr().add(i));
-                let mut le0 = vgetq_lane_u64::<0>(vcleq_f64(v, hi_v)) != 0;
-                let mut le1 = vgetq_lane_u64::<1>(vcleq_f64(v, hi_v)) != 0;
-                if band {
-                    le0 &= vgetq_lane_u64::<0>(vcgeq_f64(v, lo_v)) != 0;
-                    le1 &= vgetq_lane_u64::<1>(vcgeq_f64(v, lo_v)) != 0;
-                }
-                mask[i] = le0;
-                mask[i + 1] = le1;
-                kept[k] = vgetq_lane_f64::<0>(v);
-                k += usize::from(le0);
-                kept[k] = vgetq_lane_f64::<1>(v);
-                k += usize::from(le1);
-                i += 2;
-            }
-        }
-        while i < n {
-            let v = values[i];
-            let keep = (v <= hi) & (!band || v >= lo_s);
-            mask[i] = keep;
-            kept[k] = v;
-            k += usize::from(keep);
-            i += 1;
-        }
-        k
-    }
-
-    /// 4-lane `f32` filter; same structure as the `f64` kernel.
-    pub(super) fn filter_f32(
-        values: &[f32],
-        mask: &mut [bool],
-        kept: &mut [f32],
-        lo: Option<f32>,
-        hi: f32,
-    ) -> usize {
-        let n = values.len();
-        let band = lo.is_some();
-        let lo_s = lo.unwrap_or(f32::NEG_INFINITY);
-        let mut k = 0usize;
-        let mut i = 0usize;
-        // SAFETY: NEON is a baseline AArch64 feature; all accesses are
-        // bounds-checked by the loop conditions.
-        unsafe {
-            let hi_v = vdupq_n_f32(hi);
-            let lo_v = vdupq_n_f32(lo_s);
-            while i + 4 <= n {
-                let v = vld1q_f32(values.as_ptr().add(i));
-                let le = vcleq_f32(v, hi_v);
-                let ge = vcgeq_f32(v, lo_v);
-                let keeps = [
-                    vgetq_lane_u32::<0>(le) != 0 && (!band || vgetq_lane_u32::<0>(ge) != 0),
-                    vgetq_lane_u32::<1>(le) != 0 && (!band || vgetq_lane_u32::<1>(ge) != 0),
-                    vgetq_lane_u32::<2>(le) != 0 && (!band || vgetq_lane_u32::<2>(ge) != 0),
-                    vgetq_lane_u32::<3>(le) != 0 && (!band || vgetq_lane_u32::<3>(ge) != 0),
-                ];
-                let lanes = [
-                    vgetq_lane_f32::<0>(v),
-                    vgetq_lane_f32::<1>(v),
-                    vgetq_lane_f32::<2>(v),
-                    vgetq_lane_f32::<3>(v),
-                ];
-                for j in 0..4 {
-                    mask[i + j] = keeps[j];
-                    kept[k] = lanes[j];
-                    k += usize::from(keeps[j]);
-                }
-                i += 4;
-            }
-        }
-        while i < n {
-            let v = values[i];
-            let keep = (v <= hi) & (!band || v >= lo_s);
-            mask[i] = keep;
-            kept[k] = v;
             k += usize::from(keep);
             i += 1;
         }
@@ -807,144 +346,114 @@ mod tests {
 
     /// Scalar reference shared by the unit checks (the proptests compare
     /// against an independent implementation in `tests/proptests.rs`).
-    fn reference_f64(values: &[f64], lo: Option<f64>, hi: f64) -> (Vec<bool>, Vec<f64>) {
-        let keep = |v: f64| v <= hi && lo.is_none_or(|lo| v >= lo);
+    fn reference_f64(values: &[f64], hi: f64) -> (Vec<bool>, Vec<f64>) {
         (
-            values.iter().map(|&v| keep(v)).collect(),
-            values.iter().copied().filter(|&v| keep(v)).collect(),
+            values.iter().map(|&v| v <= hi).collect(),
+            values.iter().copied().filter(|&v| v <= hi).collect(),
         )
     }
 
-    fn check_f64(values: &[f64], lo: Option<f64>, hi: f64) {
-        let mut mask = vec![false; values.len()];
-        let mut kept = vec![0.0; values.len()];
-        let k = filter_f64(values, &mut mask, &mut kept, lo, hi);
-        let (ref_mask, ref_kept) = reference_f64(values, lo, hi);
-        assert_eq!(mask, ref_mask, "mask mismatch ({lo:?}, {hi})");
-        assert_eq!(
-            &kept[..k],
-            ref_kept.as_slice(),
-            "kept mismatch ({lo:?}, {hi})"
-        );
+    /// Compares kept values by bits, so NaN payloads and signed zeros
+    /// count.
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
     }
 
     #[test]
     fn simd_filter_matches_reference_on_edge_shapes() {
         let ramp: Vec<f64> = (0..1003).map(f64::from).collect();
-        check_f64(&ramp, None, 500.5);
-        check_f64(&ramp, None, 500.0); // tie exactly at the threshold
-        check_f64(&ramp, None, -1.0); // all trimmed
-        check_f64(&ramp, None, 2000.0); // none trimmed
-        check_f64(&ramp, Some(100.0), 900.0); // band with exact ties
-        check_f64(&ramp, Some(2000.0), 3000.0); // empty band
-        check_f64(&[], None, 0.0);
-        check_f64(&[1.0], None, 1.0);
-        check_f64(&[1.0, 2.0, 3.0], Some(2.0), 2.0); // sub-vector tail only
-    }
-
-    #[test]
-    fn f32_filter_matches_its_reference() {
-        let values: Vec<f32> = (0..517).map(|i| (i % 97) as f32 * 0.25).collect();
-        for (lo, hi) in [(None, 12.0f32), (Some(3.0), 18.0), (None, 0.0)] {
-            let keep = |v: f32| v <= hi && lo.is_none_or(|lo| v >= lo);
+        for (values, hi) in [
+            (&ramp[..], 500.5),
+            (&ramp[..], 500.0),  // tie exactly at the threshold
+            (&ramp[..], -1.0),   // all trimmed
+            (&ramp[..], 2000.0), // none trimmed
+            (&[][..], 0.0),
+            (&[1.0][..], 1.0),
+            (&[1.0, 2.0, 3.0][..], 2.0), // sub-vector tail only
+        ] {
             let mut mask = vec![false; values.len()];
-            let mut kept = vec![0.0f32; values.len()];
-            let k = filter_f32(&values, &mut mask, &mut kept, lo, hi);
-            let ref_mask: Vec<bool> = values.iter().map(|&v| keep(v)).collect();
-            let ref_kept: Vec<f32> = values.iter().copied().filter(|&v| keep(v)).collect();
-            assert_eq!(mask, ref_mask);
-            assert_eq!(&kept[..k], ref_kept.as_slice());
+            let mut kept = vec![0.0; values.len()];
+            let k = filter_f64(values, &mut mask, &mut kept, hi);
+            let (ref_mask, ref_kept) = reference_f64(values, hi);
+            assert_eq!(mask, ref_mask, "mask mismatch (hi {hi})");
+            assert_eq!(&kept[..k], ref_kept.as_slice(), "kept mismatch (hi {hi})");
         }
     }
 
     #[test]
     fn active_kernel_names_a_real_kernel() {
-        assert!(["avx512", "avx2", "neon", "portable"].contains(&active_kernel()));
+        assert!(["avx512", "avx2", "portable"].contains(&active_kernel()));
     }
 
     /// Shapes that stress every kernel edge: vector-width remainders,
-    /// ties at the pivots, all-kept, all-dropped, empty.
-    fn kernel_shapes() -> Vec<(Vec<f64>, Option<f64>, f64)> {
+    /// ties at the cut, all-kept, all-dropped, empty, and NaN / `±∞`
+    /// lanes at every offset mod 8 (so each lands in every lane of an
+    /// AVX-512 block, every lane of an AVX2 block and the scalar tail) —
+    /// cut at finite, infinite and NaN thresholds.
+    fn kernel_shapes() -> Vec<(Vec<f64>, f64)> {
         let ramp: Vec<f64> = (0..1003).map(f64::from).collect();
-        vec![
-            (ramp.clone(), None, 500.0),
-            (ramp.clone(), None, -1.0),
-            (ramp.clone(), None, 2000.0),
-            (ramp.clone(), Some(100.0), 900.0),
-            (ramp, Some(2000.0), 3000.0),
-            (vec![], None, 0.0),
-            (vec![1.0, 2.0, 3.0, 4.0, 5.0], Some(2.0), 4.0),
-        ]
+        let mut shapes = vec![
+            (ramp.clone(), 500.0),
+            (ramp.clone(), -1.0),
+            (ramp.clone(), 2000.0),
+            (vec![], 0.0),
+            (vec![1.0, 2.0, 3.0, 4.0, 5.0], 4.0),
+        ];
+        for special in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for offset in 0..8 {
+                // 37 values: four full AVX-512 blocks plus a 5-value tail.
+                let mut values: Vec<f64> = (0..37).map(|i| f64::from(i) - 18.0).collect();
+                for slot in values.iter_mut().skip(offset).step_by(8) {
+                    *slot = special;
+                }
+                for hi in [0.5, f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+                    shapes.push((values.clone(), hi));
+                }
+            }
+        }
+        shapes
     }
 
-    type FilterFn<T> = Box<dyn Fn(&[T], &mut [bool], &mut [T], Option<T>, T) -> usize>;
-    type PartitionFn = Box<dyn Fn(&[f64], f64, f64, &mut [f64]) -> (usize, usize, usize)>;
+    type FilterFn = Box<dyn Fn(&[f64], &mut [bool], &mut [f64], f64) -> usize>;
 
     /// The public dispatch only ever reaches the widest kernel the CPU
     /// has, so each backend module is also driven *directly* against the
-    /// scalar reference here — the AVX2 left-pack must stay correct even
+    /// scalar `v <= hi` here — the AVX2 left-pack must stay correct even
     /// when CI happens to run on AVX-512 hardware (and vice versa the
     /// portable kernel everywhere).
     #[test]
     fn every_compiled_kernel_matches_the_reference_directly() {
-        for (values, lo, hi) in kernel_shapes() {
-            let n = values.len();
-            let (ref_mask, ref_kept) = reference_f64(&values, lo, hi);
-            let ref_below = values.iter().filter(|&&v| v < lo.unwrap_or(hi)).count();
-            let band_lo = lo.unwrap_or(f64::NEG_INFINITY);
-            let ref_band: Vec<f64> = values
-                .iter()
-                .copied()
-                .filter(|&v| v >= band_lo && v <= hi)
-                .collect();
-            let ref_above = values.iter().filter(|&&v| v > hi).count();
-
-            let mut runners: Vec<(&str, FilterFn<f64>, PartitionFn)> = vec![(
-                "portable",
-                Box::new(|v, m, k, lo, hi| match lo {
-                    None => filter_portable(v, m, k, |x| x <= hi),
-                    Some(lo) => filter_portable(v, m, k, |x| (x >= lo) & (x <= hi)),
-                }),
-                Box::new(partition_band_portable),
-            )];
-            #[cfg(target_arch = "x86_64")]
-            {
-                if std::arch::is_x86_feature_detected!("avx2") {
-                    runners.push((
-                        "avx2",
-                        // SAFETY: avx2 verified just above; lengths match.
-                        Box::new(|v, m, k, lo, hi| unsafe { avx2::filter_f64(v, m, k, lo, hi) }),
-                        Box::new(|v, lo, hi, b| unsafe { avx2::partition_band(v, lo, hi, b) }),
-                    ));
-                }
-                if std::arch::is_x86_feature_detected!("avx512f") {
-                    runners.push((
-                        "avx512",
-                        // SAFETY: avx512f verified just above; lengths match.
-                        Box::new(|v, m, k, lo, hi| unsafe { avx512::filter_f64(v, m, k, lo, hi) }),
-                        Box::new(|v, lo, hi, b| unsafe { avx512::partition_band(v, lo, hi, b) }),
-                    ));
-                }
+        let mut runners: Vec<(&str, FilterFn)> = vec![("portable", Box::new(filter_portable))];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::arch::is_x86_feature_detected!("avx2") {
+                runners.push((
+                    "avx2",
+                    // SAFETY: avx2 verified just above; lengths match.
+                    Box::new(|v, m, k, hi| unsafe { avx2::filter_f64(v, m, k, hi) }),
+                ));
             }
-            for (name, filter, partition) in &runners {
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                runners.push((
+                    "avx512",
+                    // SAFETY: avx512f verified just above; lengths match.
+                    Box::new(|v, m, k, hi| unsafe { avx512::filter_f64(v, m, k, hi) }),
+                ));
+            }
+        }
+        for (values, hi) in kernel_shapes() {
+            let n = values.len();
+            let (ref_mask, ref_kept) = reference_f64(&values, hi);
+            for (name, filter) in &runners {
                 let mut mask = vec![false; n];
                 let mut kept = vec![0.0; n];
-                let k = filter(&values, &mut mask, &mut kept, lo, hi);
-                assert_eq!(mask, ref_mask, "{name} mask ({lo:?}, {hi})");
+                let k = filter(&values, &mut mask, &mut kept, hi);
+                assert_eq!(mask, ref_mask, "{name} mask (hi {hi}, {values:?})");
                 assert_eq!(
-                    &kept[..k],
-                    ref_kept.as_slice(),
-                    "{name} kept ({lo:?}, {hi})"
+                    bits(&kept[..k]),
+                    bits(&ref_kept),
+                    "{name} kept (hi {hi}, {values:?})"
                 );
-                let mut band = vec![0.0; n];
-                let (below, blen, above) = partition(&values, band_lo, hi, &mut band);
-                assert_eq!(&band[..blen], ref_band.as_slice(), "{name} band");
-                assert_eq!(above, ref_above, "{name} above");
-                if lo.is_some() {
-                    assert_eq!(below, ref_below, "{name} below");
-                } else {
-                    assert_eq!(below + blen, n - above, "{name} partition sum");
-                }
             }
         }
     }
@@ -1000,53 +509,6 @@ mod tests {
                 let doubled: Vec<u32> = reference.iter().flatten().map(|&c| c * 2).collect();
                 let got: Vec<u32> = hist.iter().flatten().copied().collect();
                 assert_eq!(got, doubled, "{name} is not additive");
-            }
-        }
-    }
-
-    /// Same direct drive for the `f32` kernels.
-    #[test]
-    fn every_compiled_f32_kernel_matches_the_reference_directly() {
-        let values: Vec<f32> = (0..1003).map(|i| (i % 61) as f32 * 0.5).collect();
-        for (lo, hi) in [
-            (None, 15.0f32),
-            (Some(5.0), 25.0),
-            (None, -1.0),
-            (None, 99.0),
-        ] {
-            let keep = |v: f32| v <= hi && lo.is_none_or(|l| v >= l);
-            let ref_mask: Vec<bool> = values.iter().map(|&v| keep(v)).collect();
-            let ref_kept: Vec<f32> = values.iter().copied().filter(|&v| keep(v)).collect();
-            let mut runners: Vec<(&str, FilterFn<f32>)> = vec![(
-                "portable",
-                Box::new(|v, m, k, lo, hi| match lo {
-                    None => filter_portable(v, m, k, |x| x <= hi),
-                    Some(lo) => filter_portable(v, m, k, |x| (x >= lo) & (x <= hi)),
-                }),
-            )];
-            #[cfg(target_arch = "x86_64")]
-            {
-                if std::arch::is_x86_feature_detected!("avx2") {
-                    runners.push((
-                        "avx2",
-                        // SAFETY: avx2 verified just above; lengths match.
-                        Box::new(|v, m, k, lo, hi| unsafe { avx2::filter_f32(v, m, k, lo, hi) }),
-                    ));
-                }
-                if std::arch::is_x86_feature_detected!("avx512f") {
-                    runners.push((
-                        "avx512",
-                        // SAFETY: avx512f verified just above; lengths match.
-                        Box::new(|v, m, k, lo, hi| unsafe { avx512::filter_f32(v, m, k, lo, hi) }),
-                    ));
-                }
-            }
-            for (name, filter) in &runners {
-                let mut mask = vec![false; values.len()];
-                let mut kept = vec![0.0f32; values.len()];
-                let k = filter(&values, &mut mask, &mut kept, lo, hi);
-                assert_eq!(mask, ref_mask, "{name} ({lo:?}, {hi})");
-                assert_eq!(&kept[..k], ref_kept.as_slice(), "{name} ({lo:?}, {hi})");
             }
         }
     }

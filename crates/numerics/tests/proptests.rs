@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use trimgame_numerics::gk::{GkScratch, GkSummary};
-use trimgame_numerics::quantile::{percentile, percentile_of, percentile_partition, Interpolation};
+use trimgame_numerics::quantile::{percentile, percentile_of, Interpolation};
 use trimgame_numerics::rand_ext::{derive_seed, laplace, seeded_rng, NormalSampler};
 use trimgame_numerics::simd;
 use trimgame_numerics::sketch::P2Quantile;
@@ -237,52 +237,18 @@ fn tied_vec(max_len: usize) -> impl Strategy<Value = Vec<f64>> {
 
 proptest! {
     #[test]
-    fn simd_filter_f64_bit_identical_to_scalar(values in tied_vec(300), lo in -8.0_f64..8.0, width in 0.0_f64..8.0) {
-        for band_lo in [None, Some(lo)] {
-            let hi = lo + width;
-            let keep = |v: f64| v <= hi && band_lo.is_none_or(|b| v >= b);
-            let mut mask = vec![false; values.len()];
-            let mut kept = vec![0.0; values.len()];
-            let k = simd::filter_f64(&values, &mut mask, &mut kept, band_lo, hi);
-            let ref_mask: Vec<bool> = values.iter().map(|&v| keep(v)).collect();
-            let ref_kept: Vec<f64> = values.iter().copied().filter(|&v| keep(v)).collect();
-            prop_assert_eq!(&mask, &ref_mask);
-            prop_assert_eq!(k, ref_kept.len());
-            // Bit-identical: compare the raw bit patterns, not just values.
-            let kept_bits: Vec<u64> = kept[..k].iter().map(|v| v.to_bits()).collect();
-            let ref_bits: Vec<u64> = ref_kept.iter().map(|v| v.to_bits()).collect();
-            prop_assert_eq!(kept_bits, ref_bits);
-        }
-    }
-
-    #[test]
-    fn simd_filter_f32_bit_identical_to_scalar(values in prop::collection::vec((-8i32..8).prop_map(|i| i as f32 * 0.5), 1..300), lo in -8.0_f32..8.0, width in 0.0_f32..8.0) {
-        for band_lo in [None, Some(lo)] {
-            let hi = lo + width;
-            let keep = |v: f32| v <= hi && band_lo.is_none_or(|b| v >= b);
-            let mut mask = vec![false; values.len()];
-            let mut kept = vec![0.0f32; values.len()];
-            let k = simd::filter_f32(&values, &mut mask, &mut kept, band_lo, hi);
-            let ref_mask: Vec<bool> = values.iter().map(|&v| keep(v)).collect();
-            let ref_kept: Vec<f32> = values.iter().copied().filter(|&v| keep(v)).collect();
-            prop_assert_eq!(&mask, &ref_mask);
-            prop_assert_eq!(k, ref_kept.len());
-            let kept_bits: Vec<u32> = kept[..k].iter().map(|v| v.to_bits()).collect();
-            let ref_bits: Vec<u32> = ref_kept.iter().map(|v| v.to_bits()).collect();
-            prop_assert_eq!(kept_bits, ref_bits);
-        }
-    }
-
-    #[test]
-    fn simd_partition_band_counts_exactly(values in tied_vec(300), lo in -8.0_f64..8.0, width in 0.0_f64..8.0) {
-        let hi = lo + width;
-        let mut band = vec![0.0; values.len()];
-        let (below, band_len, above) = simd::partition_band(&values, lo, hi, &mut band);
-        prop_assert_eq!(below, values.iter().filter(|&&v| v < lo).count());
-        prop_assert_eq!(above, values.iter().filter(|&&v| v > hi).count());
-        let ref_band: Vec<f64> = values.iter().copied().filter(|&v| v >= lo && v <= hi).collect();
-        prop_assert_eq!(below + band_len + above, values.len());
-        prop_assert_eq!(&band[..band_len], ref_band.as_slice());
+    fn simd_filter_f64_bit_identical_to_scalar(values in tied_vec(300), hi in -8.0_f64..8.0) {
+        let mut mask = vec![false; values.len()];
+        let mut kept = vec![0.0; values.len()];
+        let k = simd::filter_f64(&values, &mut mask, &mut kept, hi);
+        let ref_mask: Vec<bool> = values.iter().map(|&v| v <= hi).collect();
+        let ref_kept: Vec<f64> = values.iter().copied().filter(|&v| v <= hi).collect();
+        prop_assert_eq!(&mask, &ref_mask);
+        prop_assert_eq!(k, ref_kept.len());
+        // Bit-identical: compare the raw bit patterns, not just values.
+        let kept_bits: Vec<u64> = kept[..k].iter().map(|v| v.to_bits()).collect();
+        let ref_bits: Vec<u64> = ref_kept.iter().map(|v| v.to_bits()).collect();
+        prop_assert_eq!(kept_bits, ref_bits);
     }
 
     #[test]
@@ -338,20 +304,6 @@ proptest! {
             // Min and max stay exact on both ingest paths.
             prop_assert_eq!(bat.query(0.0), seq.query(0.0));
             prop_assert_eq!(bat.query(1.0), seq.query(1.0));
-        }
-    }
-
-    #[test]
-    fn percentile_partition_matches_sorted_reference(base in tied_vec(48), reps in 1_usize..200, p in 0.0_f64..=1.0) {
-        // Tiling the base block past the partition cutoff creates heavy
-        // ties and stride-aligned periodicity — the adversarial regime for
-        // a sampled pivot bracket (worst case it falls back, still exact).
-        let data: Vec<f64> = base.iter().copied().cycle().take(base.len() * reps.max(1)).collect();
-        let mut scratch = Vec::new();
-        for interp in [Interpolation::Linear, Interpolation::Matlab, Interpolation::Lower, Interpolation::Nearest] {
-            let expect = percentile(&data, p, interp);
-            let got = percentile_partition(&data, p, interp, &mut scratch);
-            prop_assert_eq!(got.to_bits(), expect.to_bits(), "{:?} p={} n={}", interp, p, data.len());
         }
     }
 }

@@ -9,10 +9,11 @@
 //! round loop, quality scoring and the *policies* that choose thresholds
 //! (Tit-for-tat, Elastic, baselines) live in `trim-core`.
 //!
-//! * [`mod@trim`] — trimming operators over scalar batches.
-//! * the explicit-SIMD mask-compact filter kernels behind them live in
-//!   [`trimgame_numerics::simd`] (AVX-512 / AVX2 / NEON, portable
-//!   fallback), shared with the percentile machinery.
+//! * [`mod@trim`] — the trimming operation: [`TrimScratch::cut`] removes
+//!   every value above an absolute threshold, which [`SketchThreshold`]
+//!   or the caller's reference quantile table resolves.
+//! * the explicit-SIMD mask-compact filter kernel behind it lives in
+//!   [`trimgame_numerics::simd`] (AVX-512 / AVX2, portable fallback).
 //! * [`board`] — the public board: one thread-safe, append-only
 //!   [`RangedBoard`] type (chunked hot spans, compactable cold ones) and
 //!   a [`RangedVenue`] of boards with a round-ordered merged read.
@@ -56,6 +57,4 @@ pub use recover::{
     read_manifest, ManifestEntry, ManifestFile, ManifestWriter, RecoveryReport, ShardRecovery,
     SpanManifest,
 };
-pub use trim::{
-    trim, SketchThreshold, TrimOp, TrimOutcome, TrimScratch, TrimScratchF32, TrimStats,
-};
+pub use trim::{SketchThreshold, TrimScratch};

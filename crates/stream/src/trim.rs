@@ -1,115 +1,32 @@
-//! Trimming operators.
+//! The trimming operation.
 //!
 //! "A classic method is distance-based sanitization, also known as
 //! trimming, where the defender calculates the distance `d_i` for each data
-//! point `i` and removes any point with `d_i > θ_d`" (Section I). On a
-//! scalar batch the operators here implement exactly that: an upper
-//! percentile cut (the game's main move), a two-sided cut, and an absolute
-//! threshold cut.
+//! point `i` and removes any point with `d_i > θ_d`" (Section I). Every game
+//! in this workspace resolves `θ` from the public quality standard — the
+//! clean reference quantile table, or a Greenwald–Khanna sketch of it
+//! ([`SketchThreshold`]) — and then cuts the batch at that absolute value
+//! with [`TrimScratch::cut`], the one trim entry point.
 //!
-//! Two execution paths share one semantics:
+//! There is deliberately no batch-percentile cut: a colluding point mass
+//! drags the batch percentile onto itself and rides the cut, which is why
+//! the threshold comes from the reference, not from the batch.
 //!
-//! * [`trim`] — the convenient allocating form, returning an owned
-//!   [`TrimOutcome`];
-//! * [`TrimOp::apply_in_place`] — the engine hot path: all buffers live in
-//!   a reusable [`TrimScratch`], percentile thresholds are found by
-//!   sampled two-pivot partitioning ([`percentile_partition`] — no sort,
-//!   no batch copy), the filter runs on the explicit-SIMD mask-compact
-//!   kernels of
-//!   [`trimgame_numerics::simd`], and after warm-up a round performs **zero** heap
-//!   allocations.
-//!
-//! Both produce bit-identical kept values, masks and threshold values.
-//! For cuts that must not materialize the batch at all, [`SketchThreshold`]
-//! resolves percentiles from a Greenwald–Khanna summary of the stream.
+//! The cut runs on the explicit-SIMD mask-compact filter of
+//! [`trimgame_numerics::simd`], and its buffers live in the reusable
+//! [`TrimScratch`], so after warm-up a round performs **zero** heap
+//! allocations.
 
 use trimgame_numerics::gk::{GkScratch, GkSummary};
-use trimgame_numerics::quantile::{percentile_partition, percentile_select, Interpolation};
 
-/// A trimming operator over a scalar batch.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum TrimOp {
-    /// Remove every value strictly above the batch's `p`-percentile
-    /// (`p ∈ [0, 1]`). This is the collector's move in the trimming game:
-    /// the threshold *percentile* is the strategy, the threshold *value* is
-    /// computed per round.
-    UpperPercentile(f64),
-    /// Keep values between the `lo` and `hi` percentiles inclusive.
-    TwoSided {
-        /// Lower percentile.
-        lo: f64,
-        /// Upper percentile.
-        hi: f64,
-    },
-    /// Remove every value strictly above an absolute threshold.
-    Absolute(f64),
-    /// Keep everything (the Ostrich non-defense).
-    None,
-}
-
-/// Result of trimming a batch.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TrimOutcome {
-    /// Values retained, in input order.
-    pub kept: Vec<f64>,
-    /// Parallel to the input: `true` = retained.
-    pub kept_mask: Vec<bool>,
-    /// The absolute threshold value applied (upper cut), if any.
-    pub threshold_value: Option<f64>,
-    /// Number of values removed.
-    pub trimmed: usize,
-}
-
-impl TrimOutcome {
-    /// Fraction of the batch removed.
-    #[must_use]
-    pub fn trimmed_fraction(&self) -> f64 {
-        let total = self.kept.len() + self.trimmed;
-        if total == 0 {
-            0.0
-        } else {
-            self.trimmed as f64 / total as f64
-        }
-    }
-}
-
-/// Scalar bookkeeping of one in-place trim; the values and mask live in
-/// the [`TrimScratch`] that produced it.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TrimStats {
-    /// Number of values removed.
-    pub trimmed: usize,
-    /// Number of values retained.
-    pub kept: usize,
-    /// The absolute upper threshold applied, if any.
-    pub threshold_value: Option<f64>,
-    /// The absolute lower bound applied (`TwoSided` only).
-    pub lower_value: Option<f64>,
-}
-
-impl TrimStats {
-    /// Fraction of the batch removed.
-    #[must_use]
-    pub fn trimmed_fraction(&self) -> f64 {
-        let total = self.kept + self.trimmed;
-        if total == 0 {
-            0.0
-        } else {
-            self.trimmed as f64 / total as f64
-        }
-    }
-}
-
-/// Reusable buffers for [`TrimOp::apply_in_place`].
+/// Reusable buffers of [`TrimScratch::cut`]: the kept mask and the kept
+/// values of the most recent cut.
 ///
-/// Holds the partition-select candidate scratch (a fraction of the batch
-/// — the batch itself is never copied for threshold resolution), the kept mask
-/// and the kept values. Buffers are cleared — not shrunk — between
-/// rounds, so a long-running engine performs no heap allocation once
-/// every buffer has reached the round's working size.
+/// Buffers are resized, never shrunk, between rounds, so a long-running
+/// engine performs no heap allocation once both have reached the round's
+/// working size.
 #[derive(Debug, Clone, Default)]
 pub struct TrimScratch {
-    select: Vec<f64>,
     mask: Vec<bool>,
     kept: Vec<f64>,
 }
@@ -121,253 +38,44 @@ impl TrimScratch {
         Self::default()
     }
 
-    /// Creates scratch buffers pre-sized for batches of `n` values. The
-    /// partition candidate buffer is left empty — only percentile
-    /// operators use it, and `Absolute`/`None` cuts never pay for it.
+    /// Creates scratch buffers pre-sized for batches of `n` values.
     #[must_use]
     pub fn with_capacity(n: usize) -> Self {
         Self {
-            select: Vec::new(),
             mask: Vec::with_capacity(n),
             kept: Vec::with_capacity(n),
         }
     }
 
-    /// The kept values of the most recent apply, in input order.
+    /// Removes every value strictly above `threshold` and returns the
+    /// number removed. The kept values (in input order) and the keep-mask
+    /// (parallel to `values`) stay here; read them with
+    /// [`TrimScratch::kept`] and [`TrimScratch::kept_mask`].
+    ///
+    /// A value is kept exactly when `v <= threshold` holds, so a NaN
+    /// value is always trimmed, a `+∞` cut keeps every non-NaN value and
+    /// a `−∞` cut keeps only `−∞`.
+    pub fn cut(&mut self, values: &[f64], threshold: f64) -> usize {
+        let n = values.len();
+        self.mask.resize(n, false);
+        self.kept.resize(n, 0.0);
+        let k =
+            trimgame_numerics::simd::filter_f64(values, &mut self.mask, &mut self.kept, threshold);
+        self.kept.truncate(k);
+        n - k
+    }
+
+    /// The kept values of the most recent cut, in input order.
     #[must_use]
     pub fn kept(&self) -> &[f64] {
         &self.kept
     }
 
-    /// The kept mask of the most recent apply, parallel to the input.
+    /// The kept mask of the most recent cut, parallel to its input.
     #[must_use]
     pub fn kept_mask(&self) -> &[bool] {
         &self.mask
     }
-
-    /// Moves the kept values out, leaving an empty (capacity-preserving
-    /// for the other buffers) scratch. Used by the allocating [`trim`]
-    /// façade.
-    fn take_outcome(&mut self, stats: TrimStats) -> TrimOutcome {
-        TrimOutcome {
-            kept: std::mem::take(&mut self.kept),
-            kept_mask: std::mem::take(&mut self.mask),
-            threshold_value: stats.threshold_value,
-            trimmed: stats.trimmed,
-        }
-    }
-}
-
-/// The filter kernel shared by the one-sided and two-sided cuts: the
-/// explicit-SIMD mask-compact pass of [`trimgame_numerics::simd`] (AVX-512 / AVX2 /
-/// NEON when the CPU has them, the portable chunked mask-then-compact
-/// kernel otherwise). Output order, mask and counts are bit-identical to
-/// the naive branching loop on every backend.
-fn filter_band(values: &[f64], scratch: &mut TrimScratch, lo: Option<f64>, hi: f64) -> usize {
-    let n = values.len();
-    scratch.mask.resize(n, false);
-    scratch.kept.resize(n, 0.0);
-    let k = trimgame_numerics::simd::filter_f64(
-        values,
-        &mut scratch.mask[..n],
-        &mut scratch.kept[..n],
-        lo,
-        hi,
-    );
-    scratch.kept.truncate(k);
-    n - k
-}
-
-impl TrimOp {
-    /// Applies the operator using `scratch`'s reusable buffers and returns
-    /// the round's [`TrimStats`]; read the retained values and the mask
-    /// from [`TrimScratch::kept`] / [`TrimScratch::kept_mask`].
-    ///
-    /// Percentile thresholds are resolved with [`percentile_partition`]
-    /// (one sampled SIMD partition pass, no sort, no batch copy), so once the
-    /// buffers are warm no allocation happens per round; the filter
-    /// itself runs on the explicit-SIMD mask-compact kernels of
-    /// [`trimgame_numerics::simd`]. Kept values, mask and threshold are bit-identical
-    /// to the allocating [`trim`].
-    ///
-    /// # Panics
-    /// Panics if a percentile parameter is outside `[0, 1]` or `lo > hi`,
-    /// or if a percentile cut is requested on an empty batch.
-    pub fn apply_in_place(&self, values: &[f64], scratch: &mut TrimScratch) -> TrimStats {
-        scratch.mask.clear();
-        scratch.kept.clear();
-        let (lower, upper) = match *self {
-            TrimOp::None => (None, None),
-            TrimOp::Absolute(threshold) => (None, Some(threshold)),
-            TrimOp::UpperPercentile(p) => {
-                assert!((0.0..=1.0).contains(&p), "percentile {p} not in [0,1]");
-                (
-                    None,
-                    Some(percentile_partition(
-                        values,
-                        p,
-                        Interpolation::Linear,
-                        &mut scratch.select,
-                    )),
-                )
-            }
-            TrimOp::TwoSided { lo, hi } => {
-                assert!((0.0..=1.0).contains(&lo), "lo {lo} not in [0,1]");
-                assert!((0.0..=1.0).contains(&hi), "hi {hi} not in [0,1]");
-                assert!(lo <= hi, "inverted percentile band [{lo}, {hi}]");
-                let lo_v =
-                    percentile_partition(values, lo, Interpolation::Linear, &mut scratch.select);
-                let hi_v =
-                    percentile_partition(values, hi, Interpolation::Linear, &mut scratch.select);
-                (Some(lo_v), Some(hi_v))
-            }
-        };
-        let trimmed = match (lower, upper) {
-            (None, None) => {
-                scratch.mask.resize(values.len(), true);
-                scratch.kept.extend_from_slice(values);
-                0
-            }
-            (None, Some(hi_v)) => filter_band(values, scratch, None, hi_v),
-            (Some(lo_v), Some(hi_v)) => filter_band(values, scratch, Some(lo_v), hi_v),
-            (Some(_), None) => unreachable!("no lower-only operator exists"),
-        };
-        TrimStats {
-            trimmed,
-            kept: values.len() - trimmed,
-            threshold_value: upper,
-            lower_value: lower,
-        }
-    }
-}
-
-/// Reusable buffers for [`TrimOp::apply_in_place_f32`] — the
-/// single-precision twin of [`TrimScratch`].
-///
-/// Percentile thresholds are still resolved in `f64` (the values are
-/// upcast into the selection buffer, so the selection arithmetic is
-/// shared with the `f64` path); the filter itself runs on the `f32`
-/// lanes at twice the SIMD width.
-#[derive(Debug, Clone, Default)]
-pub struct TrimScratchF32 {
-    select: Vec<f64>,
-    mask: Vec<bool>,
-    kept: Vec<f32>,
-}
-
-impl TrimScratchF32 {
-    /// Creates empty scratch buffers (they grow on first use).
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates scratch buffers pre-sized for batches of `n` values.
-    #[must_use]
-    pub fn with_capacity(n: usize) -> Self {
-        Self {
-            select: Vec::new(),
-            mask: Vec::with_capacity(n),
-            kept: Vec::with_capacity(n),
-        }
-    }
-
-    /// The kept values of the most recent apply, in input order.
-    #[must_use]
-    pub fn kept(&self) -> &[f32] {
-        &self.kept
-    }
-
-    /// The kept mask of the most recent apply, parallel to the input.
-    #[must_use]
-    pub fn kept_mask(&self) -> &[bool] {
-        &self.mask
-    }
-}
-
-impl TrimOp {
-    /// The `f32` variant of [`TrimOp::apply_in_place`], for
-    /// single-precision streams (feature scores, sensor batches) that
-    /// should not pay an upcast copy per round.
-    ///
-    /// Thresholds are resolved exactly as in the `f64` path (percentiles
-    /// select on the upcast batch); the cut itself is applied in `f32`
-    /// against the *downcast* threshold, and the reported
-    /// [`TrimStats::threshold_value`] / [`TrimStats::lower_value`] are
-    /// the `f32` cut values actually compared against, widened back to
-    /// `f64`.
-    ///
-    /// # Panics
-    /// Panics if a percentile parameter is outside `[0, 1]` or `lo > hi`,
-    /// or if a percentile cut is requested on an empty batch.
-    pub fn apply_in_place_f32(&self, values: &[f32], scratch: &mut TrimScratchF32) -> TrimStats {
-        scratch.mask.clear();
-        scratch.kept.clear();
-        let select_threshold = |scratch: &mut TrimScratchF32, p: f64| -> f64 {
-            scratch.select.clear();
-            scratch.select.extend(values.iter().map(|&v| f64::from(v)));
-            percentile_select(&mut scratch.select, p, Interpolation::Linear)
-        };
-        let (lower, upper): (Option<f32>, Option<f32>) = match *self {
-            TrimOp::None => (None, None),
-            TrimOp::Absolute(threshold) => (None, Some(threshold as f32)),
-            TrimOp::UpperPercentile(p) => {
-                assert!((0.0..=1.0).contains(&p), "percentile {p} not in [0,1]");
-                (None, Some(select_threshold(scratch, p) as f32))
-            }
-            TrimOp::TwoSided { lo, hi } => {
-                assert!((0.0..=1.0).contains(&lo), "lo {lo} not in [0,1]");
-                assert!((0.0..=1.0).contains(&hi), "hi {hi} not in [0,1]");
-                assert!(lo <= hi, "inverted percentile band [{lo}, {hi}]");
-                let lo_v = select_threshold(scratch, lo) as f32;
-                let hi_v = select_threshold(scratch, hi) as f32;
-                (Some(lo_v), Some(hi_v))
-            }
-        };
-        let n = values.len();
-        let trimmed = match (lower, upper) {
-            (None, None) => {
-                scratch.mask.resize(n, true);
-                scratch.kept.extend_from_slice(values);
-                0
-            }
-            (lo, Some(hi_v)) => {
-                scratch.mask.resize(n, false);
-                scratch.kept.resize(n, 0.0);
-                let k = trimgame_numerics::simd::filter_f32(
-                    values,
-                    &mut scratch.mask[..n],
-                    &mut scratch.kept[..n],
-                    lo,
-                    hi_v,
-                );
-                scratch.kept.truncate(k);
-                n - k
-            }
-            (Some(_), None) => unreachable!("no lower-only operator exists"),
-        };
-        TrimStats {
-            trimmed,
-            kept: n - trimmed,
-            threshold_value: upper.map(f64::from),
-            lower_value: lower.map(f64::from),
-        }
-    }
-}
-
-/// Applies a trimming operator to a batch, returning owned buffers.
-///
-/// Delegates to [`TrimOp::apply_in_place`] on a fresh scratch, so both
-/// paths share one implementation (and the selection-based percentile).
-///
-/// # Panics
-/// Panics if a percentile parameter is outside `[0, 1]` or `lo > hi`, or if
-/// a percentile cut is requested on an empty batch.
-#[must_use]
-pub fn trim(values: &[f64], op: TrimOp) -> TrimOutcome {
-    let mut scratch = TrimScratch::with_capacity(values.len());
-    let stats = op.apply_in_place(values, &mut scratch);
-    scratch.take_outcome(stats)
 }
 
 /// A streaming percentile-threshold source backed by the Greenwald–Khanna
@@ -378,8 +86,8 @@ pub fn trim(values: &[f64], op: TrimOp) -> TrimOutcome {
 /// wrapper feeds the report stream into a [`GkSummary`] (sublinear space,
 /// rank error ≤ `ε·n`) and answers *any* percentile on demand — exactly
 /// what the moving thresholds of Tit-for-tat and Elastic need. Resolve the
-/// cut with [`SketchThreshold::cut`], then trim with
-/// [`TrimOp::Absolute`]; no sort, no batch copy.
+/// cut with [`SketchThreshold::cut`], then trim with [`TrimScratch::cut`];
+/// no sort, no batch copy.
 ///
 /// Batches go through [`SketchThreshold::observe`], which feeds the GK
 /// summary through its batched merge-sweep ingest
@@ -455,156 +163,107 @@ impl SketchThreshold {
     pub fn cut(&self, p: f64) -> Option<f64> {
         self.sketch.query(p)
     }
-
-    /// The [`TrimOp::Absolute`] operator at percentile `p`, or `None`
-    /// before any observation.
-    ///
-    /// # Panics
-    /// Panics unless `p ∈ [0, 1]`.
-    #[must_use]
-    pub fn op(&self, p: f64) -> Option<TrimOp> {
-        self.cut(p).map(TrimOp::Absolute)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use trimgame_numerics::quantile::{percentile, Interpolation};
 
     fn batch() -> Vec<f64> {
         (0..100).map(f64::from).collect()
     }
 
     #[test]
-    fn none_keeps_everything() {
-        let out = trim(&batch(), TrimOp::None);
-        assert_eq!(out.trimmed, 0);
-        assert_eq!(out.kept.len(), 100);
-        assert_eq!(out.threshold_value, None);
-        assert_eq!(out.trimmed_fraction(), 0.0);
-    }
-
-    #[test]
     fn upper_percentile_removes_tail() {
-        let out = trim(&batch(), TrimOp::UpperPercentile(0.9));
+        let values = batch();
+        let cut = percentile(&values, 0.9, Interpolation::Linear);
+        let mut scratch = TrimScratch::new();
         // Threshold = 89.1 (linear interpolation on 0..=99); keeps 0..=89.
-        assert_eq!(out.trimmed, 10);
-        assert!(out.kept.iter().all(|&v| v <= 89.1));
-        assert!((out.trimmed_fraction() - 0.1).abs() < 1e-12);
-        assert!(out.threshold_value.unwrap() > 89.0);
+        assert_eq!(scratch.cut(&values, cut), 10);
+        assert!(scratch.kept().iter().all(|&v| v <= 89.1));
+        assert_eq!(scratch.kept().len(), 90);
     }
 
     #[test]
     fn absolute_threshold() {
-        let out = trim(&batch(), TrimOp::Absolute(49.5));
-        assert_eq!(out.kept.len(), 50);
-        assert_eq!(out.trimmed, 50);
-    }
-
-    #[test]
-    fn two_sided_keeps_band() {
-        let out = trim(&batch(), TrimOp::TwoSided { lo: 0.1, hi: 0.9 });
-        assert!(out.kept.iter().all(|&v| (9.9..=89.1).contains(&v)));
-        assert_eq!(out.trimmed, 20);
+        let mut scratch = TrimScratch::new();
+        assert_eq!(scratch.cut(&batch(), 49.5), 50);
+        assert_eq!(scratch.kept().len(), 50);
     }
 
     #[test]
     fn kept_mask_aligns_with_input() {
-        let values = vec![5.0, 50.0, 95.0];
-        let out = trim(&values, TrimOp::Absolute(60.0));
-        assert_eq!(out.kept_mask, vec![true, true, false]);
-        assert_eq!(out.kept, vec![5.0, 50.0]);
+        let mut scratch = TrimScratch::new();
+        assert_eq!(scratch.cut(&[5.0, 50.0, 95.0], 60.0), 1);
+        assert_eq!(scratch.kept_mask(), [true, true, false]);
+        assert_eq!(scratch.kept(), [5.0, 50.0]);
     }
 
     #[test]
     fn full_percentile_keeps_everything() {
-        let out = trim(&batch(), TrimOp::UpperPercentile(1.0));
-        assert_eq!(out.trimmed, 0);
+        let values = batch();
+        let cut = percentile(&values, 1.0, Interpolation::Linear);
+        assert_eq!(TrimScratch::new().cut(&values, cut), 0);
     }
 
     #[test]
     fn zero_percentile_keeps_minimum_only() {
-        let out = trim(&batch(), TrimOp::UpperPercentile(0.0));
-        assert_eq!(out.kept, vec![0.0]);
-        assert_eq!(out.trimmed, 99);
+        let values = batch();
+        let cut = percentile(&values, 0.0, Interpolation::Linear);
+        let mut scratch = TrimScratch::new();
+        assert_eq!(scratch.cut(&values, cut), 99);
+        assert_eq!(scratch.kept(), [0.0]);
     }
 
     #[test]
-    #[should_panic(expected = "not in [0,1]")]
-    fn bad_percentile_rejected() {
-        let _ = trim(&batch(), TrimOp::UpperPercentile(1.2));
-    }
-
-    #[test]
-    #[should_panic(expected = "inverted percentile band")]
-    fn inverted_band_rejected() {
-        let _ = trim(&batch(), TrimOp::TwoSided { lo: 0.9, hi: 0.1 });
+    fn nan_values_are_trimmed_and_infinite_cuts_keep_all_or_nothing() {
+        let values = [1.0, f64::NAN, -3.5, f64::MAX, f64::NAN, -f64::MAX, 0.0];
+        let mut scratch = TrimScratch::new();
+        // +∞ keeps every finite value and trims only the NaNs.
+        assert_eq!(scratch.cut(&values, f64::INFINITY), 2);
+        assert_eq!(scratch.kept(), [1.0, -3.5, f64::MAX, -f64::MAX, 0.0]);
+        assert_eq!(
+            scratch.kept_mask(),
+            [true, false, true, true, false, true, true]
+        );
+        // −∞ keeps nothing finite.
+        assert_eq!(scratch.cut(&values, f64::NEG_INFINITY), values.len());
+        assert!(scratch.kept().is_empty());
+        assert!(scratch.kept_mask().iter().all(|&m| !m));
+        // A finite cut trims the NaNs along with the values above it.
+        assert_eq!(scratch.cut(&values, 0.5), 4);
+        assert_eq!(scratch.kept(), [-3.5, -f64::MAX, 0.0]);
     }
 
     #[test]
     fn trimming_removes_injected_tail_poison() {
+        // The cut comes from the clean reference, so a poison mass at
+        // the reference maximum cannot drag it along.
+        let reference = batch();
+        let cut = percentile(&reference, 0.8, Interpolation::Linear);
         let mut values = batch();
-        values.extend(std::iter::repeat_n(99.0, 20)); // poison at p99
-        let out = trim(&values, TrimOp::UpperPercentile(0.8));
-        let poison_kept = out.kept.iter().filter(|&&v| v == 99.0).count();
-        assert_eq!(poison_kept, 0, "tail poison should be trimmed");
-    }
-
-    #[test]
-    fn in_place_agrees_with_allocating_trim() {
-        let values = batch();
+        values.extend(std::iter::repeat_n(99.0, 20));
         let mut scratch = TrimScratch::new();
-        for op in [
-            TrimOp::None,
-            TrimOp::Absolute(42.5),
-            TrimOp::UpperPercentile(0.9),
-            TrimOp::UpperPercentile(0.0),
-            TrimOp::UpperPercentile(1.0),
-            TrimOp::TwoSided { lo: 0.1, hi: 0.8 },
-        ] {
-            let outcome = trim(&values, op);
-            let stats = op.apply_in_place(&values, &mut scratch);
-            assert_eq!(scratch.kept(), outcome.kept.as_slice(), "{op:?}");
-            assert_eq!(scratch.kept_mask(), outcome.kept_mask.as_slice());
-            assert_eq!(stats.trimmed, outcome.trimmed);
-            assert_eq!(stats.kept, outcome.kept.len());
-            assert_eq!(stats.threshold_value, outcome.threshold_value);
-        }
+        let _ = scratch.cut(&values, cut);
+        let poison_kept = scratch.kept().iter().filter(|&&v| v == 99.0).count();
+        assert_eq!(poison_kept, 0, "tail poison should be trimmed");
     }
 
     #[test]
     fn scratch_buffers_are_reused_without_reallocation() {
         let values = batch();
         let mut scratch = TrimScratch::with_capacity(values.len());
-        let op = TrimOp::UpperPercentile(0.9);
-        let _ = op.apply_in_place(&values, &mut scratch);
-        let caps = (
-            scratch.select.capacity(),
-            scratch.mask.capacity(),
-            scratch.kept.capacity(),
-        );
+        let _ = scratch.cut(&values, 89.5);
+        let caps = (scratch.mask.capacity(), scratch.kept.capacity());
         for _ in 0..32 {
-            let stats = op.apply_in_place(&values, &mut scratch);
-            assert_eq!(stats.trimmed, 10);
+            assert_eq!(scratch.cut(&values, 89.5), 10);
         }
         assert_eq!(
             caps,
-            (
-                scratch.select.capacity(),
-                scratch.mask.capacity(),
-                scratch.kept.capacity()
-            ),
+            (scratch.mask.capacity(), scratch.kept.capacity()),
             "warm scratch must not reallocate"
         );
-    }
-
-    #[test]
-    fn two_sided_reports_lower_bound() {
-        let mut scratch = TrimScratch::new();
-        let stats = TrimOp::TwoSided { lo: 0.1, hi: 0.9 }.apply_in_place(&batch(), &mut scratch);
-        assert!((stats.lower_value.unwrap() - 9.9).abs() < 1e-9);
-        assert!((stats.threshold_value.unwrap() - 89.1).abs() < 1e-9);
-        assert_eq!(stats.trimmed_fraction(), 0.2);
     }
 
     #[test]
@@ -616,11 +275,8 @@ mod tests {
         assert_eq!(source.count(), 10_000);
         let cut = source.cut(0.9).unwrap();
         assert!((cut - 9_000.0).abs() < 250.0, "cut {cut}");
-        let stats = source
-            .op(0.9)
-            .unwrap()
-            .apply_in_place(&values, &mut TrimScratch::new());
-        let frac = stats.trimmed as f64 / values.len() as f64;
+        let trimmed = TrimScratch::new().cut(&values, cut);
+        let frac = trimmed as f64 / values.len() as f64;
         assert!((frac - 0.1).abs() < 0.03, "trimmed fraction {frac}");
     }
 

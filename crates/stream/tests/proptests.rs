@@ -4,22 +4,14 @@ use proptest::prelude::*;
 use trimgame_stream::board::{RangedBoard, RangedVenue, RoundRecord};
 use trimgame_stream::compact::{Compactor, TierConfig};
 use trimgame_stream::frame::Frame;
-use trimgame_stream::trim::{trim, TrimOp, TrimOutcome, TrimScratch, TrimScratchF32};
+use trimgame_stream::trim::TrimScratch;
 
-/// Straightforward sort-based reference implementation of the upper
-/// percentile cut, independent of the selection-based production path.
-fn reference_upper_cut(values: &[f64], p: f64) -> TrimOutcome {
-    let mut sorted = values.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite batch"));
-    let threshold = trimgame_numerics::quantile::percentile_sorted(&sorted, p, Default::default());
-    let kept_mask: Vec<bool> = values.iter().map(|&v| v <= threshold).collect();
-    let kept: Vec<f64> = values.iter().copied().filter(|&v| v <= threshold).collect();
-    TrimOutcome {
-        trimmed: values.len() - kept.len(),
-        kept,
-        kept_mask,
-        threshold_value: Some(threshold),
-    }
+/// The obvious branching loop: the keep-mask and the kept values of an
+/// upper cut at `threshold`, independent of the SIMD production path.
+fn reference_cut(values: &[f64], threshold: f64) -> (Vec<bool>, Vec<f64>) {
+    let mask = values.iter().map(|&v| v <= threshold).collect();
+    let kept = values.iter().copied().filter(|&v| v <= threshold).collect();
+    (mask, kept)
 }
 
 /// The highest round any shard reaches for the given gap sequences.
@@ -43,68 +35,6 @@ fn records(n: usize) -> Vec<RoundRecord> {
 
 proptest! {
     #[test]
-    fn f32_absolute_cut_matches_scalar_reference(
-        values in prop::collection::vec((-40i32..40).prop_map(|i| i as f32 * 0.25), 0..3_000),
-        cut in -11.0_f64..11.0,
-    ) {
-        // The f32 in-place cut (SIMD kernel) must be bit-identical to the
-        // obvious scalar loop against the downcast threshold — including
-        // ties exactly at the threshold (the discrete value grid makes
-        // them common) and across vector-width boundaries.
-        let cut32 = cut as f32;
-        let ref_mask: Vec<bool> = values.iter().map(|&v| v <= cut32).collect();
-        let ref_kept: Vec<f32> = values.iter().copied().filter(|&v| v <= cut32).collect();
-        let mut scratch = TrimScratchF32::new();
-        let stats = TrimOp::Absolute(cut).apply_in_place_f32(&values, &mut scratch);
-        prop_assert_eq!(scratch.kept_mask(), ref_mask.as_slice());
-        prop_assert_eq!(scratch.kept(), ref_kept.as_slice());
-        prop_assert_eq!(stats.kept, ref_kept.len());
-        prop_assert_eq!(stats.trimmed, values.len() - ref_kept.len());
-        prop_assert_eq!(stats.threshold_value, Some(f64::from(cut32)));
-    }
-
-    #[test]
-    fn f32_percentile_cut_matches_upcast_reference(
-        values in prop::collection::vec((-40i32..40).prop_map(|i| i as f32 * 0.25), 1..2_000),
-        p in 0.0_f64..=1.0,
-    ) {
-        // The f32 percentile path resolves its threshold on the upcast
-        // batch (same arithmetic as the f64 path) and cuts in f32: the
-        // result must match the reference built from the same recipe.
-        let upcast: Vec<f64> = values.iter().map(|&v| f64::from(v)).collect();
-        let threshold = trimgame_numerics::quantile::percentile(
-            &upcast, p, Default::default()) as f32;
-        let ref_mask: Vec<bool> = values.iter().map(|&v| v <= threshold).collect();
-        let ref_kept: Vec<f32> = values.iter().copied().filter(|&v| v <= threshold).collect();
-        let mut scratch = TrimScratchF32::new();
-        let stats = TrimOp::UpperPercentile(p).apply_in_place_f32(&values, &mut scratch);
-        prop_assert_eq!(scratch.kept_mask(), ref_mask.as_slice());
-        prop_assert_eq!(scratch.kept(), ref_kept.as_slice());
-        prop_assert_eq!(stats.threshold_value, Some(f64::from(threshold)));
-    }
-
-    #[test]
-    fn f32_two_sided_band_matches_scalar_reference(
-        values in prop::collection::vec((-40i32..40).prop_map(|i| i as f32 * 0.25), 1..2_000),
-        lo in 0.0_f64..0.5,
-        width in 0.0_f64..0.5,
-    ) {
-        let upcast: Vec<f64> = values.iter().map(|&v| f64::from(v)).collect();
-        let interp = trimgame_numerics::quantile::Interpolation::Linear;
-        let lo_v = trimgame_numerics::quantile::percentile(&upcast, lo, interp) as f32;
-        let hi_v = trimgame_numerics::quantile::percentile(&upcast, lo + width, interp) as f32;
-        let keep = |v: f32| (v >= lo_v) & (v <= hi_v);
-        let ref_kept: Vec<f32> = values.iter().copied().filter(|&v| keep(v)).collect();
-        let mut scratch = TrimScratchF32::new();
-        let stats = TrimOp::TwoSided { lo, hi: lo + width }.apply_in_place_f32(&values, &mut scratch);
-        prop_assert_eq!(scratch.kept(), ref_kept.as_slice());
-        prop_assert_eq!(stats.kept, ref_kept.len());
-        prop_assert_eq!(stats.lower_value, Some(f64::from(lo_v)));
-    }
-}
-
-proptest! {
-    #[test]
     fn chunked_absolute_cut_matches_branching_reference(
         values in prop::collection::vec(-1e3_f64..1e3, 0..3_000),
         cut in -1.1e3_f64..1.1e3,
@@ -113,57 +43,30 @@ proptest! {
         // compaction) must be bit-identical to the obvious branching loop —
         // including across chunk boundaries (sizes beyond 1024 exercise
         // multi-chunk inputs).
-        let ref_mask: Vec<bool> = values.iter().map(|&v| v <= cut).collect();
-        let ref_kept: Vec<f64> = values.iter().copied().filter(|&v| v <= cut).collect();
+        let (ref_mask, ref_kept) = reference_cut(&values, cut);
         let mut scratch = TrimScratch::new();
-        let stats = TrimOp::Absolute(cut).apply_in_place(&values, &mut scratch);
+        let trimmed = scratch.cut(&values, cut);
         prop_assert_eq!(scratch.kept_mask(), ref_mask.as_slice());
         prop_assert_eq!(scratch.kept(), ref_kept.as_slice());
-        prop_assert_eq!(stats.kept, ref_kept.len());
-        prop_assert_eq!(stats.trimmed, values.len() - ref_kept.len());
-        prop_assert_eq!(stats.threshold_value, Some(cut));
-    }
-
-    #[test]
-    fn chunked_two_sided_cut_matches_branching_reference(
-        values in prop::collection::vec(-1e3_f64..1e3, 1..2_500),
-        lo in 0.0_f64..0.5,
-        width in 0.0_f64..0.5,
-    ) {
-        // Given the resolved percentile bounds, the chunked mask/compaction
-        // must reproduce the obvious per-element branching loop exactly.
-        let op = TrimOp::TwoSided { lo, hi: lo + width };
-        let mut scratch = TrimScratch::new();
-        let stats = op.apply_in_place(&values, &mut scratch);
-        let lo_v = stats.lower_value.expect("two-sided reports a lower bound");
-        let hi_v = stats.threshold_value.expect("two-sided reports an upper bound");
-        let ref_mask: Vec<bool> = values.iter().map(|&v| v >= lo_v && v <= hi_v).collect();
-        let ref_kept: Vec<f64> = values
-            .iter()
-            .copied()
-            .filter(|&v| v >= lo_v && v <= hi_v)
-            .collect();
-        prop_assert_eq!(scratch.kept_mask(), ref_mask.as_slice());
-        prop_assert_eq!(scratch.kept(), ref_kept.as_slice());
-        prop_assert_eq!(stats.kept, ref_kept.len());
-        prop_assert_eq!(stats.trimmed, values.len() - ref_kept.len());
+        prop_assert_eq!(trimmed, values.len() - ref_kept.len());
     }
 
     #[test]
     fn trim_partitions_the_batch(
         values in prop::collection::vec(-1e3_f64..1e3, 1..200),
-        p in 0.0_f64..1.0,
+        cut in -1e3_f64..1e3,
     ) {
-        let out = trim(&values, TrimOp::UpperPercentile(p));
-        prop_assert_eq!(out.kept.len() + out.trimmed, values.len());
-        prop_assert_eq!(out.kept_mask.len(), values.len());
+        let mut scratch = TrimScratch::new();
+        let trimmed = scratch.cut(&values, cut);
+        prop_assert_eq!(scratch.kept().len() + trimmed, values.len());
+        prop_assert_eq!(scratch.kept_mask().len(), values.len());
         let kept_from_mask: Vec<f64> = values
             .iter()
-            .zip(&out.kept_mask)
+            .zip(scratch.kept_mask())
             .filter(|(_, &m)| m)
             .map(|(&v, _)| v)
             .collect();
-        prop_assert_eq!(out.kept, kept_from_mask);
+        prop_assert_eq!(scratch.kept(), kept_from_mask.as_slice());
     }
 
     #[test]
@@ -171,11 +74,12 @@ proptest! {
         values in prop::collection::vec(-1e3_f64..1e3, 1..200),
         cut in -1e3_f64..1e3,
     ) {
-        let out = trim(&values, TrimOp::Absolute(cut));
-        prop_assert!(out.kept.iter().all(|&v| v <= cut));
+        let mut scratch = TrimScratch::new();
+        let _ = scratch.cut(&values, cut);
+        prop_assert!(scratch.kept().iter().all(|&v| v <= cut));
         prop_assert!(values
             .iter()
-            .zip(&out.kept_mask)
+            .zip(scratch.kept_mask())
             .all(|(&v, &m)| m == (v <= cut)));
     }
 
@@ -185,25 +89,14 @@ proptest! {
         p1 in 0.0_f64..1.0,
         p2 in 0.0_f64..1.0,
     ) {
+        // Cuts resolved at two percentiles of the batch: the higher one
+        // never trims more.
         let (lo, hi) = if p1 <= p2 { (p1, p2) } else { (p2, p1) };
-        let a = trim(&values, TrimOp::UpperPercentile(lo));
-        let b = trim(&values, TrimOp::UpperPercentile(hi));
-        prop_assert!(b.trimmed <= a.trimmed);
-    }
-
-    #[test]
-    fn upper_percentile_equals_two_sided_from_zero(
-        values in prop::collection::vec(-1e6_f64..1e6, 1..300),
-        p in 0.0_f64..=1.0,
-    ) {
-        // TwoSided's lower bound at percentile 0 is the batch minimum, so
-        // the band [0, p] must keep exactly what the upper cut keeps.
-        let upper = trim(&values, TrimOp::UpperPercentile(p));
-        let band = trim(&values, TrimOp::TwoSided { lo: 0.0, hi: p });
-        prop_assert_eq!(&upper.kept, &band.kept);
-        prop_assert_eq!(&upper.kept_mask, &band.kept_mask);
-        prop_assert_eq!(upper.trimmed, band.trimmed);
-        prop_assert_eq!(upper.threshold_value, band.threshold_value);
+        let at = |p| trimgame_numerics::quantile::percentile(&values, p, Default::default());
+        let mut scratch = TrimScratch::new();
+        let a = scratch.cut(&values, at(lo));
+        let b = scratch.cut(&values, at(hi));
+        prop_assert!(b <= a);
     }
 
     #[test]
@@ -211,38 +104,33 @@ proptest! {
         values in prop::collection::vec(-1e6_f64..1e6, 1..300),
         p in 0.0_f64..=1.0,
     ) {
-        // The selection-based in-place path against an independent
-        // sort-based reference: kept values, mask and threshold must be
-        // bit-identical on arbitrary finite batches.
-        let reference = reference_upper_cut(&values, p);
+        // A cut at the batch's own sort-based percentile against the
+        // branching reference: kept values and mask must be bit-identical
+        // on arbitrary finite batches, ties at the cut included.
+        let threshold = trimgame_numerics::quantile::percentile(&values, p, Default::default());
+        let (ref_mask, ref_kept) = reference_cut(&values, threshold);
         let mut scratch = TrimScratch::new();
-        let stats = TrimOp::UpperPercentile(p).apply_in_place(&values, &mut scratch);
-        prop_assert_eq!(scratch.kept(), reference.kept.as_slice());
-        prop_assert_eq!(scratch.kept_mask(), reference.kept_mask.as_slice());
-        prop_assert_eq!(stats.trimmed, reference.trimmed);
-        prop_assert_eq!(stats.threshold_value, reference.threshold_value);
-        // And the allocating façade agrees with both.
-        let allocating = trim(&values, TrimOp::UpperPercentile(p));
-        prop_assert_eq!(allocating.kept.as_slice(), scratch.kept());
-        prop_assert_eq!(allocating.threshold_value, stats.threshold_value);
+        let trimmed = scratch.cut(&values, threshold);
+        prop_assert_eq!(scratch.kept(), ref_kept.as_slice());
+        prop_assert_eq!(scratch.kept_mask(), ref_mask.as_slice());
+        prop_assert_eq!(trimmed, values.len() - ref_kept.len());
     }
 
     #[test]
     fn scratch_reuse_is_stable_across_batches(
         a in prop::collection::vec(-1e3_f64..1e3, 1..120),
         b in prop::collection::vec(-1e3_f64..1e3, 1..120),
-        p in 0.0_f64..=1.0,
+        cut in -1e3_f64..1e3,
     ) {
         // A scratch dirtied by one batch must give the same answer on the
-        // next as a fresh scratch (clears, no stale state).
+        // next as a fresh scratch (no stale state in either buffer).
         let mut reused = TrimScratch::new();
-        let op = TrimOp::UpperPercentile(p);
-        let _ = op.apply_in_place(&a, &mut reused);
-        let stats = op.apply_in_place(&b, &mut reused);
-        let fresh = trim(&b, op);
-        prop_assert_eq!(reused.kept(), fresh.kept.as_slice());
-        prop_assert_eq!(stats.trimmed, fresh.trimmed);
-        prop_assert_eq!(stats.threshold_value, fresh.threshold_value);
+        let _ = reused.cut(&a, cut);
+        let trimmed = reused.cut(&b, cut);
+        let mut fresh = TrimScratch::new();
+        prop_assert_eq!(trimmed, fresh.cut(&b, cut));
+        prop_assert_eq!(reused.kept(), fresh.kept());
+        prop_assert_eq!(reused.kept_mask(), fresh.kept_mask());
     }
 
     #[test]
