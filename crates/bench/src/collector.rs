@@ -1021,7 +1021,7 @@ fn run_on_inner(
                         ..MlSimConfig::new(Scheme::TitForTat, 0.9, 0.2, seed)
                     };
                     StreamSetup {
-                        scenario: MlScenario::new(&data, &ml_cfg),
+                        scenario: MlScenario::lean(&data, &ml_cfg),
                         defender: Box::new(ml_cfg.scheme.defender(ml_cfg.tth, 1.0, ml_cfg.red)),
                         adversary: Box::new(ml_cfg.scheme.adversary(ml_cfg.tth)),
                         rng: seeded_rng(seed),

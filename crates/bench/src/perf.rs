@@ -1,10 +1,12 @@
 //! In-process perf snapshots (`expt bench`): wall-clock means for the
-//! per-round hot paths plus the engine-run and equilibrium end-to-end
-//! cases, as a table and — with `--json` — a machine-readable
-//! [`SNAPSHOT_FILE`] snapshot (`case → mean ns`), so the perf trajectory
-//! is diffable across PRs without parsing criterion output
-//! (`expt benchdiff` compares two committed snapshots under a regression
-//! tolerance).
+//! per-round hot paths and per-layer cases (trim, GK ingest, frames,
+//! matrix solves, engine runs and smoke-scale equilibrium estimates), as
+//! a table or — with `--json` — a machine-readable snapshot
+//! (`case → mean ns`) on stdout, so the perf trajectory is diffable
+//! across PRs without parsing criterion output (`expt benchdiff`
+//! compares two snapshots under a regression tolerance). End-to-end
+//! collector and full-grid solver throughput is measured by the
+//! stand-alone `trimbench` package, whose bounds are sized to noise.
 //!
 //! Measurement mirrors the vendored criterion harness (warm-up window,
 //! calibrated batches, mean over a measurement window) but returns the
@@ -36,9 +38,6 @@ pub struct BenchCase {
     /// Mean wall-clock time per iteration, nanoseconds.
     pub mean_ns: f64,
 }
-
-/// The file the JSON snapshot is written to (repo root by convention).
-pub const SNAPSHOT_FILE: &str = "BENCH_PR10.json";
 
 fn time_ns(warmup: Duration, measure: Duration, mut routine: impl FnMut()) -> f64 {
     let warm_start = Instant::now();
@@ -99,7 +98,6 @@ pub fn run_cases(warmup: Duration, measure: Duration) -> Vec<BenchCase> {
     cases.extend(frame_cases(warmup, measure));
     cases.extend(matrix_cases(warmup, measure));
     cases.extend(engine_cases(warmup, measure));
-    cases.extend(collector_cases(measure));
     cases
 }
 
@@ -222,57 +220,6 @@ fn frame_cases(warmup: Duration, measure: Duration) -> Vec<BenchCase> {
     cases
 }
 
-/// The collector-service cases (the streaming-ingest tentpole):
-/// sustained throughput of the sharded pipeline, its per-round inverse
-/// (the lower-is-better entry the benchdiff tolerance gate rides on),
-/// merged p99 ingest latency, and the single-stream baseline the
-/// multi-worker speedup is measured against. Wall-clock figures come
-/// from one deterministic service run scaled to the measure window —
-/// the pipeline's throughput *is* the measurement, so the generic
-/// warmup/batch timer does not apply.
-fn collector_cases(measure: Duration) -> Vec<BenchCase> {
-    use crate::collector::{run_collector, scalar_stream_setup, CollectorConfig};
-    let pool = crate::empirical::standard_pool();
-    let rounds = usize::try_from(measure.as_millis())
-        .unwrap_or(200)
-        .clamp(10, 200);
-    let cfg = CollectorConfig {
-        streams: 4,
-        rounds,
-        ..CollectorConfig::default()
-    };
-    let sharded = run_collector(&cfg, |stream| {
-        scalar_stream_setup(&pool, cfg.rounds, cfg.seed, stream)
-    });
-    let single_cfg = CollectorConfig {
-        streams: 1,
-        threads: 1,
-        rounds: rounds * cfg.streams,
-        ..cfg.clone()
-    };
-    let single = run_collector(&single_cfg, |stream| {
-        scalar_stream_setup(&pool, single_cfg.rounds, single_cfg.seed, stream)
-    });
-    vec![
-        BenchCase {
-            name: "collector/sustained_rounds_per_sec".into(),
-            mean_ns: sharded.rounds_per_sec(),
-        },
-        BenchCase {
-            name: "collector/sustained_round_ns".into(),
-            mean_ns: 1e9 / sharded.rounds_per_sec().max(1e-9),
-        },
-        BenchCase {
-            name: "collector/ingest_p99".into(),
-            mean_ns: sharded.latency.quantile_ns(0.99) as f64,
-        },
-        BenchCase {
-            name: "collector/single_stream_round_ns".into(),
-            mean_ns: 1e9 / single.rounds_per_sec().max(1e-9),
-        },
-    ]
-}
-
 /// The fictitious-play warm-start family (satellite of the double-oracle
 /// PR): solving a grown matrix to the same certified gap cold versus
 /// warm-started from the parent game's equilibrium. Wall-clock for both,
@@ -358,10 +305,9 @@ fn gk_cases(warmup: Duration, measure: Duration) -> Vec<BenchCase> {
             }),
         });
         // The warm path: the same batch arriving at an already-populated
-        // summary, where ingest stages the keys into tuple-boundary
-        // buckets instead of running the full comparison sort. The primed
-        // summary is cloned per iteration (a few hundred tuples — noise
-        // next to the batch).
+        // summary, sorted and merge-swept into the existing tuples. The
+        // primed summary is cloned per iteration (a few hundred tuples —
+        // noise next to the batch).
         let mut primed = GkSummary::new(0.02);
         primed.insert_batch(&values, &mut scratch);
         cases.push(BenchCase {
@@ -369,42 +315,6 @@ fn gk_cases(warmup: Duration, measure: Duration) -> Vec<BenchCase> {
             mean_ns: time_ns(warmup, measure, || {
                 let mut summary = primed.clone();
                 summary.insert_batch(&values, &mut scratch);
-                std::hint::black_box(summary.query(0.9));
-            }),
-        });
-        // The multi-slice sweep: four staged quarter-batches merged in
-        // one tuple-list rebuild — the coalesced-backfill shape
-        // ([`GkSummary::insert_batches`]).
-        let quarters: Vec<&[f64]> = values.chunks(n / 4).collect();
-        cases.push(BenchCase {
-            name: format!("gk/ingest_batches4_warm/{n}"),
-            mean_ns: time_ns(warmup, measure, || {
-                let mut summary = primed.clone();
-                summary.insert_batches(&quarters, &mut scratch);
-                std::hint::black_box(summary.query(0.9));
-            }),
-        });
-        // The skewed warm batch: 90% of the keys land in a handful of
-        // buckets, so per-bucket sorting dominates — the shape the
-        // radix staging path exists for.
-        let skewed: Vec<f64> = values
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| {
-                if i % 10 == 0 {
-                    v
-                } else {
-                    500.0 + (i % 97) as f64 * 1e-9
-                }
-            })
-            .collect();
-        let mut primed_skew = GkSummary::new(0.02);
-        primed_skew.insert_batch(&skewed, &mut scratch);
-        cases.push(BenchCase {
-            name: format!("gk/ingest_batch_warm_skewed/{n}"),
-            mean_ns: time_ns(warmup, measure, || {
-                let mut summary = primed_skew.clone();
-                summary.insert_batch(&skewed, &mut scratch);
                 std::hint::black_box(summary.query(0.9));
             }),
         });
@@ -512,47 +422,6 @@ fn engine_cases(warmup: Duration, measure: Duration) -> Vec<BenchCase> {
     cases
 }
 
-/// The PR acceptance family (`expt bench` only — too heavy for the unit
-/// suite): the dense full 5×5×12 scalar grid against the grid-candidate
-/// double oracle, as wall-clock cases plus two *pseudo-cases* whose
-/// "mean_ns" records the deterministic engine-run counts. The run-count
-/// entries make the ≥3× cost claim diffable: their benchdiff ratio stays
-/// exactly 1.0 unless the solver's run accounting changes.
-#[must_use]
-pub fn headline_cases(warmup: Duration, measure: Duration) -> Vec<BenchCase> {
-    let pool = crate::empirical::standard_pool();
-    let sub = ScalarSubstrate::new(&pool);
-    let mut cfg = EquilibriumConfig::default_grid();
-    cfg.workers = 1; // one core: the comparison, not fan-out noise
-    let dense_runs = cfg.defender_atoms.len() * cfg.attacker_atoms().len() * cfg.seeds;
-    let oracle = DoubleOracleConfig::grid_for(&cfg);
-    let mut oracle_runs = 0usize;
-    let mut cases = Vec::new();
-    cases.push(BenchCase {
-        name: "equilibrium/dense/scalar_full".into(),
-        mean_ns: time_ns(warmup, measure, || {
-            std::hint::black_box(estimate_on(&sub, &cfg).empirical.value);
-        }),
-    });
-    cases.push(BenchCase {
-        name: "equilibrium/double_oracle/scalar_full".into(),
-        mean_ns: time_ns(warmup, measure, || {
-            let solved = double_oracle(&sub, &cfg, &oracle);
-            oracle_runs = solved.engine_runs;
-            std::hint::black_box(solved.equilibrium.value);
-        }),
-    });
-    cases.push(BenchCase {
-        name: "equilibrium/dense/scalar_full_runs".into(),
-        mean_ns: dense_runs as f64,
-    });
-    cases.push(BenchCase {
-        name: "equilibrium/double_oracle/scalar_full_runs".into(),
-        mean_ns: oracle_runs as f64,
-    });
-    cases
-}
-
 /// Serializes cases as a flat JSON object (`{"case": mean_ns, ...}`),
 /// keys in run order, values rounded to one decimal.
 #[must_use]
@@ -657,15 +526,20 @@ fn env_millis(var: &str, default_ms: u64) -> Duration {
     )
 }
 
-/// The `expt bench` experiment: measure the suite and render a table.
-/// With `TRIMGAME_BENCH_JSON=1` (the CLI's `--json`), also write the
-/// [`SNAPSHOT_FILE`] snapshot to the working directory.
+/// The `expt bench` experiment: measure the suite and render a table —
+/// or, with `TRIMGAME_BENCH_JSON=1` (the CLI's `--json`), the JSON
+/// snapshot alone, for `expt bench --json > snapshot.json`.
 #[must_use]
 pub fn bench_report() -> String {
     let warmup = env_millis("TRIMGAME_BENCH_WARMUP_MS", 50);
     let measure = env_millis("TRIMGAME_BENCH_MEASURE_MS", 250);
-    let mut cases = run_cases(warmup, measure);
-    cases.extend(headline_cases(warmup, measure));
+    let cases = run_cases(warmup, measure);
+    let json_requested = std::env::var("TRIMGAME_BENCH_JSON")
+        .map(|v| v == "1" || v.eq_ignore_ascii_case("true"))
+        .unwrap_or(false);
+    if json_requested {
+        return to_json(&cases);
+    }
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -678,19 +552,6 @@ pub fn bench_report() -> String {
     for case in &cases {
         let _ = writeln!(out, "{:<32} {:>12.1} ns/iter", case.name, case.mean_ns);
     }
-    let json_requested = std::env::var("TRIMGAME_BENCH_JSON")
-        .map(|v| v == "1" || v.eq_ignore_ascii_case("true"))
-        .unwrap_or(false);
-    if json_requested {
-        match std::fs::write(SNAPSHOT_FILE, to_json(&cases)) {
-            Ok(()) => {
-                let _ = writeln!(out, "snapshot written to {SNAPSHOT_FILE}");
-            }
-            Err(err) => {
-                let _ = writeln!(out, "snapshot NOT written ({err})");
-            }
-        }
-    }
     out
 }
 
@@ -701,7 +562,7 @@ mod tests {
     #[test]
     fn suite_runs_with_tiny_windows_and_serializes() {
         let cases = run_cases(Duration::from_millis(1), Duration::from_millis(2));
-        assert_eq!(cases.len(), 37);
+        assert_eq!(cases.len(), 29);
         for case in &cases {
             assert!(case.mean_ns > 0.0, "{}: {}", case.name, case.mean_ns);
         }
@@ -711,7 +572,6 @@ mod tests {
         assert_eq!(json.matches(':').count(), cases.len());
         assert!(json.contains("\"trim/absolute_in_place/1000\""));
         assert!(json.contains("\"gk/ingest_batch/100000\""));
-        assert!(json.contains("\"gk/ingest_batches4_warm/10000\""));
         assert!(json.contains("\"frame/encode/256\""));
         assert!(json.contains("\"frame/decode/256\""));
         assert!(json.contains("\"frame/wire_encode/256\""));
@@ -720,12 +580,9 @@ mod tests {
         assert!(json.contains("\"board/hot_suffix_read_tiered/4096\""));
         assert!(json.contains("\"board/cold_scan_tiered/4096\""));
         assert!(json.contains("\"gk/ingest_batch_warm/10000\""));
-        assert!(json.contains("\"gk/ingest_batch_warm_skewed/10000\""));
         assert!(json.contains("\"matrix/solve_to_gap_warm/12\""));
         assert!(json.contains("\"equilibrium/estimate/ml_sketch_smoke\""));
         assert!(json.contains("\"equilibrium/double_oracle/scalar_smoke\""));
-        assert!(json.contains("\"collector/sustained_rounds_per_sec\""));
-        assert!(json.contains("\"collector/ingest_p99\""));
         // No trailing comma before the closing brace.
         assert!(!json.contains(",\n}"));
     }

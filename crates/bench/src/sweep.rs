@@ -4,9 +4,9 @@
 //! games under noise, equilibrium checks — needs *thousands* of seeded
 //! game instances, not one. This module fans a grid of
 //! (scheme × seed × stream shape) cells across `std::thread::scope`
-//! workers, each cell one [`run_game_engine`] call in lean mode (no
-//! per-round kept payloads, scratch-buffer trimming), and aggregates
-//! per-scheme utility statistics.
+//! workers, each cell one lean [`run_game_with_scratch`] call over the
+//! worker's arena (no per-round kept payloads, scratch-buffer trimming),
+//! and aggregates per-scheme utility statistics.
 //!
 //! The work queue is a single atomic cursor over the flattened grid:
 //! workers claim the next cell index until the grid is exhausted, so an
@@ -19,7 +19,7 @@
 
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use trim_core::simulation::{run_game_engine, GameConfig, Scheme};
+use trim_core::simulation::{run_game_with_policies, run_game_with_scratch, GameConfig, Scheme};
 use trimgame_numerics::stats::OnlineStats;
 use trimgame_stream::board::RangedVenue;
 
@@ -144,7 +144,8 @@ pub struct SweepCell {
 fn run_cell(pool: &[f64], grid: &SweepGrid, idx: usize) -> SweepCell {
     let (scheme, seed, shape) = grid.cell(idx);
     let cfg = grid.config(scheme, seed, shape);
-    let out = run_game_engine(pool, &cfg, false);
+    let (defender, adversary) = cfg.policies();
+    let out = run_game_with_policies(pool, &cfg, defender, adversary, None, false);
     SweepCell {
         scheme,
         seed,
@@ -189,16 +190,11 @@ fn run_cell_with(
 ) -> SweepCell {
     let (scheme, seed, shape) = grid.cell(idx);
     let cfg = grid.config(scheme, seed, shape);
-    let baseline_quality = 1.0; // clean batches carry no excess tail mass
-    let defender = cfg.scheme.defender(cfg.tth, baseline_quality, cfg.red);
-    let adversary = cfg
-        .adversary_override
-        .clone()
-        .unwrap_or_else(|| cfg.scheme.adversary(cfg.tth));
-    let run = trim_core::simulation::run_game_with_scratch(
+    let (defender, adversary) = cfg.policies();
+    let run = run_game_with_scratch(
         &cfg,
-        Box::new(defender),
-        Box::new(adversary),
+        defender,
+        adversary,
         board,
         &mut worker.arena,
         &mut worker.scratch,
@@ -642,7 +638,8 @@ mod tests {
         let pool = pool();
         let cells = run_sequential(&pool, &grid);
         let cfg = grid.config(grid.schemes[0], grid.seeds[0], &grid.shapes[0]);
-        let direct = run_game_engine(&pool, &cfg, false);
+        let (defender, adversary) = cfg.policies();
+        let direct = run_game_with_policies(&pool, &cfg, defender, adversary, None, false);
         assert_eq!(
             cells[0].surviving_poison_fraction,
             direct.totals.surviving_poison_fraction()

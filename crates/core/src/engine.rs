@@ -117,9 +117,13 @@ pub(crate) fn provenance_counts(kept_mask: &[bool], n_benign: usize) -> (usize, 
 /// The environment side of one workload: batch generation, poison
 /// materialization, trimming and payoff accounting for a single round.
 ///
-/// Implementations own their scenario state (streams, reference quantile
+/// Implementations hold their scenario state (streams, reference quantile
 /// tables, retained payloads, trim scratch buffers) and are driven by the
-/// [`Engine`], which owns the game-theoretic plumbing.
+/// [`Engine`], which owns the game-theoretic plumbing. The three stock
+/// scenarios keep their reusable state in a worker arena and are generic
+/// over how they hold it (`A: BorrowMut<Arena>`): owned for one-off
+/// recording runs, `&mut` borrowed for payoff-grid cells that replay many
+/// runs on one arena.
 pub trait Scenario {
     /// Executes round `round`'s environment step: materialize the batch
     /// with poison at `injection`, apply the cut at percentile
@@ -508,10 +512,10 @@ impl<S: Scenario> Engine<S> {
     /// randomized defenders — and for those, **every run sharing this
     /// default replays the identical threshold draws**, even across
     /// different main-stream seeds. Repetitions meant to be independent
-    /// must derive a per-run policy seed (as `run_game_with_policies`,
-    /// `collect_poisoned_with` and `run_ldp_collection_with` do from the
-    /// game seed); the constant default exists so deterministic replays
-    /// need no ceremony, not as a sampling scheme.
+    /// must derive a per-run policy seed (as `run_game_with_policies` and
+    /// the three `*_with_scratch` cell paths do from the game seed); the
+    /// constant default exists so deterministic replays need no ceremony,
+    /// not as a sampling scheme.
     pub const DEFAULT_POLICY_SEED: u64 = 0x5452_494D_5052_4E47; // "TRIMPRNG"
 
     /// Builds an engine from the scenario and the paper's closed-roster

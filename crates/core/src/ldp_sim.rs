@@ -31,7 +31,7 @@ use crate::strategy::{DefenderPolicy, ThresholdPolicy};
 use crate::titfortat::TitForTat;
 use rand::rngs::StdRng;
 use rand::Rng;
-use std::borrow::Cow;
+use std::borrow::{BorrowMut, Cow};
 use trimgame_ldp::attack::{Attack, InputManipulation};
 use trimgame_ldp::emf::EmFilter;
 use trimgame_ldp::mechanism::LdpMechanism;
@@ -330,8 +330,7 @@ fn ldp_calibrate_cached(
     params
 }
 
-/// One LDP round, shared by the owned [`LdpScenario`] and the
-/// arena-backed cell: honest privatization, protocol-compliant attack
+/// One LDP round: honest privatization, protocol-compliant attack
 /// reports, quality scoring, and (for trimming defenses) the cut at the
 /// calibration quantile. Returns the report plus this round's debiased
 /// trimmed-mean contribution `(estimate_delta, kept_delta)`; the raw
@@ -434,23 +433,30 @@ fn ldp_round<R: Rng + ?Sized>(
 /// Each round privatizes a fresh honest sample with the Piecewise
 /// Mechanism and appends protocol-compliant input-manipulation reports.
 /// Trimming defenses cut at the calibration quantile of the engine's
-/// threshold percentile and accumulate the *debiased* trimmed mean; the
-/// EMF baseline stores the raw stream for one final EM filtering pass.
+/// threshold percentile; a recording scenario accumulates the *debiased*
+/// trimmed mean, and under the EMF baseline stores the raw stream for one
+/// final EM filtering pass.
+///
+/// The scenario owns its [`LdpArena`] by default; payoff grids lend it a
+/// worker's arena (`A = &mut LdpArena`) through
+/// [`run_ldp_collection_with_scratch`], which records nothing.
 #[derive(Debug, Clone)]
-pub struct LdpScenario<'a> {
+pub struct LdpScenario<'a, A = LdpArena> {
     population: &'a [f64],
     mech: Piecewise,
-    arena: LdpArena,
+    arena: A,
     params: LdpParams,
+    record: bool,
     estimate_sum: f64,
     kept_total: usize,
     all_reports: Vec<f64>,
 }
 
 impl<'a> LdpScenario<'a> {
-    /// Builds the scenario, running the clean calibration round on `rng`
-    /// (the collector knows the honest report distribution shape: the
-    /// mechanism is public and the input prior comes from history).
+    /// Builds a recording scenario, running the clean calibration round
+    /// on `rng` (the collector knows the honest report distribution
+    /// shape: the mechanism is public and the input prior comes from
+    /// history).
     ///
     /// # Panics
     /// Panics if the population is empty or the config is degenerate.
@@ -464,15 +470,7 @@ impl<'a> LdpScenario<'a> {
         let mech = Piecewise::new(cfg.epsilon);
         let mut arena = LdpArena::new();
         let params = ldp_calibrate(population, &mech, defense, cfg, &mut arena.bufs, rng);
-        Self {
-            population,
-            mech,
-            arena,
-            params,
-            estimate_sum: 0.0,
-            kept_total: 0,
-            all_reports: Vec::new(),
-        }
+        Self::over(population, mech, arena, params, true)
     }
 
     /// The weighted debiased trimmed-mean estimate accumulated so far
@@ -499,6 +497,27 @@ impl<'a> LdpScenario<'a> {
     }
 }
 
+impl<'a, A: BorrowMut<LdpArena>> LdpScenario<'a, A> {
+    fn over(
+        population: &'a [f64],
+        mech: Piecewise,
+        arena: A,
+        params: LdpParams,
+        record: bool,
+    ) -> Self {
+        Self {
+            population,
+            mech,
+            arena,
+            params,
+            record,
+            estimate_sum: 0.0,
+            kept_total: 0,
+            all_reports: Vec::new(),
+        }
+    }
+}
+
 /// Maps an engine injection *percentile* to the attacker's counterfeit
 /// *input* on the LDP substrate: the linear image of `[0, 1]` onto the
 /// input domain `[−1, 1]`. The historical fixed attack (`percentile 1.0`)
@@ -512,7 +531,7 @@ pub fn counterfeit_input(injection_percentile: f64) -> f64 {
     2.0 * injection_percentile.clamp(0.0, 1.0) - 1.0
 }
 
-impl Scenario for LdpScenario<'_> {
+impl<A: BorrowMut<LdpArena>> Scenario for LdpScenario<'_, A> {
     fn play_round<R: Rng + ?Sized>(
         &mut self,
         _round: usize,
@@ -520,53 +539,24 @@ impl Scenario for LdpScenario<'_> {
         injection: f64,
         rng: &mut R,
     ) -> RoundReport {
+        let bufs = &mut self.arena.borrow_mut().bufs;
         let (report, estimate_delta, kept_delta) = ldp_round(
             self.population,
             &self.mech,
             &self.params,
-            &mut self.arena.bufs,
+            bufs,
             threshold,
             injection,
             rng,
         );
-        self.estimate_sum += estimate_delta;
-        self.kept_total += kept_delta;
-        if !self.params.trims {
-            self.all_reports.extend_from_slice(&self.arena.bufs.reports);
+        if self.record {
+            self.estimate_sum += estimate_delta;
+            self.kept_total += kept_delta;
+            if !self.params.trims {
+                self.all_reports.extend_from_slice(&bufs.reports);
+            }
         }
         report
-    }
-}
-
-/// The arena-backed LDP cell: one seeded run borrowing a worker's
-/// [`LdpArena`], with no raw-report retention or estimate accumulation —
-/// the payoff-grid cell shape.
-#[derive(Debug)]
-struct LdpCell<'a> {
-    population: &'a [f64],
-    mech: Piecewise,
-    arena: &'a mut LdpArena,
-    params: LdpParams,
-}
-
-impl Scenario for LdpCell<'_> {
-    fn play_round<R: Rng + ?Sized>(
-        &mut self,
-        _round: usize,
-        threshold: f64,
-        injection: f64,
-        rng: &mut R,
-    ) -> RoundReport {
-        ldp_round(
-            self.population,
-            &self.mech,
-            &self.params,
-            &mut self.arena.bufs,
-            threshold,
-            injection,
-            rng,
-        )
-        .0
     }
 }
 
@@ -587,46 +577,24 @@ pub fn ldp_defender(defense: LdpDefense, cfg: &LdpSimConfig) -> DefenderPolicy {
     }
 }
 
-/// Runs one repetition of the collection under `defense` and returns the
-/// final mean estimate.
+/// Runs one repetition of the collection under `defense` against the
+/// historical attack position (counterfeit input `+1`, every round) and
+/// returns the final mean estimate: the debiased trimmed mean, or the EM
+/// filter's mean under [`LdpDefense::Emf`].
 ///
 /// # Panics
 /// Panics if the population is empty or config degenerate.
 #[must_use]
 pub fn run_ldp_collection(population: &[f64], defense: LdpDefense, cfg: &LdpSimConfig) -> f64 {
-    let defender = ldp_defender(defense, cfg);
-    run_ldp_collection_with(population, defense, cfg, Box::new(defender), None)
-}
-
-/// Runs the collection with an arbitrary boxed trimming policy (e.g. a
-/// [`crate::strategy::RandomizedDefender`] mixing over report-percentile
-/// thresholds) in place of the roster defender; `defense` still selects
-/// the estimator path (trimmed mean vs EMF). Pass `board` to share a
-/// [`RangedBoard`](trimgame_stream::board::RangedBoard) an outside
-/// observer (or a board-driven policy) already holds a clone of. The
-/// defender sub-stream is seeded from `cfg.seed` via
-/// [`POLICY_SEED_STREAM`].
-///
-/// # Panics
-/// Panics if the population is empty or config degenerate.
-#[must_use]
-pub fn run_ldp_collection_with(
-    population: &[f64],
-    defense: LdpDefense,
-    cfg: &LdpSimConfig,
-    defender: Box<dyn ThresholdPolicy>,
-    board: Option<trimgame_stream::board::RangedBoard>,
-) -> f64 {
-    // The historical attack position: counterfeit input +1, every round.
-    let adversary = AdversaryPolicy::Fixed { percentile: 1.0 };
-    let out = run_ldp_collection_outcome(
-        population,
-        defense,
-        cfg,
-        defender,
-        Box::new(adversary),
-        board,
-    );
+    let mut rng = seeded_rng(cfg.seed);
+    let scenario = LdpScenario::new(population, defense, cfg, &mut rng);
+    let out = Engine::new(
+        scenario,
+        ldp_defender(defense, cfg),
+        AdversaryPolicy::Fixed { percentile: 1.0 },
+    )
+    .with_policy_seed(derive_seed(cfg.seed, POLICY_SEED_STREAM))
+    .run(cfg.rounds, &mut rng);
     match defense {
         LdpDefense::Emf => {
             let beta = cfg.attack_ratio / (1.0 + cfg.attack_ratio);
@@ -637,49 +605,23 @@ pub fn run_ldp_collection_with(
     }
 }
 
-/// Runs the collection with arbitrary boxed policies on *both* sides and
-/// returns the raw [`EngineOutcome`](crate::engine::EngineOutcome) —
-/// utility trajectories, totals, board and the scenario with its
-/// accumulated estimate. The attacker's injection percentile maps to a
+/// The allocation-free LDP run: one seeded collection with arbitrary
+/// boxed policies on *both* sides over the worker-owned [`LdpArena`]
+/// (calibration table, prefix sums, report and trim buffers) recording
+/// into the reusable [`EngineScratch`](crate::engine::EngineScratch) — the
+/// LDP payoff-grid cell path. No raw-report retention and no
+/// trimmed-mean estimate; the attacker's injection percentile maps to a
 /// counterfeit input through [`counterfeit_input`], so mixed and learning
-/// attackers play a real position game on the report stream. This is the
-/// entry point the substrate-generic equilibrium estimator drives; the
-/// collector's per-round loss is `−u_c / rounds`, as on the other
-/// substrates.
+/// attackers play a real position game on the report stream. Pass `board`
+/// to share a [`RangedBoard`](trimgame_stream::board::RangedBoard) an
+/// outside observer (or a board-driven policy) already holds a clone of.
+/// The defender sub-stream is seeded from `cfg.seed` via
+/// [`POLICY_SEED_STREAM`].
 ///
 /// # Panics
 /// Panics if the population is empty or config degenerate.
 #[must_use]
-pub fn run_ldp_collection_outcome<'a>(
-    population: &'a [f64],
-    defense: LdpDefense,
-    cfg: &LdpSimConfig,
-    defender: Box<dyn ThresholdPolicy>,
-    adversary: Box<dyn crate::adversary::AttackPolicy>,
-    board: Option<trimgame_stream::board::RangedBoard>,
-) -> crate::engine::EngineOutcome<LdpScenario<'a>> {
-    let mut rng = seeded_rng(cfg.seed);
-    let scenario = LdpScenario::new(population, defense, cfg, &mut rng);
-    let mut engine = Engine::with_policies(scenario, defender, adversary)
-        .with_policy_seed(derive_seed(cfg.seed, POLICY_SEED_STREAM));
-    if let Some(board) = board {
-        engine = engine.with_board(board);
-    }
-    engine.run(cfg.rounds, &mut rng)
-}
-
-/// The allocation-free LDP run: one seeded collection over the
-/// worker-owned [`LdpArena`] (calibration table, prefix sums, report and
-/// trim buffers) recording into the reusable
-/// [`EngineScratch`](crate::engine::EngineScratch). No raw-report
-/// retention and no trimmed-mean estimate — trajectory finals and totals
-/// are bit-identical to [`run_ldp_collection_outcome`], the LDP
-/// payoff-grid cell path.
-///
-/// # Panics
-/// Panics if the population is empty or config degenerate.
-#[must_use]
-#[allow(clippy::too_many_arguments)] // one arg per game ingredient, like the outcome entry point
+#[allow(clippy::too_many_arguments)] // one arg per game ingredient, like the other cell paths
 pub fn run_ldp_collection_with_scratch(
     population: &[f64],
     defense: LdpDefense,
@@ -693,13 +635,8 @@ pub fn run_ldp_collection_with_scratch(
     let mut rng = seeded_rng(cfg.seed);
     let mech = Piecewise::new(cfg.epsilon);
     let params = ldp_calibrate_cached(population, &mech, defense, cfg, arena, &mut rng);
-    let cell = LdpCell {
-        population,
-        mech,
-        arena,
-        params,
-    };
-    let mut engine = Engine::with_policies(cell, defender, adversary)
+    let scenario = LdpScenario::over(population, mech, arena, params, false);
+    let mut engine = Engine::with_policies(scenario, defender, adversary)
         .with_policy_seed(derive_seed(cfg.seed, POLICY_SEED_STREAM));
     if let Some(board) = board {
         engine = engine.with_board(board);
@@ -758,6 +695,22 @@ mod tests {
             .collect()
     }
 
+    /// One recording Tit-for-tat engine run with arbitrary boxed
+    /// policies, seeded as [`run_ldp_collection_with_scratch`] seeds its
+    /// lean run.
+    fn run_recording<'a>(
+        pop: &'a [f64],
+        cfg: &LdpSimConfig,
+        defender: Box<dyn ThresholdPolicy>,
+        adversary: Box<dyn crate::adversary::AttackPolicy>,
+    ) -> crate::engine::EngineOutcome<LdpScenario<'a>> {
+        let mut rng = seeded_rng(cfg.seed);
+        let scenario = LdpScenario::new(pop, LdpDefense::TitForTat, cfg, &mut rng);
+        Engine::with_policies(scenario, defender, adversary)
+            .with_policy_seed(derive_seed(cfg.seed, POLICY_SEED_STREAM))
+            .run(cfg.rounds, &mut rng)
+    }
+
     #[test]
     fn roster_matches_legend() {
         let names: Vec<_> = LdpDefense::roster().iter().map(LdpDefense::name).collect();
@@ -795,7 +748,7 @@ mod tests {
                 )
             };
             let (d, a) = policies();
-            let owned = run_ldp_collection_outcome(&pop, LdpDefense::TitForTat, &cfg, d, a, None);
+            let owned = run_recording(&pop, &cfg, d, a);
             let (d, a) = policies();
             let lean = run_ldp_collection_with_scratch(
                 &pop,
@@ -1024,8 +977,13 @@ mod tests {
             Box::new(RandomizedDefender::new(&[cfg.hard, cfg.soft], &[0.5, 0.5]).unwrap())
                 as Box<dyn ThresholdPolicy>
         };
-        let a = run_ldp_collection_with(&pop, LdpDefense::TitForTat, &cfg, mixed(), None);
-        let b = run_ldp_collection_with(&pop, LdpDefense::TitForTat, &cfg, mixed(), None);
+        let estimate = || {
+            let attack = Box::new(AdversaryPolicy::Fixed { percentile: 1.0 });
+            run_recording(&pop, &cfg, mixed(), attack)
+                .scenario
+                .trimmed_estimate()
+        };
+        let (a, b) = (estimate(), estimate());
         assert_eq!(a, b, "randomized runs must replay under a fixed seed");
         assert!(a.is_finite());
         // The mixed trim stays within the domain of sane estimates.

@@ -13,11 +13,10 @@
 //! [`crate::simulation`]; this module adds the geometry, the retained
 //! training set, and the three learners' metrics.
 
-use crate::engine::{
-    provenance_counts, Engine, EngineOutcome, EngineTotals, RoundReport, Scenario,
-};
+use crate::engine::{provenance_counts, Engine, EngineTotals, RoundReport, Scenario};
 use crate::simulation::Scheme;
 use rand::Rng;
+use std::borrow::BorrowMut;
 use trimgame_datasets::Dataset;
 use trimgame_ml::kmeans::{KMeans, KMeansConfig};
 use trimgame_ml::som::{Som, SomConfig};
@@ -265,12 +264,10 @@ impl MlParams {
     }
 }
 
-/// One ML round, shared by the owned [`MlScenario`] and the arena-backed
-/// cell of [`collect_poisoned_with_scratch`]: benign sample into the flat
-/// batch matrix, the colluding Sybil point mass at the injection score
-/// percentile, score trimming at the cut, payoff accounting. The batch
-/// matrix, labels, provenance and kept mask are left in `bufs` for
-/// callers that record retained rows.
+/// One ML round: benign sample into the flat batch matrix, the colluding
+/// Sybil point mass at the injection score percentile, score trimming at
+/// the cut, payoff accounting. The batch matrix, labels, provenance and
+/// kept mask are left in `bufs` for a recording scenario.
 #[allow(clippy::too_many_arguments)] // one arg per game ingredient, like the LDP round
 fn ml_round<R: Rng + ?Sized>(
     data: &Dataset,
@@ -390,13 +387,19 @@ fn ml_round<R: Rng + ?Sized>(
 /// anomaly score is its Euclidean distance to the nearest clean centroid,
 /// and both the trimming cut and the injection distance resolve
 /// percentiles against the clean score distribution (the public quality
-/// standard). The retained rows accumulate into the training set the
-/// learners consume.
+/// standard). A recording scenario accumulates the retained rows into the
+/// training set the learners consume; a lean one ([`MlScenario::lean`])
+/// keeps none.
+///
+/// The scenario owns its [`MlArena`] by default; payoff grids lend it a
+/// worker's arena (`A = &mut MlArena`) through
+/// [`collect_poisoned_with_scratch`] instead.
 #[derive(Debug, Clone)]
-pub struct MlScenario<'a> {
+pub struct MlScenario<'a, A = MlArena> {
     data: &'a Dataset,
-    arena: MlArena,
+    arena: A,
     params: MlParams,
+    record: bool,
     rows: Vec<Vec<f64>>,
     labels: Vec<usize>,
     is_poison: Vec<bool>,
@@ -404,7 +407,8 @@ pub struct MlScenario<'a> {
 
 impl<'a> MlScenario<'a> {
     /// Builds the scenario over the clean dataset (fits the clean model;
-    /// see [`MlScenario::with_arena`] to share a fitted one).
+    /// see [`MlScenario::with_arena`] to share a fitted one), recording
+    /// the retained rows.
     ///
     /// # Panics
     /// Panics if the dataset is unlabelled or smaller than two rows.
@@ -413,25 +417,27 @@ impl<'a> MlScenario<'a> {
         Self::with_arena(data, MlArena::new(data), cfg)
     }
 
-    /// Builds the scenario over a pre-fitted arena (the model must have
-    /// been fitted on `data`).
+    /// Builds the scenario over `data` without retaining any rows — the
+    /// lean mode for streams where only the engine's totals and utility
+    /// trajectories are read.
+    ///
+    /// # Panics
+    /// Panics if the dataset is unlabelled or smaller than two rows.
     #[must_use]
-    pub fn with_arena(data: &'a Dataset, mut arena: MlArena, cfg: &MlSimConfig) -> Self {
-        let params = MlParams::new(&arena.model, data, cfg);
-        arena.ensure_sketch(cfg.sketch_epsilon);
-        Self {
-            data,
-            arena,
-            params,
-            rows: Vec::new(),
-            labels: Vec::new(),
-            is_poison: Vec::new(),
-        }
+    pub fn lean(data: &'a Dataset, cfg: &MlSimConfig) -> Self {
+        Self::over(data, MlArena::new(data), cfg, false)
     }
 
-    /// Converts the accumulated retained rows into a [`CollectedSet`] for
-    /// `scheme`, taking the received/trimmed counts from the engine run's
-    /// [`EngineTotals`].
+    /// Builds a recording scenario over a pre-fitted arena (the model
+    /// must have been fitted on `data`).
+    #[must_use]
+    pub fn with_arena(data: &'a Dataset, arena: MlArena, cfg: &MlSimConfig) -> Self {
+        Self::over(data, arena, cfg, true)
+    }
+
+    /// Converts the accumulated retained rows of a recording scenario
+    /// into a [`CollectedSet`] for `scheme`, taking the received/trimmed
+    /// counts from the engine run's [`EngineTotals`].
     #[must_use]
     pub fn into_collected(self, scheme: Scheme, totals: &EngineTotals) -> CollectedSet {
         let retained = Dataset::from_rows(
@@ -455,7 +461,24 @@ impl<'a> MlScenario<'a> {
     }
 }
 
-impl Scenario for MlScenario<'_> {
+impl<'a, A: BorrowMut<MlArena>> MlScenario<'a, A> {
+    fn over(data: &'a Dataset, mut arena: A, cfg: &MlSimConfig, record: bool) -> Self {
+        let shared = arena.borrow_mut();
+        shared.ensure_sketch(cfg.sketch_epsilon);
+        let params = MlParams::new(&shared.model, data, cfg);
+        Self {
+            data,
+            arena,
+            params,
+            record,
+            rows: Vec::new(),
+            labels: Vec::new(),
+            is_poison: Vec::new(),
+        }
+    }
+}
+
+impl<A: BorrowMut<MlArena>> Scenario for MlScenario<'_, A> {
     fn play_round<R: Rng + ?Sized>(
         &mut self,
         _round: usize,
@@ -463,7 +486,7 @@ impl Scenario for MlScenario<'_> {
         injection: f64,
         rng: &mut R,
     ) -> RoundReport {
-        let arena = &mut self.arena;
+        let arena = self.arena.borrow_mut();
         let report = ml_round(
             self.data,
             &arena.model,
@@ -474,49 +497,19 @@ impl Scenario for MlScenario<'_> {
             injection,
             rng,
         );
-        // Accumulate the retained training set.
-        let bufs = &self.arena.bufs;
-        let cols = self.data.cols();
-        for (i, keep) in bufs.trim.kept_mask().iter().enumerate() {
-            if *keep {
-                self.rows.push(bufs.rows[i * cols..(i + 1) * cols].to_vec());
-                self.labels.push(bufs.labels[i]);
-                self.is_poison.push(bufs.is_poison[i]);
+        if self.record {
+            // Accumulate the retained training set.
+            let bufs = &self.arena.borrow().bufs;
+            let cols = self.data.cols();
+            for (i, keep) in bufs.trim.kept_mask().iter().enumerate() {
+                if *keep {
+                    self.rows.push(bufs.rows[i * cols..(i + 1) * cols].to_vec());
+                    self.labels.push(bufs.labels[i]);
+                    self.is_poison.push(bufs.is_poison[i]);
+                }
             }
         }
         report
-    }
-}
-
-/// The arena-backed ML cell: one seeded run borrowing a worker's
-/// [`MlArena`], with no retained-set accumulation — the payoff-grid cell
-/// shape.
-#[derive(Debug)]
-struct MlCell<'a> {
-    data: &'a Dataset,
-    arena: &'a mut MlArena,
-    params: MlParams,
-}
-
-impl Scenario for MlCell<'_> {
-    fn play_round<R: Rng + ?Sized>(
-        &mut self,
-        _round: usize,
-        threshold: f64,
-        injection: f64,
-        rng: &mut R,
-    ) -> RoundReport {
-        let arena = &mut *self.arena;
-        ml_round(
-            self.data,
-            &arena.model,
-            &self.params,
-            &mut arena.bufs,
-            arena.sketch.as_ref().map(|(_, s)| s),
-            threshold,
-            injection,
-            rng,
-        )
     }
 }
 
@@ -560,68 +553,19 @@ pub fn collect_poisoned_with_model(
     out.scenario.into_collected(cfg.scheme, &out.totals)
 }
 
-/// Runs the poisoned collection with arbitrary boxed policies — randomized
-/// defenders and board-driven attackers play the feature-vector game
-/// exactly as the closed roster does (the anomaly-score substrate is
-/// unchanged; only the position dynamics differ). Pass `board` to share a
+/// The allocation-free ML run: one seeded collection with arbitrary
+/// boxed policies over the worker-owned [`MlArena`] (shared fitted model
+/// and round buffers), recording into the reusable
+/// [`EngineScratch`](crate::engine::EngineScratch) and retaining no rows —
+/// the ML payoff-grid cell path. Randomized defenders and board-driven
+/// attackers play the feature-vector game exactly as the closed roster
+/// does. Pass `board` to share a
 /// [`RangedBoard`](trimgame_stream::board::RangedBoard) the attacker
 /// already holds a clone of (an
 /// [`AdaptiveAttacker`](crate::adversary::AdaptiveAttacker) without it
-/// reads an empty history and degenerates to its fallback). `cfg.scheme`
-/// still labels the resulting [`CollectedSet`]. The defender sub-stream
-/// is seeded from `cfg.seed` via
+/// reads an empty history and degenerates to its fallback). The defender
+/// sub-stream is seeded from `cfg.seed` via
 /// [`POLICY_SEED_STREAM`](crate::simulation::POLICY_SEED_STREAM).
-///
-/// # Panics
-/// Panics if the dataset is unlabelled or smaller than the batch size.
-#[must_use]
-pub fn collect_poisoned_with(
-    data: &Dataset,
-    cfg: &MlSimConfig,
-    defender: Box<dyn crate::strategy::ThresholdPolicy>,
-    adversary: Box<dyn crate::adversary::AttackPolicy>,
-    board: Option<trimgame_stream::board::RangedBoard>,
-) -> CollectedSet {
-    let out = collect_poisoned_outcome(data, cfg, defender, adversary, board);
-    out.scenario.into_collected(cfg.scheme, &out.totals)
-}
-
-/// Runs the poisoned collection and returns the raw
-/// [`EngineOutcome`] — utility trajectories, totals, board and the
-/// scenario with its retained payload. This is the entry point the
-/// substrate-generic equilibrium estimator plays the feature-vector game
-/// through: the collector's per-round loss is `−u_c / rounds`, exactly as
-/// on the scalar substrate. Use
-/// [`MlScenario::into_collected`] on the result to recover a
-/// [`CollectedSet`].
-///
-/// # Panics
-/// Panics if the dataset is unlabelled or smaller than the batch size.
-#[must_use]
-pub fn collect_poisoned_outcome<'a>(
-    data: &'a Dataset,
-    cfg: &MlSimConfig,
-    defender: Box<dyn crate::strategy::ThresholdPolicy>,
-    adversary: Box<dyn crate::adversary::AttackPolicy>,
-    board: Option<trimgame_stream::board::RangedBoard>,
-) -> EngineOutcome<MlScenario<'a>> {
-    let mut rng = seeded_rng(cfg.seed);
-    let scenario = MlScenario::new(data, cfg);
-    let mut engine = Engine::with_policies(scenario, defender, adversary).with_policy_seed(
-        trimgame_numerics::rand_ext::derive_seed(cfg.seed, crate::simulation::POLICY_SEED_STREAM),
-    );
-    if let Some(board) = board {
-        engine = engine.with_board(board);
-    }
-    engine.run(cfg.rounds, &mut rng)
-}
-
-/// The allocation-free ML run: one seeded collection over the
-/// worker-owned [`MlArena`] (shared fitted model + round buffers)
-/// recording into the reusable
-/// [`EngineScratch`](crate::engine::EngineScratch). No retained-set
-/// accumulation; trajectory finals and totals are bit-identical to
-/// [`collect_poisoned_outcome`] — the ML payoff-grid cell path.
 ///
 /// # Panics
 /// Panics if the arena's model does not match `data` or the config is
@@ -637,14 +581,8 @@ pub fn collect_poisoned_with_scratch(
     scratch: &mut crate::engine::EngineScratch,
 ) -> crate::engine::EngineRun {
     let mut rng = seeded_rng(cfg.seed);
-    let params = MlParams::new(&arena.model, data, cfg);
-    arena.ensure_sketch(cfg.sketch_epsilon);
-    let cell = MlCell {
-        data,
-        arena,
-        params,
-    };
-    let mut engine = Engine::with_policies(cell, defender, adversary).with_policy_seed(
+    let scenario = MlScenario::over(data, arena, cfg, false);
+    let mut engine = Engine::with_policies(scenario, defender, adversary).with_policy_seed(
         trimgame_numerics::rand_ext::derive_seed(cfg.seed, crate::simulation::POLICY_SEED_STREAM),
     );
     if let Some(board) = board {
@@ -750,6 +688,23 @@ mod tests {
         }
     }
 
+    /// One recording engine run with arbitrary boxed policies, seeded as
+    /// [`collect_poisoned_with_scratch`] seeds its lean run.
+    fn run_recording<'a>(
+        data: &'a Dataset,
+        cfg: &MlSimConfig,
+        defender: Box<dyn crate::strategy::ThresholdPolicy>,
+        adversary: Box<dyn crate::adversary::AttackPolicy>,
+    ) -> crate::engine::EngineOutcome<MlScenario<'a>> {
+        let policy_seed = trimgame_numerics::rand_ext::derive_seed(
+            cfg.seed,
+            crate::simulation::POLICY_SEED_STREAM,
+        );
+        Engine::with_policies(MlScenario::new(data, cfg), defender, adversary)
+            .with_policy_seed(policy_seed)
+            .run(cfg.rounds, &mut seeded_rng(cfg.seed))
+    }
+
     #[test]
     fn ostrich_retains_all_poison() {
         let data = blobs(1);
@@ -834,13 +789,13 @@ mod tests {
         let data = blobs(8);
         let cfg = small_cfg(Scheme::Baseline09, 0.3);
         let run_once = || {
-            collect_poisoned_with(
+            let out = run_recording(
                 &data,
                 &cfg,
                 Box::new(RandomizedDefender::new(&[0.85, 0.95], &[0.5, 0.5]).unwrap()),
                 Box::new(cfg.scheme.adversary(cfg.tth)),
-                None,
-            )
+            );
+            out.scenario.into_collected(cfg.scheme, &out.totals)
         };
         let a = run_once();
         let b = run_once();
@@ -884,7 +839,7 @@ mod tests {
                 )
             };
             let (d, a) = policies();
-            let owned = collect_poisoned_outcome(&data, &cfg, d, a, None);
+            let owned = run_recording(&data, &cfg, d, a);
             let (d, a) = policies();
             let lean =
                 collect_poisoned_with_scratch(&data, &cfg, d, a, None, &mut arena, &mut scratch);
@@ -905,23 +860,28 @@ mod tests {
         // exact path grants only interpolation slack. Mirrors the scalar
         // substrate's contract.
         use crate::adversary::AdversaryPolicy;
+        use crate::engine::EngineScratch;
         use crate::strategy::DefenderPolicy;
         let data = blobs(12);
+        let mut arena = MlArena::new(&data);
+        let mut scratch = EngineScratch::new();
         let tth = 0.9;
         let eps = 0.02;
-        let margin_of = |sketch_epsilon: Option<f64>| -> f64 {
+        let mut margin_of = |sketch_epsilon: Option<f64>| -> f64 {
             let mut extra: f64 = 0.0;
             let mut a = tth;
             while a <= tth + 2.5 * eps {
                 let mut cfg = small_cfg(Scheme::BaselineStatic, 0.2);
                 cfg.rounds = 1;
                 cfg.sketch_epsilon = sketch_epsilon;
-                let out = collect_poisoned_outcome(
+                let out = collect_poisoned_with_scratch(
                     &data,
                     &cfg,
                     Box::new(DefenderPolicy::Fixed { tth }),
                     Box::new(AdversaryPolicy::Fixed { percentile: a }),
                     None,
+                    &mut arena,
+                    &mut scratch,
                 );
                 assert!(out.totals.poison_received > 0);
                 if out.totals.poison_survived == out.totals.poison_received {
@@ -950,17 +910,58 @@ mod tests {
         let cfg = small_cfg(Scheme::Baseline09, 0.3);
         let board = RangedBoard::unbounded();
         let attacker = AdaptiveAttacker::new(board.clone(), 0.01, 0.99);
-        let set = collect_poisoned_with(
+        let run = collect_poisoned_with_scratch(
             &data,
             &cfg,
             Box::new(DefenderPolicy::Fixed { tth: cfg.tth }),
             Box::new(attacker),
             Some(board.clone()),
+            &mut MlArena::new(&data),
+            &mut crate::engine::EngineScratch::new(),
         );
         // The engine posted every round onto the shared board...
         assert_eq!(board.len(), cfg.rounds);
         // ...so after the fallback opener the attacker rode just below the
         // fixed cut and its poison survived (Fixed keeps score <= cut).
-        assert!(set.poison_survived > 0);
+        assert!(run.totals.poison_survived > 0);
+    }
+
+    #[test]
+    fn lean_scenario_plays_the_recording_game_and_keeps_no_rows() {
+        // The collector's ML streams run lean: stepped round by round,
+        // a lean scenario must play the recording scenario's game bit for
+        // bit while retaining nothing.
+        use crate::engine::EngineStepper;
+        let data = blobs(10);
+        let cfg = small_cfg(Scheme::TitForTat, 0.3);
+        fn drive<'a>(
+            scenario: MlScenario<'a>,
+            cfg: &MlSimConfig,
+        ) -> (crate::engine::EngineRun, MlScenario<'a>) {
+            let mut stepper = EngineStepper::with_policy_seed(
+                scenario,
+                Box::new(cfg.scheme.defender(cfg.tth, 1.0, cfg.red)),
+                Box::new(cfg.scheme.adversary(cfg.tth)),
+                17,
+            );
+            let mut rng = seeded_rng(cfg.seed);
+            for _ in 0..cfg.rounds {
+                let _ = stepper.step(&mut rng);
+            }
+            let (run, scenario, _, _) = stepper.into_parts();
+            (run, scenario)
+        }
+        let (lean_run, lean) = drive(MlScenario::lean(&data, &cfg), &cfg);
+        let (full_run, full) = drive(MlScenario::new(&data, &cfg), &cfg);
+        assert_eq!(lean_run, full_run);
+        assert!(lean.rows.is_empty());
+        assert!(lean.labels.is_empty());
+        assert!(lean.is_poison.is_empty());
+        let set = full.into_collected(cfg.scheme, &full_run.totals);
+        assert!(set.retained.rows() > 0);
+        assert_eq!(
+            set.retained.rows(),
+            full_run.totals.received - full_run.totals.trimmed
+        );
     }
 }

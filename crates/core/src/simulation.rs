@@ -20,7 +20,7 @@ use crate::engine::{
 use crate::lagrange::UtilityTrajectory;
 use crate::strategy::{DefenderPolicy, ThresholdPolicy};
 use rand::Rng;
-use std::borrow::Cow;
+use std::borrow::{BorrowMut, Cow};
 use trimgame_datasets::poison::{InjectionPosition, PoisonSpec};
 use trimgame_datasets::stream::RoundStream;
 use trimgame_numerics::quantile::{ecdf, percentile_sorted, Interpolation};
@@ -143,6 +143,19 @@ impl GameConfig {
             adversary_override: None,
             sketch_epsilon: None,
         }
+    }
+
+    /// The scheme's roster policies around `tth` — its defender, and its
+    /// adversary unless [`GameConfig::adversary_override`] replaces it.
+    #[must_use]
+    pub fn policies(&self) -> (Box<dyn ThresholdPolicy>, Box<dyn AttackPolicy>) {
+        let baseline_quality = 1.0; // clean batches carry no excess tail mass
+        let defender = self.scheme.defender(self.tth, baseline_quality, self.red);
+        let adversary = self
+            .adversary_override
+            .clone()
+            .unwrap_or_else(|| self.scheme.adversary(self.tth));
+        (Box::new(defender), Box::new(adversary))
     }
 }
 
@@ -294,12 +307,11 @@ impl ScalarParams {
     }
 }
 
-/// One scalar round, shared verbatim by the owned [`ScalarScenario`] and
-/// the arena-backed cell of [`run_game_with_scratch`]: benign sample
-/// (draws identical to `RoundStream::next_round`), poison injection at
-/// the reference value of the injection percentile, quality scoring,
-/// in-place trim at the cut, payoff accounting. The kept values/mask are
-/// left in `bufs.trim` for callers that record them.
+/// One scalar round: benign sample (draws identical to
+/// `RoundStream::next_round`), poison injection at the reference value
+/// of the injection percentile, quality scoring, in-place trim at the
+/// cut, payoff accounting. The kept values/mask are left in `bufs.trim`
+/// for a recording scenario.
 #[allow(clippy::too_many_arguments)]
 fn scalar_round<R: Rng + ?Sized>(
     pool: &[f64],
@@ -382,12 +394,12 @@ fn sketch_source(pool: &[f64], config: &GameConfig) -> Option<SketchThreshold> {
 /// possibly contaminated batch — otherwise a colluding point mass could
 /// drag the batch percentile onto itself and ride out any cut.
 ///
-/// This owned form carries its own [`ScalarArena`]; sweeps and payoff
-/// grids that play many runs per pool reuse one arena through
-/// [`run_game_with_scratch`] instead.
+/// The scenario owns its [`ScalarArena`] by default; sweeps and payoff
+/// grids that play many runs per pool lend it a worker's arena
+/// (`A = &mut ScalarArena`) through [`run_game_with_scratch`] instead.
 #[derive(Debug, Clone)]
-pub struct ScalarScenario {
-    arena: ScalarArena,
+pub struct ScalarScenario<A = ScalarArena> {
+    arena: A,
     params: ScalarParams,
     record_kept: bool,
     /// GK summary of the clean pool when `GameConfig::sketch_epsilon` is
@@ -407,7 +419,7 @@ impl ScalarScenario {
     /// Panics if the pool is empty or contains NaN.
     #[must_use]
     pub fn new(pool: &[f64], config: &GameConfig) -> Self {
-        Self::build(pool, config, true)
+        Self::over(ScalarArena::new(pool), config, true)
     }
 
     /// Builds the scenario without retaining per-round kept values — the
@@ -418,12 +430,16 @@ impl ScalarScenario {
     /// Panics if the pool is empty or contains NaN.
     #[must_use]
     pub fn lean(pool: &[f64], config: &GameConfig) -> Self {
-        Self::build(pool, config, false)
+        Self::over(ScalarArena::new(pool), config, false)
     }
+}
 
-    fn build(pool: &[f64], config: &GameConfig, record_kept: bool) -> Self {
-        let arena = ScalarArena::new(pool);
-        let params = ScalarParams::new(&arena.sorted_pool, config);
+impl<A: BorrowMut<ScalarArena>> ScalarScenario<A> {
+    fn over(arena: A, config: &GameConfig, record_kept: bool) -> Self {
+        let ScalarArena {
+            pool, sorted_pool, ..
+        } = arena.borrow();
+        let params = ScalarParams::new(sorted_pool, config);
         let sketch = sketch_source(pool, config);
         Self {
             arena,
@@ -436,7 +452,7 @@ impl ScalarScenario {
     }
 }
 
-impl Scenario for ScalarScenario {
+impl<A: BorrowMut<ScalarArena>> Scenario for ScalarScenario<A> {
     fn play_round<R: Rng + ?Sized>(
         &mut self,
         round: usize,
@@ -448,7 +464,7 @@ impl Scenario for ScalarScenario {
             pool,
             sorted_pool,
             bufs,
-        } = &mut self.arena;
+        } = self.arena.borrow_mut();
         let report = scalar_round(
             pool,
             sorted_pool,
@@ -476,85 +492,6 @@ impl Scenario for ScalarScenario {
     }
 }
 
-/// The arena-backed scalar cell: one seeded run borrowing a worker's
-/// [`ScalarArena`], so back-to-back runs share every buffer and the
-/// sorted reference table.
-#[derive(Debug)]
-struct ScalarCell<'a> {
-    arena: &'a mut ScalarArena,
-    params: ScalarParams,
-    sketch: Option<SketchThreshold>,
-}
-
-impl<'a> ScalarCell<'a> {
-    fn new(arena: &'a mut ScalarArena, config: &GameConfig) -> Self {
-        let params = ScalarParams::new(&arena.sorted_pool, config);
-        let sketch = sketch_source(&arena.pool, config);
-        Self {
-            arena,
-            params,
-            sketch,
-        }
-    }
-}
-
-impl Scenario for ScalarCell<'_> {
-    fn play_round<R: Rng + ?Sized>(
-        &mut self,
-        _round: usize,
-        threshold: f64,
-        injection: f64,
-        rng: &mut R,
-    ) -> RoundReport {
-        let ScalarArena {
-            pool,
-            sorted_pool,
-            bufs,
-        } = &mut *self.arena;
-        scalar_round(
-            pool,
-            sorted_pool,
-            self.sketch.as_ref(),
-            &self.params,
-            bufs,
-            threshold,
-            injection,
-            rng,
-        )
-    }
-}
-
-/// Drives one scalar game through the unified engine and returns the raw
-/// [`EngineOutcome`] — the lean entry point for sweeps and custom
-/// aggregation. Set `record_kept` to also keep per-round retained values
-/// in the scenario.
-///
-/// # Panics
-/// Panics if the pool is empty or the configuration is degenerate.
-#[must_use]
-pub fn run_game_engine(
-    pool: &[f64],
-    config: &GameConfig,
-    record_kept: bool,
-) -> EngineOutcome<ScalarScenario> {
-    let baseline_quality = 1.0; // clean batches carry no excess tail mass
-    let defender = config
-        .scheme
-        .defender(config.tth, baseline_quality, config.red);
-    let adversary = config
-        .adversary_override
-        .clone()
-        .unwrap_or_else(|| config.scheme.adversary(config.tth));
-    run_game_with_policies(
-        pool,
-        config,
-        Box::new(defender),
-        Box::new(adversary),
-        None,
-        record_kept,
-    )
-}
-
 /// The stream index the scalar game derives its defender policy sub-seed
 /// from: `policy_seed = derive_seed(config.seed, POLICY_SEED_STREAM)`.
 /// Deterministic policies never read the sub-stream, so this only matters
@@ -566,10 +503,12 @@ pub const POLICY_SEED_STREAM: u64 = 0x504F_4C49_4359; // "POLICY"
 /// Drives one scalar game through the unified engine with arbitrary boxed
 /// policies — the entry point for [`crate::strategy::RandomizedDefender`],
 /// [`crate::adversary::AdaptiveAttacker`] and downstream custom
-/// strategies. Pass `board` to share a
+/// strategies (pass [`GameConfig::policies`] for the scheme's own pair).
+/// Pass `board` to share a
 /// [`RangedBoard`](trimgame_stream::board::RangedBoard) the attacker
 /// already holds a clone of. The defender sub-stream is seeded from
-/// `config.seed` via [`POLICY_SEED_STREAM`].
+/// `config.seed` via [`POLICY_SEED_STREAM`]. Set `record_kept` to also
+/// keep per-round retained values in the scenario.
 ///
 /// # Panics
 /// Panics if the pool is empty or the configuration is degenerate.
@@ -584,11 +523,7 @@ pub fn run_game_with_policies(
 ) -> EngineOutcome<ScalarScenario> {
     assert!(config.rounds > 0, "need at least one round");
     let mut rng = seeded_rng(config.seed);
-    let scenario = if record_kept {
-        ScalarScenario::new(pool, config)
-    } else {
-        ScalarScenario::lean(pool, config)
-    };
+    let scenario = ScalarScenario::over(ScalarArena::new(pool), config, record_kept);
     let mut engine = Engine::with_policies(scenario, defender, adversary).with_policy_seed(
         trimgame_numerics::rand_ext::derive_seed(config.seed, POLICY_SEED_STREAM),
     );
@@ -618,8 +553,8 @@ pub fn run_game_with_scratch(
 ) -> EngineRun {
     assert!(config.rounds > 0, "need at least one round");
     let mut rng = seeded_rng(config.seed);
-    let cell = ScalarCell::new(arena, config);
-    let mut engine = Engine::with_policies(cell, defender, adversary).with_policy_seed(
+    let scenario = ScalarScenario::over(arena, config, false);
+    let mut engine = Engine::with_policies(scenario, defender, adversary).with_policy_seed(
         trimgame_numerics::rand_ext::derive_seed(config.seed, POLICY_SEED_STREAM),
     );
     if let Some(board) = board {
@@ -629,13 +564,15 @@ pub fn run_game_with_scratch(
 }
 
 /// Runs one scalar collection game over `pool` (see [`ScalarScenario`]
-/// for the game's concrete position semantics).
+/// for the game's concrete position semantics) with the scheme's roster
+/// policies ([`GameConfig::policies`]), recording every round.
 ///
 /// # Panics
 /// Panics if the pool is empty or the configuration is degenerate.
 #[must_use]
 pub fn run_game(pool: &[f64], config: &GameConfig) -> GameResult {
-    let out = run_game_engine(pool, config, true);
+    let (defender, adversary) = config.policies();
+    let out = run_game_with_policies(pool, config, defender, adversary, None, true);
     GameResult {
         outcomes: out.scenario.outcomes,
         retained: out.scenario.retained,
@@ -644,27 +581,6 @@ pub fn run_game(pool: &[f64], config: &GameConfig) -> GameResult {
         thresholds: out.thresholds,
         injections: out.injections,
     }
-}
-
-/// Table III's trimmed mean over repetitions: runs the game `reps` times
-/// with derived seeds and returns the average surviving poison fraction
-/// and the average termination round (non-terminating runs count as
-/// `rounds + 1`, mirroring the paper's averages exceeding `Round_no`).
-#[must_use]
-pub fn averaged_game(pool: &[f64], config: &GameConfig, reps: usize) -> (f64, f64) {
-    assert!(reps > 0, "need at least one repetition");
-    let mut poison_total = 0.0;
-    let mut term_total = 0.0;
-    for rep in 0..reps {
-        let mut cfg = config.clone();
-        cfg.seed = trimgame_numerics::rand_ext::derive_seed(config.seed, rep as u64);
-        let result = run_game(pool, &cfg);
-        poison_total += result.surviving_poison_fraction();
-        term_total += result
-            .termination_round
-            .map_or((config.rounds + 1) as f64, |r| r as f64);
-    }
-    (poison_total / reps as f64, term_total / reps as f64)
 }
 
 /// One row of the Table III study at mix probability `p`.
@@ -821,6 +737,16 @@ mod tests {
         (0..10_000).map(|i| (i % 1000) as f64 / 10.0).collect()
     }
 
+    /// One engine run with the scheme's roster policies.
+    fn run_roster(
+        pool: &[f64],
+        cfg: &GameConfig,
+        record_kept: bool,
+    ) -> EngineOutcome<ScalarScenario> {
+        let (defender, adversary) = cfg.policies();
+        run_game_with_policies(pool, cfg, defender, adversary, None, record_kept)
+    }
+
     #[test]
     fn roster_matches_legend() {
         let names: Vec<_> = Scheme::roster().iter().map(Scheme::name).collect();
@@ -936,23 +862,13 @@ mod tests {
     }
 
     #[test]
-    fn averaged_game_returns_means() {
-        let mut cfg = GameConfig::new(Scheme::TitForTat);
-        cfg.rounds = 5;
-        cfg.batch = 200;
-        let (poison, term) = averaged_game(&pool(), &cfg, 3);
-        assert!((0.0..=1.0).contains(&poison));
-        assert!((1.0..=6.0).contains(&term));
-    }
-
-    #[test]
     fn lean_engine_run_matches_recording_run() {
         // The sweep's lean mode must produce the same trajectories and
         // aggregate counts as the full recording mode, just without the
         // per-round kept payloads.
         let cfg = GameConfig::new(Scheme::Elastic(0.5));
-        let full = run_game_engine(&pool(), &cfg, true);
-        let lean = run_game_engine(&pool(), &cfg, false);
+        let full = run_roster(&pool(), &cfg, true);
+        let lean = run_roster(&pool(), &cfg, false);
         assert_eq!(full.thresholds, lean.thresholds);
         assert_eq!(full.injections, lean.injections);
         assert_eq!(full.utilities.u_a, lean.utilities.u_a);
@@ -978,12 +894,21 @@ mod tests {
         let pool = pool();
         let mut arena = ScalarArena::new(&pool);
         let mut scratch = EngineScratch::new();
-        for (tth, seed, rounds) in [(0.88, 1u64, 6), (0.92, 2, 9), (0.88, 1, 6), (0.96, 3, 4)] {
+        // The sketch rows build the GK cut source from the borrowed
+        // arena's pool; the exact rows between them must not see it.
+        for (tth, seed, rounds, sketch_epsilon) in [
+            (0.88, 1u64, 6, None),
+            (0.92, 2, 9, None),
+            (0.92, 2, 9, Some(0.02)),
+            (0.88, 1, 6, None),
+            (0.96, 3, 4, Some(0.05)),
+        ] {
             let mut cfg = GameConfig::new(Scheme::BaselineStatic);
             cfg.tth = tth;
             cfg.seed = seed;
             cfg.rounds = rounds;
             cfg.batch = 300;
+            cfg.sketch_epsilon = sketch_epsilon;
             let policies = || {
                 (
                     Box::new(DefenderPolicy::Fixed { tth }) as Box<dyn ThresholdPolicy>,
@@ -997,7 +922,10 @@ mod tests {
             let owned = run_game_with_policies(&pool, &cfg, d, a, None, false);
             let (d, a) = policies();
             let lean = run_game_with_scratch(&cfg, d, a, None, &mut arena, &mut scratch);
-            assert_eq!(lean.totals, owned.totals, "tth={tth} seed={seed}");
+            assert_eq!(
+                lean.totals, owned.totals,
+                "tth={tth} seed={seed} sketch={sketch_epsilon:?}"
+            );
             assert_eq!(Some(&lean.final_u_a), owned.utilities.u_a.last());
             assert_eq!(Some(&lean.final_u_c), owned.utilities.u_c.last());
             assert_eq!(lean.termination_round, owned.termination_round);
@@ -1008,10 +936,11 @@ mod tests {
 
     #[test]
     fn boxed_policies_replay_the_enum_path_exactly() {
-        // Routing the same enum policies through run_game_with_policies
-        // must reproduce run_game_engine bit-for-bit (the shim contract).
+        // Spelling the scheme's enum policies out by hand must reproduce
+        // the `GameConfig::policies` roster run bit-for-bit (the shim
+        // contract).
         let cfg = GameConfig::new(Scheme::BaselineStatic);
-        let via_enum = run_game_engine(&pool(), &cfg, false);
+        let via_enum = run_roster(&pool(), &cfg, false);
         let via_boxed = run_game_with_policies(
             &pool(),
             &cfg,
@@ -1085,7 +1014,7 @@ mod tests {
                 cfg.batch = 500;
                 cfg.sketch_epsilon = sketch_epsilon;
                 cfg.adversary_override = Some(AdversaryPolicy::Fixed { percentile: a });
-                let out = run_game_engine(&pool, &cfg, false);
+                let out = run_roster(&pool, &cfg, false);
                 if out.totals.poison_survived == out.totals.poison_received {
                     extra = extra.max(a - tth);
                 }
@@ -1106,8 +1035,8 @@ mod tests {
         // And the sketch path is deterministic: same run, same totals.
         let mut cfg = GameConfig::new(Scheme::BaselineStatic);
         cfg.sketch_epsilon = Some(eps);
-        let a = run_game_engine(&pool, &cfg, false).totals;
-        let b = run_game_engine(&pool, &cfg, false).totals;
+        let a = run_roster(&pool, &cfg, false).totals;
+        let b = run_roster(&pool, &cfg, false).totals;
         assert_eq!(a, b);
     }
 

@@ -21,11 +21,11 @@
 //! * [`GkSummary::insert_batch`] — a whole batch at once: sort the batch
 //!   into a reusable [`GkScratch`], then a **single merge sweep** splices
 //!   every value into the tuple list with compression fused into the same
-//!   pass — one allocation-free rebuild instead of N memmoves. This is
-//!   the per-round collection path (`SketchThreshold::observe`), and what
-//!   makes the memory-bounded defender cheaper than sorting the batch.
+//!   pass — one allocation-free rebuild instead of N memmoves. Every game
+//!   builds its threshold source this way, once, from the clean reference
+//!   stream (`SketchThreshold::observe`); per-round trimming only queries.
 //!
-//! A large batch arriving at an **empty** summary (the bulk-load shape)
+//! A large batch arriving at an **empty** summary (that one-time build)
 //! skips the sort entirely: a fixed-width histogram over the
 //! order-preserving integer keys counts every bucket and tracks its
 //! maximum in one vectorizable pass, then each run of buckets collapses
@@ -33,12 +33,6 @@
 //! histogram with *exact* ranks, built in O(n). Only buckets whose count
 //! overflows the `⌊2εn⌋` band (heavy ties, pathological skew) fall back
 //! to sorting just their own elements.
-//!
-//! A large batch arriving at a **warm** summary skips the full comparison
-//! sort too: the keys are staged into buckets keyed on the existing tuple
-//! boundaries (a counting scatter through prefix sums), and only each
-//! near-singleton bucket is sorted — the concatenation is already
-//! globally sorted because the bucket order is the boundary order.
 
 /// One GK summary tuple.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -60,7 +54,6 @@ pub struct GkScratch {
     counts: Vec<u32>,
     maxes: Vec<u64>,
     spill: Vec<u64>,
-    stage: Vec<u64>,
 }
 
 /// A batch at least this large arriving at an empty summary is ingested
@@ -72,70 +65,6 @@ const HIST_MIN: usize = 2048;
 /// fixed-width key buckets keep the count/max tables L1/L2-resident while
 /// leaving typical bucket loads far below the `⌊2εn⌋` merge band.
 const HIST_BUCKETS_LOG2: u32 = 12;
-
-/// Warm batches below this size skip the tuple-boundary staging and sort
-/// directly — pdqsort on a short key array beats the scatter's
-/// bookkeeping passes.
-const STAGE_MIN: usize = 192;
-
-/// A summary thinner than this has too few boundary buckets for staging
-/// to shrink the per-bucket sorts; the direct sort wins.
-const STAGE_MIN_TUPLES: usize = 16;
-
-/// A staged bucket larger than this (a skewed fill concentrating much of
-/// the batch between two adjacent tuple boundaries) sorts by LSB radix
-/// over the integer keys instead of pdqsort — linear passes beat the
-/// `O(m log m)` comparison sort once the bucket is big enough to
-/// amortize the histogram work.
-const RADIX_MIN: usize = 256;
-
-/// LSB radix sort over the monotone `u64` sort keys: eight stable
-/// counting passes over 8-bit digits, alternating between `keys` and
-/// `tmp`. Digit positions where every key shares the same byte are
-/// skipped entirely — the common case for a staged bucket, whose keys
-/// lie between two adjacent tuple boundaries and therefore share their
-/// high bytes. A stable radix sort of integers produces exactly the
-/// ascending order of `sort_unstable`, so callers may mix the two
-/// freely without changing any downstream result.
-///
-/// `tmp` must be at least as long as `keys`; its contents are clobbered.
-fn radix_sort_keys(keys: &mut [u64], tmp: &mut [u64]) {
-    let n = keys.len();
-    debug_assert!(tmp.len() >= n);
-    debug_assert!(u32::try_from(n).is_ok());
-    let tmp = &mut tmp[..n];
-    // One read pass builds all eight digit histograms.
-    let mut hist = [[0u32; 256]; 8];
-    crate::simd::radix_digit_histograms(keys, &mut hist);
-    let mut in_keys = true;
-    for (d, h) in hist.iter_mut().enumerate() {
-        // A constant digit permutes nothing: skip the pass.
-        if h.iter().any(|&c| c as usize == n) {
-            continue;
-        }
-        // Prefix sums turn counts into write cursors.
-        let mut acc = 0u32;
-        for c in h.iter_mut() {
-            let start = acc;
-            acc += *c;
-            *c = start;
-        }
-        let (src, dst): (&[u64], &mut [u64]) = if in_keys {
-            (&*keys, &mut *tmp)
-        } else {
-            (&*tmp, &mut *keys)
-        };
-        for &k in src {
-            let cursor = &mut h[((k >> (8 * d)) & 0xFF) as usize];
-            dst[*cursor as usize] = k;
-            *cursor += 1;
-        }
-        in_keys = !in_keys;
-    }
-    if !in_keys {
-        keys.copy_from_slice(tmp);
-    }
-}
 
 /// Maps a (non-NaN) `f64` to a `u64` whose unsigned order equals the
 /// float's total order: flip the sign bit for positives, all bits for
@@ -293,40 +222,22 @@ impl GkSummary {
     /// # Panics
     /// Panics if the batch contains NaN.
     pub fn insert_batch(&mut self, batch: &[f64], scratch: &mut GkScratch) {
-        self.insert_batches(&[batch], scratch);
-    }
-
-    /// Ingests several pre-staged batches in **one** merge sweep — the
-    /// collector's coalesced rounds arrive as a list of per-round slices,
-    /// and walking the tuple list once for the lot amortizes the sweep
-    /// the same way [`GkSummary::insert_batch`] amortizes per-value
-    /// insertion. Bit-identical to `insert_batch` over the concatenation
-    /// of the slices (the keys are gathered into one staged array before
-    /// sorting), and carries the same `ε·n` rank guarantee as any other
-    /// ingestion order.
-    ///
-    /// # Panics
-    /// Panics if any batch contains NaN.
-    pub fn insert_batches(&mut self, batches: &[&[f64]], scratch: &mut GkScratch) {
-        let total: usize = batches.iter().map(|b| b.len()).sum();
+        let total = batch.len();
         if total == 0 {
             return;
         }
         scratch.keys.clear();
-        scratch.keys.reserve(total);
         let mut any_nan = false;
-        for batch in batches {
-            for &v in *batch {
-                any_nan |= v.is_nan();
-                scratch.keys.push(sort_key(v));
-            }
-        }
+        scratch.keys.extend(batch.iter().map(|&v| {
+            any_nan |= v.is_nan();
+            sort_key(v)
+        }));
         assert!(!any_nan, "GkSummary cannot ingest NaN");
         if self.tuples.is_empty() && total >= HIST_MIN {
             self.bulk_first_fill(scratch);
             return;
         }
-        self.stage_batch_keys(scratch);
+        scratch.keys.sort_unstable();
 
         let n_after = self.n + total as u64;
         let cap = (2.0 * self.epsilon * n_after as f64).floor() as u64;
@@ -369,81 +280,6 @@ impl GkSummary {
         self.n = n_after;
         self.since_compress = 0;
         self.rebuild_index();
-    }
-
-    /// Sorts the staged batch keys (`scratch.keys`) for the warm merge
-    /// sweep. Small batches and thin summaries take the direct comparison
-    /// sort; past the cutoffs the keys are staged into buckets keyed on
-    /// the **existing tuple boundaries** — one binary search per key, a
-    /// counting scatter through prefix sums, then a tiny sort per bucket.
-    /// With `k` tuples a warm batch of `n` does `O(n log k)` search work
-    /// plus `O(n log(n/k))` total sort work on near-singleton buckets,
-    /// instead of the full `O(n log n)` comparison sort, and the bucket
-    /// order matches the boundary order so the concatenation is already
-    /// globally sorted. The staged order is bit-identical to the direct
-    /// sort (keys are totally ordered integers), so the downstream merge
-    /// — and every summary it builds — is unchanged.
-    fn stage_batch_keys(&self, scratch: &mut GkScratch) {
-        let stage_worthy = scratch.keys.len() >= STAGE_MIN
-            && self.tuples.len() >= STAGE_MIN_TUPLES
-            && u32::try_from(scratch.keys.len()).is_ok();
-        if !stage_worthy {
-            scratch.keys.sort_unstable();
-            return;
-        }
-        let GkScratch {
-            keys,
-            counts,
-            maxes,
-            spill,
-            stage,
-            ..
-        } = scratch;
-        maxes.clear();
-        maxes.extend(self.tuples.iter().map(|t| sort_key(t.v)));
-        counts.clear();
-        counts.resize(maxes.len() + 1, 0);
-        // Pass 1: bucket of each key (first boundary ≥ key), remembered in
-        // `spill` so the scatter pass needn't search again.
-        spill.clear();
-        spill.reserve(keys.len());
-        for &k in keys.iter() {
-            let b = maxes.partition_point(|&bk| bk < k);
-            counts[b] += 1;
-            spill.push(b as u64);
-        }
-        // Prefix sums turn counts into write cursors; pass 2 scatters.
-        let mut acc = 0u32;
-        for c in counts.iter_mut() {
-            let start = acc;
-            acc += *c;
-            *c = start;
-        }
-        stage.clear();
-        stage.resize(keys.len(), 0);
-        for (&k, &b) in keys.iter().zip(spill.iter()) {
-            let cursor = &mut counts[b as usize];
-            stage[*cursor as usize] = k;
-            *cursor += 1;
-        }
-        // Cursors now sit at each bucket's end; sort the keys inside
-        // every bucket (cross-bucket order is the boundary order). A
-        // skewed fill can concentrate most of the batch in one bucket —
-        // past RADIX_MIN the linear radix passes beat pdqsort, and
-        // `spill` (dead after the scatter) provides the temp space.
-        let mut start = 0usize;
-        for &end in counts.iter() {
-            let end = end as usize;
-            let len = end - start;
-            if len > RADIX_MIN {
-                radix_sort_keys(&mut stage[start..end], &mut spill[..len]);
-            } else if len > 1 {
-                stage[start..end].sort_unstable();
-            }
-            start = end;
-        }
-        debug_assert!(stage.windows(2).all(|w| w[0] <= w[1]));
-        std::mem::swap(keys, stage);
     }
 
     /// Bulk first-fill: builds the summary for a large batch arriving at
@@ -777,45 +613,6 @@ mod tests {
     }
 
     #[test]
-    fn insert_batches_is_bit_identical_to_concatenated_insert_batch() {
-        // The multi-batch sweep gathers every slice's keys into one staged
-        // array, so it must produce the exact tuple list of a single
-        // `insert_batch` over the concatenation — cold-start (bulk
-        // first-fill), warm, and empty-slice shapes alike.
-        let mut rng = seeded_rng(23);
-        let big: Vec<f64> = (0..4096).map(|_| rng.gen::<f64>() * 100.0).collect();
-        let (a, b) = big.split_at(1500);
-        let shapes: Vec<Vec<&[f64]>> = vec![
-            vec![a, b],                        // cold start crossing HIST_MIN
-            vec![&big[..7], &[], &big[7..80]], // small + empty slices
-            vec![&big[..300], &big[300..900], &big[900..]],
-        ];
-        for slices in shapes {
-            let concat: Vec<f64> = slices.iter().flat_map(|s| s.iter().copied()).collect();
-            let mut warm_seed = GkSummary::new(0.02);
-            warm_seed.insert_batch(&big[..512], &mut GkScratch::new());
-            for seed in [GkSummary::new(0.02), warm_seed] {
-                let mut multi = seed.clone();
-                let mut single = seed;
-                multi.insert_batches(&slices, &mut GkScratch::new());
-                single.insert_batch(&concat, &mut GkScratch::new());
-                assert_eq!(multi, single, "{} slices", slices.len());
-            }
-        }
-        // All-empty input is a no-op.
-        let mut s = GkSummary::new(0.02);
-        s.insert_batches(&[&[], &[][..]], &mut GkScratch::new());
-        assert_eq!(s.count(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "NaN")]
-    fn insert_batches_rejects_nan_in_any_slice() {
-        let mut s = GkSummary::new(0.01);
-        s.insert_batches(&[&[1.0], &[f64::NAN][..]], &mut GkScratch::new());
-    }
-
-    #[test]
     fn batch_handles_adversarial_orders() {
         // Sorted, reverse-sorted, duplicate-heavy and constant batches:
         // the rank guarantee must hold for every arrival order.
@@ -980,10 +777,9 @@ mod tests {
 
     #[test]
     fn warm_staged_batch_is_arrival_order_independent() {
-        // Prime a summary past the staging cutoffs, then ingest one warm
-        // batch in three arrival orders: the boundary-bucket scatter must
-        // reproduce the direct sort's key sequence exactly, so all three
-        // summaries are identical.
+        // Prime a summary, then ingest one warm batch in three arrival
+        // orders: the batch's keys are staged in the scratch and sorted
+        // before the merge sweep, so all three summaries are identical.
         let mut rng = seeded_rng(17);
         let prime: Vec<f64> = (0..4_000).map(|_| rng.gen::<f64>() * 100.0).collect();
         let batch: Vec<f64> = (0..2_000)
@@ -997,10 +793,6 @@ mod tests {
         let build = |order: &[f64], scratch: &mut GkScratch| {
             let mut s = GkSummary::new(0.01);
             s.insert_batch(&prime, scratch);
-            assert!(
-                s.tuples_len() >= STAGE_MIN_TUPLES,
-                "prime too thin to stage"
-            );
             s.insert_batch(order, scratch);
             s
         };
@@ -1012,15 +804,14 @@ mod tests {
     }
 
     #[test]
-    fn skewed_warm_batch_takes_radix_and_matches_element_wise() {
-        // 90% of the batch lands between two adjacent boundaries of the
-        // primed summary, forcing one bucket past RADIX_MIN: the radix
-        // path must leave the summary identical to the same values
-        // arriving pre-sorted (which exercises the comparison path at
-        // staging level) — bit-for-bit, not just rank-equivalent.
+    fn skewed_warm_batch_matches_presorted_ingest() {
+        // 90% of the batch lands between two adjacent tuples of the
+        // primed summary: the merge sweep must leave the summary identical
+        // to the same values arriving pre-sorted — bit-for-bit, not just
+        // rank-equivalent.
         let mut rng = seeded_rng(23);
         let prime: Vec<f64> = (0..4_000).map(|_| rng.gen::<f64>() * 100.0).collect();
-        let mut batch: Vec<f64> = (0..RADIX_MIN * 4)
+        let mut batch: Vec<f64> = (0..1024)
             .map(|i| {
                 if i % 10 == 0 {
                     rng.gen::<f64>() * 100.0
@@ -1040,27 +831,6 @@ mod tests {
         batch.sort_by(|a, b| a.partial_cmp(b).unwrap());
         let sorted = build(&batch, &mut scratch);
         assert_eq!(skewed, sorted);
-    }
-
-    proptest::proptest! {
-        /// The radix pass is a drop-in for `sort_unstable` on the u64
-        /// sort keys: bit-identical output on arbitrary keys, including
-        /// the shared-high-byte distributions staged buckets produce.
-        #[test]
-        fn radix_sort_is_bit_identical_to_sort_unstable(
-            mut keys in proptest::collection::vec(proptest::prelude::any::<u64>(), 0..1500),
-            base in proptest::prelude::any::<u64>(),
-            lows in proptest::collection::vec(0u64..4096, 0..1500),
-        ) {
-            // Mix arbitrary keys with a run sharing all high bytes (the
-            // constant-digit skip path).
-            keys.extend(lows.iter().map(|&l| (base & !0xFFF_u64) | l));
-            let mut reference = keys.clone();
-            reference.sort_unstable();
-            let mut tmp = vec![0u64; keys.len()];
-            radix_sort_keys(&mut keys, &mut tmp);
-            proptest::prop_assert_eq!(keys, reference);
-        }
     }
 
     #[test]

@@ -20,10 +20,6 @@
 //!   pure comparison pass the autovectorizer handles, then an
 //!   unconditional-write compaction).
 //!
-//! The one other intrinsic kernel is the AVX2 counting pass of
-//! [`radix_digit_histograms`], which the GK sketch's staged radix sort
-//! uses.
-//!
 //! **Contract** (driven per kernel in this module's tests, NaN and `±∞`
 //! lanes included, and property-tested on tie-heavy batches in
 //! `tests/proptests.rs`): on every input, NaN and `±∞` included,
@@ -112,39 +108,6 @@ pub fn filter_f64(values: &[f64], mask: &mut [bool], kept: &mut [f64], hi: f64) 
         }
     }
     filter_portable(values, mask, kept, hi)
-}
-
-/// Builds all eight per-digit byte histograms of an LSD radix sort in one
-/// read pass: `hist[d][b]` counts the keys whose `d`-th little-endian byte
-/// is `b`. This is the counting pass of `trimgame_numerics::gk`'s staged
-/// radix sort, dispatched like the filter kernels: an AVX2 variant on
-/// `x86_64` when the CPU has it, the portable loop everywhere else. Every
-/// variant produces identical counts (histogramming is order-free integer
-/// arithmetic), property-tested against the scalar loop.
-///
-/// Counts are **added** into `hist`; zero it first for absolute counts.
-pub fn radix_digit_histograms(keys: &[u64], hist: &mut [[u32; 256]; 8]) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: avx2 verified at runtime; the kernel only indexes
-            // `keys` through its iterator and `hist` with u8-derived
-            // indices.
-            unsafe { avx2::radix_digit_histograms(keys, hist) };
-            return;
-        }
-    }
-    radix_digit_histograms_portable(keys, hist);
-}
-
-/// Portable counting pass: one scalar shift/mask/increment per digit per
-/// key (the autovectorizer cannot scatter, so this is the baseline shape).
-fn radix_digit_histograms_portable(keys: &[u64], hist: &mut [[u32; 256]; 8]) {
-    for &k in keys {
-        for (d, h) in hist.iter_mut().enumerate() {
-            h[((k >> (8 * d)) & 0xFF) as usize] += 1;
-        }
-    }
 }
 
 /// Which kernel [`filter_f64`] resolves to on this machine — surfaced so
@@ -247,52 +210,6 @@ mod avx2 {
             m += 1;
         }
         table
-    }
-
-    /// The AVX2 radix-histogram counting pass. Histogram increments are
-    /// scatters, which no SIMD ISA below AVX-512 CD can vectorize
-    /// directly; what *does* stall the scalar loop is the
-    /// store-to-load-forwarding chain on skewed keys — a staged GK bucket
-    /// shares its high bytes, so digits 4..7 hammer one counter every
-    /// iteration. Two private count tables fed by alternating keys cut
-    /// every such chain in half, and the fold back into `hist` at the end
-    /// is pure vertical `u32` adds — eight lanes per `_mm256_add_epi32`,
-    /// 2 KiB of counts folded in 256 vector ops.
-    ///
-    /// # Safety
-    /// `avx2` must be available. All table indexing is through u8-derived
-    /// indices; no pointer arithmetic leaves the given slices.
-    #[inline(never)]
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn radix_digit_histograms(keys: &[u64], hist: &mut [[u32; 256]; 8]) {
-        use std::arch::x86_64::{_mm256_add_epi32, _mm256_loadu_si256, _mm256_storeu_si256};
-        let mut alt = [[0u32; 256]; 8];
-        let mut pairs = keys.chunks_exact(2);
-        for pair in &mut pairs {
-            let (a, b) = (pair[0], pair[1]);
-            for d in 0..8 {
-                hist[d][((a >> (8 * d)) & 0xFF) as usize] += 1;
-                alt[d][((b >> (8 * d)) & 0xFF) as usize] += 1;
-            }
-        }
-        for &k in pairs.remainder() {
-            for (d, h) in hist.iter_mut().enumerate() {
-                h[((k >> (8 * d)) & 0xFF) as usize] += 1;
-            }
-        }
-        for (h, a) in hist.iter_mut().zip(alt.iter()) {
-            let hp = h.as_mut_ptr();
-            let ap = a.as_ptr();
-            let mut i = 0usize;
-            while i < 256 {
-                let sum = _mm256_add_epi32(
-                    _mm256_loadu_si256(hp.add(i).cast()),
-                    _mm256_loadu_si256(ap.add(i).cast()),
-                );
-                _mm256_storeu_si256(hp.add(i).cast(), sum);
-                i += 8;
-            }
-        }
     }
 
     /// 4-lane `f64` filter: compare + `movemask`, table-driven 4-byte
@@ -454,61 +371,6 @@ mod tests {
                     bits(&ref_kept),
                     "{name} kept (hi {hi}, {values:?})"
                 );
-            }
-        }
-    }
-
-    /// Direct drive of every compiled histogram kernel against an
-    /// independent scalar count, on shapes that stress the kernel edges:
-    /// the odd-length remainder, heavily skewed keys (every key sharing
-    /// its high bytes — the staged GK bucket case the dual accumulators
-    /// exist for), and the additive contract (counts are *added* into a
-    /// pre-populated table, not overwritten).
-    #[test]
-    fn every_compiled_histogram_kernel_matches_the_reference_directly() {
-        let shapes: Vec<Vec<u64>> = vec![
-            vec![],
-            vec![0x0102_0304_0506_0708],
-            (0..1003u64)
-                .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-                .collect(),
-            // Skewed: high 7 bytes identical across the whole slice.
-            (0..517u64)
-                .map(|i| 0xABCD_EF01_2345_6700 | (i % 256))
-                .collect(),
-        ];
-        for keys in &shapes {
-            let mut reference = [[0u32; 256]; 8];
-            for &k in keys {
-                for (d, h) in reference.iter_mut().enumerate() {
-                    h[((k >> (8 * d)) & 0xFF) as usize] += 1;
-                }
-            }
-
-            type HistFn = Box<dyn Fn(&[u64], &mut [[u32; 256]; 8])>;
-            let mut runners: Vec<(&str, HistFn)> = vec![
-                ("portable", Box::new(radix_digit_histograms_portable)),
-                ("dispatch", Box::new(radix_digit_histograms)),
-            ];
-            #[cfg(target_arch = "x86_64")]
-            {
-                if std::arch::is_x86_feature_detected!("avx2") {
-                    runners.push((
-                        "avx2",
-                        // SAFETY: avx2 verified just above.
-                        Box::new(|k, h| unsafe { avx2::radix_digit_histograms(k, h) }),
-                    ));
-                }
-            }
-            for (name, run) in &runners {
-                let mut hist = [[0u32; 256]; 8];
-                run(keys, &mut hist);
-                assert_eq!(hist, reference, "{name} counts ({} keys)", keys.len());
-                // Additive contract: a second pass doubles every count.
-                run(keys, &mut hist);
-                let doubled: Vec<u32> = reference.iter().flatten().map(|&c| c * 2).collect();
-                let got: Vec<u32> = hist.iter().flatten().copied().collect();
-                assert_eq!(got, doubled, "{name} is not additive");
             }
         }
     }

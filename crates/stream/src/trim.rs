@@ -90,9 +90,10 @@ impl TrimScratch {
 /// no sort, no batch copy.
 ///
 /// Batches go through [`SketchThreshold::observe`], which feeds the GK
-/// summary through its batched merge-sweep ingest
-/// ([`GkSummary::insert_batch`]) over a scratch owned here — one
-/// allocation-free rebuild per round instead of a memmove per value.
+/// summary through its batched ingest ([`GkSummary::insert_batch`]) over
+/// a scratch owned here — one allocation-free rebuild per batch instead
+/// of a memmove per value. Every game observes its clean reference
+/// stream once, at construction, and then only queries.
 #[derive(Debug, Clone)]
 pub struct SketchThreshold {
     sketch: GkSummary,
@@ -135,17 +136,6 @@ impl SketchThreshold {
     /// Panics on NaN.
     pub fn observe(&mut self, values: &[f64]) {
         self.sketch.insert_batch(values, &mut self.scratch);
-    }
-
-    /// Ingests several pre-staged batches in one merge sweep
-    /// ([`GkSummary::insert_batches`]) — the path for draining a run of
-    /// coalesced rounds at once: one tuple-list walk for the lot,
-    /// bit-identical to observing their concatenation.
-    ///
-    /// # Panics
-    /// Panics on NaN in any batch.
-    pub fn observe_batches(&mut self, batches: &[&[f64]]) {
-        self.sketch.insert_batches(batches, &mut self.scratch);
     }
 
     /// Number of observations consumed so far.
