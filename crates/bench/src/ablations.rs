@@ -1,8 +1,8 @@
 //! Ablation studies for the design choices called out in `DESIGN.md §4`.
 
-use crate::sweep::{env_workers, parallel_map_with};
+use crate::config::RunConfig;
+use crate::sweep::parallel_map_with;
 use std::fmt::Write as _;
-use trim_core::config;
 use trim_core::elastic::CoupledDynamics;
 use trim_core::titfortat::{compliance_margin, TitForTat};
 use trimgame_ldp::attack::{Attack, InputManipulation};
@@ -65,8 +65,8 @@ pub fn ablate_k() -> String {
 /// Tit-for-tat redundancy `Red`: false-trigger probability on honest LDP
 /// rounds versus detection delay under a real attack.
 #[must_use]
-pub fn ablate_red() -> String {
-    let reps = config::repetitions();
+pub fn ablate_red(run: &RunConfig) -> String {
+    let reps = run.reps;
     let epsilon = 2.0;
     let rounds = 20;
     let users = 500;
@@ -95,7 +95,7 @@ pub fn ablate_red() -> String {
     // calibration/report buffers across cells.
     let cells = parallel_map_with(
         reds.len() * reps,
-        env_workers(),
+        run.workers,
         || (Vec::new(), Vec::new()),
         |(calib, reports): &mut (Vec<f64>, Vec<f64>), job| {
             let rep = job % reps;
@@ -206,8 +206,7 @@ pub fn ablate_discount() -> String {
 /// One-round trimming defense under each mechanism: does the Fig. 9
 /// conclusion depend on the Piecewise Mechanism?
 #[must_use]
-pub fn ablate_mechanism() -> String {
-    let reps = config::repetitions();
+pub fn ablate_mechanism(run: &RunConfig) -> String {
     let ratio = 0.2;
     let users = 2_000;
     let mut out = String::new();
@@ -241,11 +240,12 @@ pub fn ablate_mechanism() -> String {
         truth: f64,
         ratio: f64,
         users: usize,
-        reps: usize,
+        run: &RunConfig,
     ) -> Vec<f64> {
+        let reps = run.reps;
         parallel_map_with(
             epsilons.len(),
-            env_workers(),
+            run.workers,
             || (Vec::new(), Vec::new(), Vec::new(), TrimScratch::new()),
             |(calib, reports, below, scratch): &mut (Vec<f64>, Vec<f64>, Vec<f64>, TrimScratch),
              ei| {
@@ -298,20 +298,12 @@ pub fn ablate_mechanism() -> String {
                 truth,
                 ratio,
                 users,
-                reps,
+                run,
             ),
         ),
         (
             "Duchi",
-            trimmed_mse(
-                Duchi::new,
-                &epsilons,
-                &population,
-                truth,
-                ratio,
-                users,
-                reps,
-            ),
+            trimmed_mse(Duchi::new, &epsilons, &population, truth, ratio, users, run),
         ),
         (
             "Laplace",
@@ -322,7 +314,7 @@ pub fn ablate_mechanism() -> String {
                 truth,
                 ratio,
                 users,
-                reps,
+                run,
             ),
         ),
     ];

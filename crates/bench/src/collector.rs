@@ -99,7 +99,7 @@ pub struct CollectorConfig {
     pub tier: Option<TierConfig>,
     /// Deterministic fault injection (producer stalls/disconnects, spill
     /// write errors and tears, read bit-flips). `None` runs fault-free;
-    /// `expt collect` wires `TRIMGAME_FAULTS=<seed:rate>` in here.
+    /// `expt collect` passes `TRIMGAME_FAULTS=<seed:rate>` in here.
     pub faults: Option<FaultSpec>,
     /// Master seed; every stream derives its own producer and engine
     /// seeds from it.
@@ -716,63 +716,48 @@ pub fn scalar_stream_setup(
     }
 }
 
-/// `expt collect`: runs the collector service on the substrate named by
-/// `TRIMGAME_EQ_SUBSTRATE` (default scalar) and reports sustained
-/// throughput, tail ingest latency, coalescing/backpressure counters
-/// and the sharded-vs-single-stream ratio. `TRIMGAME_EQ_SMOKE=1`
-/// shrinks the run for CI; `TRIMGAME_SWEEP_THREADS` caps the ingest
-/// thread count (0/unset = one thread per stream).
+/// `expt collect`: runs the collector service on `run.substrate` and
+/// reports sustained throughput, tail ingest latency,
+/// coalescing/backpressure counters and the sharded-vs-single-stream
+/// ratio. `run.smoke` shrinks the run for CI; `run.workers` caps the
+/// ingest thread count (0 = one thread per stream). With `run.recover`
+/// it resumes from the manifests under `run.collect_spill` instead.
 ///
 /// # Panics
-/// Panics on an unknown substrate name.
+/// Panics if `run.recover` is set without `run.collect_spill`.
 #[must_use]
-pub fn collect_report() -> String {
-    use crate::empirical::SubstrateKind;
+pub fn collect_report(run: &crate::config::RunConfig) -> String {
     use std::fmt::Write as _;
 
-    let kind = match std::env::var("TRIMGAME_EQ_SUBSTRATE") {
-        Ok(name) => SubstrateKind::parse(&name)
-            .unwrap_or_else(|| panic!("unknown substrate {name:?} (expected scalar|ml|ldp)")),
-        Err(_) => SubstrateKind::Scalar,
-    };
-    let smoke = std::env::var("TRIMGAME_EQ_SMOKE")
-        .map(|v| v == "1" || v.eq_ignore_ascii_case("true"))
-        .unwrap_or(false);
-    let threads = crate::sweep::env_workers();
-    // Tiering is always on for the report run; `TRIMGAME_COLLECT_BUDGET`
-    // (resident bytes for cold spans) and `TRIMGAME_COLLECT_SPILL` (a
+    let kind = run.substrate;
+    // Tiering is always on for the report run; `run.collect_budget`
+    // (resident bytes for cold spans) and `run.collect_spill` (a
     // directory for evicted frames) tighten it for bounded-memory runs.
     // The sharded run and the single-stream baseline spill into separate
     // subdirectories — their shard tags would otherwise collide.
-    let spill_root = std::env::var("TRIMGAME_COLLECT_SPILL")
-        .ok()
-        .map(std::path::PathBuf::from);
+    let spill_root = run.collect_spill.as_ref();
     let tier = TierConfig {
-        resident_budget: std::env::var("TRIMGAME_COLLECT_BUDGET")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok()),
-        spill_dir: spill_root.as_ref().map(|p| p.join("sharded")),
+        resident_budget: run.collect_budget,
+        spill_dir: spill_root.map(|p| p.join("sharded")),
         ..TierConfig::default()
     };
     let cfg = CollectorConfig {
         streams: 8,
-        threads,
-        rounds: if smoke { 40 } else { 400 },
+        threads: run.workers,
+        rounds: if run.smoke { 40 } else { 400 },
         // Smoke runs are short; shrink the span so they still seal cold
         // spans and exercise the compact → evict → inflate path.
-        round_span: if smoke { 8 } else { 64 },
+        round_span: if run.smoke { 8 } else { 64 },
         tier: Some(tier),
-        // Chaos runs: TRIMGAME_FAULTS=<seed:rate> injects the seeded
-        // fault schedule into the sharded run (the baseline and the
-        // recovery reference stay clean).
-        faults: FaultSpec::from_env(),
+        // Chaos runs inject the seeded fault schedule into the sharded
+        // run (the baseline and the recovery reference stay clean).
+        faults: run.faults,
         ..CollectorConfig::default()
     };
 
-    if std::env::var("TRIMGAME_COLLECT_RECOVER").is_ok_and(|v| v == "1") {
+    if run.recover {
         let dir = spill_root
-            .as_ref()
-            .expect("TRIMGAME_COLLECT_RECOVER needs TRIMGAME_COLLECT_SPILL")
+            .expect("RunConfig::parse rejects --recover without a spill directory")
             .join("sharded");
         return recover_report(kind, &cfg, &dir);
     }
@@ -785,7 +770,7 @@ pub fn collect_report() -> String {
         threads: 1,
         rounds: cfg.rounds * cfg.streams,
         tier: Some(TierConfig {
-            spill_dir: spill_root.as_ref().map(|p| p.join("single")),
+            spill_dir: spill_root.map(|p| p.join("single")),
             ..cfg.tier.clone().expect("report always tiers")
         }),
         faults: None,
@@ -899,11 +884,6 @@ pub fn collect_report() -> String {
         t.spill_write_failures,
         t.lost_span_reads,
         sharded.degraded_shards,
-    );
-    let _ = writeln!(
-        out,
-        "  determinism: fixed seed + fixed coalescing boundaries are bit-identical \
-         across ingest thread counts (TRIMGAME_SWEEP_THREADS 1..=8)",
     );
     out
 }

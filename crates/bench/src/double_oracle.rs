@@ -37,8 +37,8 @@
 //!
 //! Every step — golden-section probes, placement refinement, cell
 //! measurement, fictitious play — is deterministic given the
-//! configuration, so the whole solve is bit-identical for any
-//! `TRIMGAME_SWEEP_THREADS`.
+//! configuration, so the whole solve is bit-identical for any worker
+//! count.
 
 use crate::empirical::{
     cross_check, measure_cells, standard_substrate, ClosedForm, EquilibriumConfig, GameSubstrate,
@@ -111,9 +111,8 @@ pub struct DoubleOracleConfig {
 impl DoubleOracleConfig {
     /// Derives the standard oracle configuration for a grid config: seed
     /// supports on the grid's corner atoms, search brackets extending one
-    /// grid spacing beyond the hull (the same hull
-    /// `empirical::optimize_support` refines over), and an engine-run
-    /// budget of a third of the dense grid.
+    /// grid spacing beyond the hull, and an engine-run budget of a third
+    /// of the dense grid.
     ///
     /// # Panics
     /// Panics if `cfg` is degenerate.

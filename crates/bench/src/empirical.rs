@@ -50,17 +50,12 @@
 //!    equilibrium's robustness claim against *learning* attackers). These
 //!    runs go through the same measurement primitive, with the solved
 //!    mixture in the defender's seat.
-//! 5. **Optimize** — [`optimize_support`] refines the defender's atom
-//!    *placements* (not just the weights on a fixed grid) by coordinate
-//!    descent with golden-section line searches, re-measuring the moved
-//!    atom's payoff row as one more block of cells; accepted moves
-//!    strictly improve the solved game value.
 //!
 //! Every cell's outcome depends only on its grid coordinates and derived
-//! seed, so the whole pipeline is bit-deterministic regardless of
-//! `TRIMGAME_SWEEP_THREADS`.
+//! seed, so the whole pipeline is bit-deterministic for any worker count.
 
-use crate::sweep::{env_workers, parallel_map_with};
+use crate::config::RunConfig;
+use crate::sweep::parallel_map_with;
 use std::fmt::Write as _;
 use std::sync::Arc;
 use trim_core::adversary::{AdaptiveAttacker, AdversaryPolicy, AttackPolicy, Exp3Attacker};
@@ -73,7 +68,7 @@ use trim_core::ldp_sim::{
 use trim_core::matrix::{MatrixGame, MixedEquilibrium};
 use trim_core::ml_sim::{collect_poisoned_with_scratch, MlArena, MlModel, MlSimConfig};
 use trim_core::simulation::{run_game_with_scratch, GameConfig, ScalarArena, Scheme};
-use trim_core::space::{refine_placements, StrategySpace};
+use trim_core::space::StrategySpace;
 use trim_core::strategy::{DefenderPolicy, RandomizedDefender, ThresholdPolicy};
 use trimgame_datasets::synthetic::{GaussianComponent, GmmSpec};
 use trimgame_datasets::Dataset;
@@ -206,37 +201,6 @@ impl EquilibriumConfig {
         }
     }
 
-    /// Reads the CLI environment, anchored to `kind`'s grids:
-    /// `TRIMGAME_EQ_SMOKE=1` selects the smoke grid, `TRIMGAME_EQ_SEEDS=N`
-    /// overrides the per-cell repetitions ([`parse_eq_seeds`]),
-    /// `TRIMGAME_EQ_SKETCH` turns on the sketch-native defender
-    /// ([`parse_sketch_epsilon`]), and `TRIMGAME_SWEEP_THREADS` sets the
-    /// worker count.
-    ///
-    /// # Panics
-    /// Panics on a malformed `TRIMGAME_EQ_SEEDS` or `TRIMGAME_EQ_SKETCH`
-    /// (`expt` rejects both before it runs anything).
-    #[must_use]
-    pub fn from_env_for(kind: SubstrateKind) -> Self {
-        let smoke = std::env::var("TRIMGAME_EQ_SMOKE")
-            .map(|v| v == "1" || v.eq_ignore_ascii_case("true"))
-            .unwrap_or(false);
-        let mut cfg = if smoke {
-            Self::smoke_for(kind)
-        } else {
-            Self::default_for(kind)
-        };
-        if let Ok(raw) = std::env::var("TRIMGAME_EQ_SEEDS") {
-            cfg.seeds = parse_eq_seeds(&raw).unwrap_or_else(|e| panic!("TRIMGAME_EQ_SEEDS: {e}"));
-        }
-        if let Ok(raw) = std::env::var("TRIMGAME_EQ_SKETCH") {
-            cfg.sketch_epsilon =
-                parse_sketch_epsilon(&raw).unwrap_or_else(|e| panic!("TRIMGAME_EQ_SKETCH: {e}"));
-        }
-        cfg.workers = env_workers();
-        cfg
-    }
-
     /// The attacker's response atoms: just below each defender atom.
     #[must_use]
     pub fn attacker_atoms(&self) -> Vec<f64> {
@@ -289,8 +253,7 @@ pub fn parse_eq_seeds(raw: &str) -> Result<usize, String> {
     }
 }
 
-/// Parses the sketch-native defender switch (`TRIMGAME_EQ_SKETCH`,
-/// `--sketch[=EPS]`): empty/`0`/`false` keeps exact cuts, `1`/`true`
+/// Parses the sketch-native defender switch (`--sketch=EPS`): empty/`0`/`false` keeps exact cuts, `1`/`true`
 /// enables the sketch at [`DEFAULT_SKETCH_EPSILON`], and a float in
 /// `(0, 0.5)` sets the rank error directly.
 ///
@@ -312,7 +275,7 @@ pub fn parse_sketch_epsilon(raw: &str) -> Result<Option<f64>, String> {
 }
 
 /// Rank error used when the sketch-native defender is enabled without an
-/// explicit ε (`TRIMGAME_EQ_SKETCH=1`).
+/// explicit ε (a bare `--sketch`).
 pub const DEFAULT_SKETCH_EPSILON: f64 = 0.02;
 
 /// Which simulation substrate the equilibrium pipeline runs on.
@@ -343,7 +306,7 @@ impl SubstrateKind {
         }
     }
 
-    /// Parses a CLI/env name.
+    /// Parses a CLI name.
     #[must_use]
     pub fn parse(s: &str) -> Option<Self> {
         match s.to_ascii_lowercase().as_str() {
@@ -1330,183 +1293,27 @@ pub fn play_vs_exp3(
     }
 }
 
-/// Configuration of a defender support optimization.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SupportOptConfig {
-    /// Coordinate-descent passes over the atom set.
-    pub passes: usize,
-    /// Golden-section probes per atom per pass.
-    pub golden_iterations: usize,
-    /// Fictitious-play iterations for the inner matrix solves (smaller
-    /// than the headline solves — the optimizer only needs value
-    /// comparisons).
-    pub fp_iterations: usize,
-}
-
-impl SupportOptConfig {
-    /// Smoke-scale refinement (one pass, few probes).
-    #[must_use]
-    pub fn smoke() -> Self {
-        Self {
-            passes: 1,
-            golden_iterations: 6,
-            fp_iterations: 20_000,
-        }
-    }
-
-    /// Full refinement.
-    #[must_use]
-    pub fn default_opt() -> Self {
-        Self {
-            passes: 2,
-            golden_iterations: 10,
-            fp_iterations: 50_000,
-        }
-    }
-}
-
-/// Result of a defender support optimization.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SupportOptimization {
-    /// The fixed-grid starting atoms.
-    pub initial_atoms: Vec<f64>,
-    /// Solved game value on the starting atoms (measured matrix).
-    pub initial_value: f64,
-    /// The refined atom placements.
-    pub refined_atoms: Vec<f64>,
-    /// Solved game value on the refined placements — never worse than
-    /// `initial_value` (moves are accepted only on strict improvement).
-    pub refined_value: f64,
-    /// The defender mixture solved on the refined placements.
-    pub refined_strategy: Vec<f64>,
-    /// Payoff-row estimations performed (each one a `columns × seeds`
-    /// sweep through the workers).
-    pub row_estimations: usize,
-    /// Accepted atom moves.
-    pub moved: usize,
-}
-
-/// Refines the defender's atom *placements* by coordinate descent: each
-/// atom in turn is golden-sectioned inside the bracket between its
-/// neighbours, with the candidate's payoff row re-estimated through the
-/// same cell measurement as the dense grid and the game re-solved against the
-/// *fixed* attacker response columns of the starting grid. Moves are
-/// accepted only on strict improvement at the line-search precision, and
-/// the endpoint values are re-solved at the headline precision
-/// (`cfg.fp_iterations`); in the edge case where the coarse acceptances
-/// do not survive the fine solve, the optimizer reverts to the starting
-/// grid — so the refined support is *never* worse than the fixed grid,
-/// the strategy-space layer of §III-C2 taken beyond a predefined
-/// support.
-///
-/// Deterministic for any worker count: probe sequences depend only on the
-/// configuration, and every engine run is seed-addressed. Payoff rows are
-/// memoized by atom value (a row depends only on its placement), so
-/// rejected line searches never re-estimate the row they started from.
+/// The `expt equilibrium` experiment report for `run`: its substrate's
+/// smoke or full grid, with `run`'s seed count, sketch ε and worker
+/// count, through the dense grid or (`run.double_oracle`) the
+/// double-oracle solver.
 ///
 /// # Panics
 /// Panics on a degenerate configuration.
 #[must_use]
-pub fn optimize_support(
-    sub: &dyn GameSubstrate,
-    cfg: &EquilibriumConfig,
-    opt: &SupportOptConfig,
-) -> SupportOptimization {
-    cfg.validate();
-    let attacker_atoms = cfg.attacker_atoms();
-    let atoms = cfg.defender_atoms.clone();
-    let spacing = (atoms[atoms.len() - 1] - atoms[0]) / (atoms.len() - 1).max(1) as f64;
-    let bounds = (
-        (atoms[0] - spacing).max(cfg.response_margin),
-        (atoms[atoms.len() - 1] + spacing).min(1.0),
-    );
-
-    // Row memo: atom placement → estimated payoff row. A row depends only
-    // on its atom's placement (columns and seeds are fixed), so probes,
-    // accepted moves and the refiner's post-search re-evaluation of an
-    // unchanged atom all hit the memo instead of re-running the sweep.
-    let mut rows_by_atom: std::collections::HashMap<u64, Vec<f64>> =
-        std::collections::HashMap::new();
-    let mut row_estimations = 0usize;
-    let mut row_for = |t: f64| -> Vec<f64> {
-        rows_by_atom
-            .entry(t.to_bits())
-            .or_insert_with(|| {
-                row_estimations += 1;
-                let cells: Vec<(f64, f64)> = attacker_atoms.iter().map(|&a| (t, a)).collect();
-                measure_cells(sub, cfg, &cells)
-                    .into_iter()
-                    .map(|(mean, _)| mean)
-                    .collect()
-            })
-            .clone()
+pub fn equilibrium_report(run: &RunConfig) -> String {
+    let kind = run.substrate;
+    let mut cfg = if run.smoke {
+        EquilibriumConfig::smoke_for(kind)
+    } else {
+        EquilibriumConfig::default_for(kind)
     };
-    let solve_placement = |rows: Vec<Vec<f64>>, fp: usize| -> (f64, Vec<f64>) {
-        let eq = MatrixGame::new(rows).expect("finite means").solve(fp);
-        (eq.value, eq.row_strategy)
-    };
-    let initial_rows: Vec<Vec<f64>> = atoms.iter().map(|&t| row_for(t)).collect();
-    let (initial_value, initial_strategy) =
-        solve_placement(initial_rows.clone(), cfg.fp_iterations);
-
-    let refined = refine_placements(
-        &atoms,
-        bounds,
-        cfg.response_margin,
-        opt.passes,
-        opt.golden_iterations,
-        |candidate, _moved| {
-            let rows: Vec<Vec<f64>> = candidate.iter().map(|&t| row_for(t)).collect();
-            solve_placement(rows, opt.fp_iterations).0
-        },
-    );
-
-    let refined_rows: Vec<Vec<f64>> = refined.atoms.iter().map(|&t| row_for(t)).collect();
-    let (refined_value, refined_strategy) = solve_placement(refined_rows, cfg.fp_iterations);
-    if refined_value > initial_value {
-        // The coarse line-search acceptances did not survive the fine
-        // solve: keep the fixed grid (the contract is "never worse").
-        return SupportOptimization {
-            initial_atoms: atoms.clone(),
-            initial_value,
-            refined_atoms: atoms,
-            refined_value: initial_value,
-            refined_strategy: initial_strategy,
-            row_estimations,
-            moved: 0,
-        };
+    if let Some(seeds) = run.eq_seeds {
+        cfg.seeds = seeds;
     }
-    SupportOptimization {
-        initial_atoms: atoms,
-        initial_value,
-        refined_atoms: refined.atoms,
-        refined_value,
-        refined_strategy,
-        row_estimations,
-        moved: refined.moved,
-    }
-}
-
-/// The `expt equilibrium` experiment report, reading the substrate and
-/// grid scale from the environment (`TRIMGAME_EQ_SUBSTRATE`,
-/// `TRIMGAME_EQ_SMOKE`, `TRIMGAME_EQ_SEEDS`, `TRIMGAME_SWEEP_THREADS`).
-///
-/// # Panics
-/// Panics on an unknown substrate name.
-#[must_use]
-pub fn equilibrium_report_from_env() -> String {
-    let kind = match std::env::var("TRIMGAME_EQ_SUBSTRATE") {
-        Ok(name) => SubstrateKind::parse(&name)
-            .unwrap_or_else(|| panic!("unknown substrate {name:?} (expected scalar|ml|ldp)")),
-        Err(_) => SubstrateKind::Scalar,
-    };
-    let cfg = EquilibriumConfig::from_env_for(kind);
-    // `TRIMGAME_EQ_ORACLE=1` (the `--double-oracle` flag) swaps the dense
-    // grid for the best-response-oracle solver.
-    let oracle = std::env::var("TRIMGAME_EQ_ORACLE")
-        .map(|v| v == "1" || v.eq_ignore_ascii_case("true"))
-        .unwrap_or(false);
-    if oracle {
+    cfg.sketch_epsilon = run.sketch_epsilon;
+    cfg.workers = run.workers;
+    if run.double_oracle {
         crate::double_oracle::double_oracle_report_for(kind, &cfg)
     } else {
         equilibrium_report_for(kind, &cfg)
@@ -1697,32 +1504,6 @@ pub fn equilibrium_report_for(kind: SubstrateKind, cfg: &EquilibriumConfig) -> S
         }
     }
 
-    // Support optimization: refine the atom placements on the scalar
-    // substrate (the optimizer is substrate-generic; the report runs it
-    // where the closed form makes the improvement interpretable).
-    if kind == SubstrateKind::Scalar {
-        let opt = if cfg.seeds <= 4 {
-            SupportOptConfig::smoke()
-        } else {
-            SupportOptConfig::default_opt()
-        };
-        let refined = optimize_support(&*sub, cfg, &opt);
-        let _ = writeln!(out);
-        let _ = writeln!(
-            out,
-            "support optimization ({} pass(es), {} row re-estimations, {} moves):",
-            opt.passes, refined.row_estimations, refined.moved
-        );
-        let _ = writeln!(
-            out,
-            "  atoms [{}] value {:.5} -> atoms [{}] value {:.5} (improvement {:.5})",
-            weights(&refined.initial_atoms),
-            refined.initial_value,
-            weights(&refined.refined_atoms),
-            refined.refined_value,
-            refined.initial_value - refined.refined_value
-        );
-    }
     out
 }
 
@@ -1852,7 +1633,6 @@ mod tests {
         assert!(a.contains("empirical equilibrium"));
         assert!(a.contains("AdaptiveAttacker"));
         assert!(a.contains("Exp3Attacker"));
-        assert!(a.contains("support optimization"));
         assert!(a.contains("WITHIN CI") || a.contains("OUTSIDE CI"));
     }
 
@@ -2170,29 +1950,5 @@ mod tests {
         c.workers = 4;
         let again = play_vs_exp3(&sub, &c, &est.empirical.row_strategy, rounds);
         assert_eq!(play.attacker_payoff.mean(), again.attacker_payoff.mean());
-    }
-
-    #[test]
-    fn support_optimization_improves_or_ties_the_fixed_grid() {
-        // Acceptance contract: refined placements never lose to the fixed
-        // grid on the scalar smoke game, and the search is
-        // scheduling-independent.
-        let sub = ScalarSubstrate::new(&standard_pool());
-        let cfg = EquilibriumConfig::smoke();
-        let opt = SupportOptConfig::smoke();
-        let refined = optimize_support(&sub, &cfg, &opt);
-        assert!(
-            refined.refined_value <= refined.initial_value + 1e-12,
-            "refined {} vs initial {}",
-            refined.refined_value,
-            refined.initial_value
-        );
-        assert!(refined.refined_atoms.windows(2).all(|w| w[0] < w[1]));
-        assert_eq!(refined.refined_atoms.len(), refined.initial_atoms.len());
-        assert!(refined.row_estimations >= refined.initial_atoms.len());
-        let mut c = cfg.clone();
-        c.workers = 4;
-        let again = optimize_support(&sub, &c, &opt);
-        assert_eq!(refined, again);
     }
 }

@@ -5,10 +5,10 @@
 //! and series have the same structure and the same qualitative shape —
 //! EXPERIMENTS.md records the paper-vs-measured comparison.
 
-use crate::sweep::{env_workers, parallel_map};
+use crate::config::RunConfig;
+use crate::sweep::parallel_map;
 use std::fmt::Write as _;
 use std::sync::Arc;
-use trim_core::config;
 use trim_core::elastic::CoupledDynamics;
 use trim_core::ldp_sim::{ldp_mse, LdpDefense, LdpSimConfig};
 use trim_core::matrix::UltimatumPayoffs;
@@ -58,8 +58,7 @@ pub fn table1() -> String {
 
 /// Table II: dataset information.
 #[must_use]
-pub fn table2() -> String {
-    let scale = config::dataset_scale();
+pub fn table2(scale: usize) -> String {
     let mut rng = seeded_rng(2024);
     let mut out = String::new();
     let _ = writeln!(out, "== Table II: dataset information ==");
@@ -99,8 +98,7 @@ fn ratio_grid() -> Vec<(&'static str, Vec<f64>)> {
     ]
 }
 
-fn fig45_datasets() -> Vec<Dataset> {
-    let scale = config::dataset_scale();
+fn fig45_datasets(scale: usize) -> Vec<Dataset> {
     let mut rng = seeded_rng(777);
     vec![
         control(&mut rng),
@@ -112,8 +110,8 @@ fn fig45_datasets() -> Vec<Dataset> {
 /// Figs. 4/5: k-means SSE and centroid distance over Control, Vehicle and
 /// Letter at the given `tth` (0.90 for Fig. 4, 0.97 for Fig. 5).
 #[must_use]
-pub fn fig45(tth: f64) -> String {
-    let reps = config::repetitions().min(10);
+pub fn fig45(tth: f64, run: &RunConfig) -> String {
+    let reps = run.reps.min(10);
     let schemes = Scheme::roster();
     let mut out = String::new();
     let fig = if (tth - 0.9).abs() < 1e-9 {
@@ -130,7 +128,7 @@ pub fn fig45(tth: f64) -> String {
         "({reps} repetitions per point; SSE normalized per retained row)"
     );
 
-    for data in fig45_datasets() {
+    for data in fig45_datasets(run.scale) {
         let truth = trim_core::ml_sim::kmeans_truth(&data);
         // One k-means fit per dataset, shared across every cell.
         let model = Arc::new(MlModel::fit(&data));
@@ -141,7 +139,7 @@ pub fn fig45(tth: f64) -> String {
         // worker count and the numbers match the sequential loop exactly.
         let cells = parallel_map(
             schemes.len() * ratios_flat.len() * reps,
-            env_workers(),
+            run.workers,
             |idx| {
                 let rep = idx % reps;
                 let ri = (idx / reps) % ratios_flat.len();
@@ -204,7 +202,7 @@ pub fn fig45(tth: f64) -> String {
 
 /// Fig. 6: ground truth of SVM (confusion with PPV/FDR) and SOM (U-matrix).
 #[must_use]
-pub fn fig6() -> String {
+pub fn fig6(scale: usize) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -225,7 +223,6 @@ pub fn fig6() -> String {
     let _ = writeln!(out);
 
     // (b) SOM on Creditcard.
-    let scale = config::dataset_scale();
     let cc = creditcard(&mut seeded_rng(31), scale);
     let som = Som::fit(&cc, SomConfig::paper(), &mut seeded_rng(32));
     let _ = writeln!(
@@ -268,8 +265,8 @@ fn render_u_matrix(som: &Som) -> String {
 /// Fig. 7: SVM accuracy across the six schemes on Control
 /// (`Tth = 0.95`, attack ratio 0.4).
 #[must_use]
-pub fn fig7() -> String {
-    let reps = config::repetitions().min(10);
+pub fn fig7(run: &RunConfig) -> String {
+    let reps = run.reps.min(10);
     let data = control(&mut seeded_rng(2024));
     let mut out = String::new();
     let _ = writeln!(
@@ -291,7 +288,7 @@ pub fn fig7() -> String {
     // workers, each seeded by its index alone.
     let model = Arc::new(MlModel::fit(&data));
     let schemes = Scheme::roster();
-    let accs = parallel_map(schemes.len() * reps, env_workers(), |idx| {
+    let accs = parallel_map(schemes.len() * reps, run.workers, |idx| {
         let rep = idx % reps;
         let cfg = MlSimConfig {
             rounds: 20,
@@ -321,9 +318,8 @@ pub fn fig7() -> String {
 
 /// Fig. 8: SOM class-structure preservation on Creditcard across schemes.
 #[must_use]
-pub fn fig8() -> String {
-    let scale = config::dataset_scale();
-    let data = creditcard(&mut seeded_rng(31), scale.max(32));
+pub fn fig8(run: &RunConfig) -> String {
+    let data = creditcard(&mut seeded_rng(31), run.scale.max(32));
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -354,7 +350,7 @@ pub fn fig8() -> String {
     // som_structure dominates each cell).
     let model = Arc::new(MlModel::fit(&data));
     let schemes = Scheme::roster();
-    let rows = parallel_map(schemes.len(), env_workers(), |si| {
+    let rows = parallel_map(schemes.len(), run.workers, |si| {
         let cfg = MlSimConfig {
             rounds: 10,
             batch: 200,
@@ -402,8 +398,8 @@ pub fn fig8() -> String {
 
 /// Table III: the non-equilibrium p-sweep.
 #[must_use]
-pub fn table3() -> String {
-    let reps = config::repetitions();
+pub fn table3(run: &RunConfig) -> String {
+    let reps = run.reps;
     let data = control(&mut seeded_rng(5));
     let pool = trimgame_datasets::percentile::centroid_distances(&data);
     let mut out = String::new();
@@ -422,7 +418,7 @@ pub fn table3() -> String {
         "p", "avg termination rounds", "Titfortat", "Elastic"
     );
     // The eleven p-points are independent seeded sweeps — fan them out.
-    let rows = parallel_map(11, env_workers(), |i| {
+    let rows = parallel_map(11, run.workers, |i| {
         run_table3_point(&pool, i as f64 / 10.0, 0.5, reps, 1234)
     });
     for row in rows {
@@ -489,10 +485,9 @@ pub fn table4() -> String {
 
 /// Fig. 9: LDP MSE versus ε, trimming strategies vs EMF, per attack ratio.
 #[must_use]
-pub fn fig9() -> String {
-    let reps = config::repetitions().min(10);
-    let scale = config::dataset_scale();
-    let data = taxi(&mut seeded_rng(99), scale.max(32));
+pub fn fig9(run: &RunConfig) -> String {
+    let reps = run.reps.min(10);
+    let data = taxi(&mut seeded_rng(99), run.scale.max(32));
     let population: Vec<f64> = data.values().to_vec();
     let epsilons = [1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0];
     let ratios = [0.05, 0.10, 0.15, 0.20, 0.25, 0.30, 0.35, 0.40, 0.45];
@@ -508,7 +503,7 @@ pub fn fig9() -> String {
     let defenses = LdpDefense::roster();
     let mses = parallel_map(
         ratios.len() * defenses.len() * epsilons.len(),
-        env_workers(),
+        run.workers,
         |idx| {
             let ei = idx % epsilons.len();
             let di = (idx / epsilons.len()) % defenses.len();
@@ -562,7 +557,7 @@ mod tests {
 
     #[test]
     fn table2_lists_all_datasets() {
-        let report = table2();
+        let report = table2(RunConfig::default().scale);
         for name in ["CONTROL", "VEHICLE", "LETTER", "TAXI", "CREDITCARD"] {
             assert!(report.contains(name), "missing {name}");
         }

@@ -19,6 +19,7 @@ use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 use trimgame_stream::trim::{SketchThreshold, TrimScratch};
 
+use crate::config::RunConfig;
 use crate::double_oracle::{double_oracle, DoubleOracleConfig};
 use crate::empirical::{
     estimate_on, standard_substrate, EquilibriumConfig, GameSubstrate, ScalarSubstrate,
@@ -517,27 +518,15 @@ pub fn bench_diff(baseline: &str, current: &str, tolerance: f64) -> Result<Strin
     }
 }
 
-fn env_millis(var: &str, default_ms: u64) -> Duration {
-    Duration::from_millis(
-        std::env::var(var)
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
-            .unwrap_or(default_ms),
-    )
-}
-
-/// The `expt bench` experiment: measure the suite and render a table —
-/// or, with `TRIMGAME_BENCH_JSON=1` (the CLI's `--json`), the JSON
-/// snapshot alone, for `expt bench --json > snapshot.json`.
+/// The `expt bench` experiment: measure the suite over `run`'s bench
+/// windows and render a table — or, with `run.json` (the CLI's
+/// `--json`), the JSON snapshot alone, for `expt bench --json >
+/// snapshot.json`.
 #[must_use]
-pub fn bench_report() -> String {
-    let warmup = env_millis("TRIMGAME_BENCH_WARMUP_MS", 50);
-    let measure = env_millis("TRIMGAME_BENCH_MEASURE_MS", 250);
+pub fn bench_report(run: &RunConfig) -> String {
+    let (warmup, measure) = (run.bench_warmup, run.bench_measure);
     let cases = run_cases(warmup, measure);
-    let json_requested = std::env::var("TRIMGAME_BENCH_JSON")
-        .map(|v| v == "1" || v.eq_ignore_ascii_case("true"))
-        .unwrap_or(false);
-    if json_requested {
+    if run.json {
         return to_json(&cases);
     }
     let mut out = String::new();

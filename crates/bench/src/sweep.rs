@@ -15,7 +15,8 @@
 //! `(scheme, seed, shape)` coordinates, never on scheduling — which
 //! [`run`] exploits by writing each cell at its own grid index.
 //!
-//! Run it from the CLI: `expt sweep` (honors `TRIMGAME_SWEEP_THREADS`).
+//! Run it from the CLI: `expt sweep` (`TRIMGAME_SWEEP_THREADS` sets the
+//! worker count).
 
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -234,16 +235,6 @@ pub fn resolve_workers(requested: usize, n: usize) -> usize {
     workers.min(n.max(1))
 }
 
-/// The worker count requested through `TRIMGAME_SWEEP_THREADS`
-/// (`0`/unset = all cores).
-#[must_use]
-pub fn env_workers() -> usize {
-    std::env::var("TRIMGAME_SWEEP_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(0)
-}
-
 /// Fans `n` independent jobs across `workers` scoped threads (a single
 /// atomic cursor over the flattened index space — an expensive job never
 /// stalls the rest of a static partition) and returns results in index
@@ -253,8 +244,7 @@ pub fn env_workers() -> usize {
 /// As long as `job(idx)` depends only on `idx` — which every seeded
 /// engine cell in this crate does — the output is identical regardless of
 /// the worker count or scheduling, which is what makes the sweep and the
-/// empirical equilibrium estimator deterministic under
-/// `TRIMGAME_SWEEP_THREADS`.
+/// empirical equilibrium estimator deterministic under any worker count.
 ///
 /// # Panics
 /// Panics if a worker panics.
@@ -432,11 +422,11 @@ pub fn aggregate(cells: &[SweepCell]) -> Vec<SchemeStats> {
 
 /// The `expt sweep` experiment: runs the default grid sequentially and in
 /// parallel, verifies the results agree, and reports per-scheme utility
-/// statistics plus the wall-clock comparison.
+/// statistics plus the wall-clock comparison. `threads` is the parallel
+/// run's worker count (`0` = all cores).
 #[must_use]
-pub fn sweep_report() -> String {
+pub fn sweep_report(threads: usize) -> String {
     use std::fmt::Write as _;
-    let threads = env_workers();
     let pool = crate::empirical::standard_pool();
     let grid = SweepGrid::paper_roster(4, 2024);
 

@@ -20,7 +20,6 @@
 //! | §VI-E LDP case study (Fig. 9) | [`ldp_sim`] |
 
 pub mod adversary;
-pub mod config;
 pub mod elastic;
 pub mod engine;
 pub mod equilibrium;

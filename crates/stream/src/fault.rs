@@ -5,8 +5,8 @@
 //! not by chance: a [`FaultPlan`] is a pure function of `(seed, lane,
 //! site, sequence#)`, which makes every fault schedule exactly
 //! replayable — CI can re-run the same stalls, disconnects, torn spill
-//! writes and bit-flips byte for byte. The environment knob is
-//! `TRIMGAME_FAULTS=<seed:rate>` (see [`FaultSpec::from_env`]).
+//! writes and bit-flips byte for byte. The whole knob is a
+//! `<seed:rate>` string (see [`FaultSpec::parse`]).
 //!
 //! * A **site** ([`FaultSite`]) is one kind of injected failure.
 //! * A **lane** ([`FaultLane`]) is one independent fault stream —
@@ -111,14 +111,8 @@ pub struct FaultSpec {
 }
 
 impl FaultSpec {
-    /// Reads `TRIMGAME_FAULTS=<seed:rate>` (e.g. `7:0.02`). Unset or
-    /// malformed values yield `None` — faults are strictly opt-in.
-    #[must_use]
-    pub fn from_env() -> Option<Self> {
-        Self::parse(&std::env::var("TRIMGAME_FAULTS").ok()?)
-    }
-
-    /// Parses a `<seed:rate>` string.
+    /// Parses a `<seed:rate>` string (e.g. `7:0.02`); `None` when it is
+    /// malformed or the rate lies outside `[0, 1]`.
     #[must_use]
     pub fn parse(raw: &str) -> Option<Self> {
         let (seed, rate) = raw.split_once(':')?;
