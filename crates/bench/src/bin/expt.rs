@@ -5,6 +5,7 @@
 #![doc = concat!("```text\n", include_str!("usage.txt"), "```")]
 
 use trimgame_bench::config::RunConfig;
+use trimgame_bench::perf::{bench_diff, DiffError};
 use trimgame_bench::run_experiment;
 
 fn usage() -> ! {
@@ -14,7 +15,8 @@ fn usage() -> ! {
 
 /// `expt benchdiff <baseline.json> <current.json> [tolerance]`: compare
 /// two committed bench snapshots; exit 1 when a shared case regressed
-/// past the tolerance (default 3x, the CI smoke gate).
+/// past the tolerance (default 3x, the CI smoke gate) and 2 when the
+/// input cannot gate (bad tolerance, malformed or disjoint snapshots).
 fn benchdiff(args: &[String]) -> ! {
     let (Some(base_path), Some(cur_path)) = (args.first(), args.get(1)) else {
         eprintln!("usage: expt benchdiff <baseline.json> <current.json> [tolerance]");
@@ -35,15 +37,19 @@ fn benchdiff(args: &[String]) -> ! {
     };
     let baseline = read(base_path);
     let current = read(cur_path);
-    match trimgame_bench::perf::bench_diff(&baseline, &current, tolerance) {
+    match bench_diff(&baseline, &current, tolerance) {
         Ok(report) => {
             print!("{report}");
             std::process::exit(0);
         }
-        Err(report) => {
+        Err(DiffError::Regressed(report)) => {
             print!("{report}");
             eprintln!("bench regression past {tolerance}x detected");
             std::process::exit(1);
+        }
+        Err(DiffError::Invalid(msg)) => {
+            eprintln!("benchdiff: {msg}");
+            std::process::exit(2);
         }
     }
 }

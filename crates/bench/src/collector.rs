@@ -35,9 +35,8 @@
 //! worker runs, never *what* it computes. Only the wall-clock figures
 //! (throughput, latency histogram) vary across runs.
 
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;

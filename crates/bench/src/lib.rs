@@ -2,9 +2,9 @@
 //! evaluation (Section VI), plus the ablations called out in `DESIGN.md`.
 //!
 //! Each experiment is a pure function returning a formatted report, so the
-//! CLI (`src/bin/expt.rs`), the criterion benches and the tests all share
-//! one implementation. Its knobs arrive as one [`config::RunConfig`],
-//! which `expt` parses once from its flags and environment fallbacks;
+//! CLI (`src/bin/expt.rs`) and the tests share one implementation. Its
+//! knobs arrive as one [`config::RunConfig`], which `expt` parses once
+//! from its flags and environment fallbacks;
 //! [`run_experiment`] hands each report the config or the fields it
 //! reads (repetitions per point, dataset scale divisor, worker count,
 //! substrate, …). No code in this crate reads the environment.

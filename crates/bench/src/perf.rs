@@ -1,19 +1,18 @@
 //! In-process perf snapshots (`expt bench`): wall-clock means for the
-//! per-round hot paths and per-layer cases (trim, GK ingest, frames,
-//! matrix solves, engine runs and smoke-scale equilibrium estimates), as
-//! a table or — with `--json` — a machine-readable snapshot
-//! (`case → mean ns`) on stdout, so the perf trajectory is diffable
-//! across PRs without parsing criterion output (`expt benchdiff`
-//! compares two snapshots under a regression tolerance). End-to-end
-//! collector and full-grid solver throughput is measured by the
-//! stand-alone `trimbench` package, whose bounds are sized to noise.
+//! per-round hot paths and per-layer cases (trim, the retained-data
+//! summary, GK ingest, frames, matrix solves, engine runs and smoke-scale
+//! equilibrium estimates), as a table or — with `--json` — a
+//! machine-readable snapshot (`case → mean ns`) on stdout, so the perf
+//! trajectory is diffable across PRs (`expt benchdiff` compares two
+//! snapshots under a regression tolerance). End-to-end collector and
+//! full-grid solver throughput is measured by the stand-alone `trimbench`
+//! package, whose bounds are sized to noise.
 //!
-//! Measurement mirrors the vendored criterion harness (warm-up window,
-//! calibrated batches, mean over a measurement window) but returns the
-//! numbers instead of printing them. Windows honor
-//! `TRIMGAME_BENCH_WARMUP_MS` / `TRIMGAME_BENCH_MEASURE_MS`; numbers are
-//! indicative, meant for tracking order-of-magnitude movement between
-//! commits on the same machine.
+//! Each case runs a warm-up window, then calibrated batches until the
+//! measurement window is spent, and reports the mean per iteration. Both
+//! windows come from [`RunConfig`] (`bench_warmup` / `bench_measure`);
+//! numbers are indicative, meant for tracking order-of-magnitude movement
+//! between commits on the same machine.
 
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
@@ -30,6 +29,7 @@ use trim_core::matrix::MatrixGame;
 use trim_core::simulation::{run_game_with_policies, GameConfig, Scheme};
 use trim_core::strategy::DefenderPolicy;
 use trimgame_numerics::gk::{GkScratch, GkSummary};
+use trimgame_numerics::stats::OnlineStats;
 
 /// One measured case.
 #[derive(Debug, Clone, PartialEq)]
@@ -95,6 +95,20 @@ pub fn run_cases(warmup: Duration, measure: Duration) -> Vec<BenchCase> {
             }),
         );
     }
+    // The retained-data summary every round posts to the public board,
+    // at the kept-batch sizes of a collector round (17 values) and of an
+    // equilibrium cell round (1100 values).
+    for n in [17usize, 1_100] {
+        let values = batch_values(n);
+        push(
+            format!("stats/extend/{n}"),
+            time_ns(warmup, measure, || {
+                let mut acc = OnlineStats::new();
+                acc.extend(std::hint::black_box(&values));
+                std::hint::black_box(acc);
+            }),
+        );
+    }
     cases.extend(gk_cases(warmup, measure));
     cases.extend(frame_cases(warmup, measure));
     cases.extend(matrix_cases(warmup, measure));
@@ -107,7 +121,6 @@ pub fn run_cases(warmup: Duration, measure: Duration) -> Vec<BenchCase> {
 /// compacted (the per-round attacker read — it must not pay for
 /// tiering), and the full cold scan through the inflate path.
 fn frame_cases(warmup: Duration, measure: Duration) -> Vec<BenchCase> {
-    use trimgame_numerics::stats::OnlineStats;
     use trimgame_stream::board::{RangedBoard, RoundRecord};
     use trimgame_stream::compact::{Compactor, TierConfig};
     use trimgame_stream::frame::Frame;
@@ -449,10 +462,15 @@ fn parse_snapshot(json: &str) -> Result<Vec<(String, f64)>, String> {
             .split_once(':')
             .ok_or_else(|| format!("malformed snapshot line: {line}"))?;
         let name = name.trim().trim_matches('"');
+        let value = value.trim();
         let mean_ns: f64 = value
-            .trim()
             .parse()
             .map_err(|e| format!("bad mean for {name}: {e}"))?;
+        if !(mean_ns.is_finite() && mean_ns > 0.0) {
+            return Err(format!(
+                "bad mean for {name}: {value} is not a finite positive number"
+            ));
+        }
         cases.push((name.to_string(), mean_ns));
     }
     if cases.is_empty() {
@@ -461,20 +479,39 @@ fn parse_snapshot(json: &str) -> Result<Vec<(String, f64)>, String> {
     Ok(cases)
 }
 
+/// Why [`bench_diff`] did not pass: `expt benchdiff` exits 1 on a
+/// regression and 2 on input that cannot gate anything.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum DiffError {
+    /// A shared case regressed past the tolerance; holds the rendered
+    /// report.
+    Regressed(String),
+    /// The tolerance is not a finite number of at least 1, a snapshot is
+    /// malformed, or the snapshots share no case; holds the message.
+    Invalid(String),
+}
+
 /// Compares the `current` snapshot against `baseline` under a regression
 /// `tolerance` (a current mean more than `tolerance ×` its baseline is a
 /// regression). Only cases present in both snapshots are compared, so
-/// snapshots may add cases freely across PRs. Returns the rendered table
-/// as `Ok` when every shared case is within tolerance and as `Err` when
-/// any regressed — the CI smoke gate on committed snapshots.
+/// snapshots may add and drop cases across PRs, but at least one case
+/// must be shared. Returns the rendered table when every shared case is
+/// within tolerance — the CI gate on committed snapshots.
 ///
 /// # Errors
-/// Returns `Err` with the report when a shared case regressed, or with a
-/// parse message when either snapshot is malformed.
-pub fn bench_diff(baseline: &str, current: &str, tolerance: f64) -> Result<String, String> {
-    assert!(tolerance >= 1.0, "tolerance must be at least 1x");
-    let base = parse_snapshot(baseline)?;
-    let cur = parse_snapshot(current)?;
+/// [`DiffError::Regressed`] with the report when a shared case regressed;
+/// [`DiffError::Invalid`] when the tolerance is not a finite number of at
+/// least 1, when either snapshot is malformed (every mean must be a
+/// finite positive number) or when the snapshots share no case.
+pub fn bench_diff(baseline: &str, current: &str, tolerance: f64) -> Result<String, DiffError> {
+    if !(tolerance.is_finite() && tolerance >= 1.0) {
+        return Err(DiffError::Invalid(format!(
+            "tolerance must be a finite number of at least 1, got {tolerance}"
+        )));
+    }
+    let base =
+        parse_snapshot(baseline).map_err(|e| DiffError::Invalid(format!("baseline: {e}")))?;
+    let cur = parse_snapshot(current).map_err(|e| DiffError::Invalid(format!("current: {e}")))?;
     let mut out = String::new();
     let mut regressed = 0usize;
     let mut compared = 0usize;
@@ -493,7 +530,7 @@ pub fn bench_diff(baseline: &str, current: &str, tolerance: f64) -> Result<Strin
             continue;
         };
         compared += 1;
-        let ratio = cur_ns / base_ns.max(1e-9);
+        let ratio = cur_ns / base_ns;
         let status = if ratio > tolerance {
             regressed += 1;
             "REGRESSED"
@@ -511,8 +548,10 @@ pub fn bench_diff(baseline: &str, current: &str, tolerance: f64) -> Result<Strin
         out,
         "{compared} cases compared at tolerance {tolerance:.1}x; {regressed} regressed"
     );
-    if regressed > 0 {
-        Err(out)
+    if compared == 0 {
+        Err(DiffError::Invalid("the snapshots share no case".into()))
+    } else if regressed > 0 {
+        Err(DiffError::Regressed(out))
     } else {
         Ok(out)
     }
@@ -551,7 +590,7 @@ mod tests {
     #[test]
     fn suite_runs_with_tiny_windows_and_serializes() {
         let cases = run_cases(Duration::from_millis(1), Duration::from_millis(2));
-        assert_eq!(cases.len(), 29);
+        assert_eq!(cases.len(), 31);
         for case in &cases {
             assert!(case.mean_ns > 0.0, "{}: {}", case.name, case.mean_ns);
         }
@@ -560,6 +599,8 @@ mod tests {
         assert!(json.trim_end().ends_with('}'));
         assert_eq!(json.matches(':').count(), cases.len());
         assert!(json.contains("\"trim/absolute_in_place/1000\""));
+        assert!(json.contains("\"stats/extend/17\""));
+        assert!(json.contains("\"stats/extend/1100\""));
         assert!(json.contains("\"gk/ingest_batch/100000\""));
         assert!(json.contains("\"frame/encode/256\""));
         assert!(json.contains("\"frame/decode/256\""));
@@ -581,7 +622,9 @@ mod tests {
         let baseline = "{\n  \"a/x\": 100.0,\n  \"a/y\": 200.0,\n  \"gone\": 50.0\n}\n";
         // y regressed 2.5x, x improved; `extra` is new and ignored.
         let current = "{\n  \"a/x\": 80.0,\n  \"a/y\": 500.0,\n  \"extra\": 1.0\n}\n";
-        let err = bench_diff(baseline, current, 2.0).expect_err("y regressed past 2x");
+        let Err(DiffError::Regressed(err)) = bench_diff(baseline, current, 2.0) else {
+            panic!("y regressed past 2x");
+        };
         assert!(err.contains("REGRESSED"));
         assert!(err.contains("1 regressed"));
         // A generous tolerance accepts the same pair.
@@ -589,7 +632,30 @@ mod tests {
         assert!(ok.contains("improved"));
         assert!(ok.contains("0 regressed"));
         assert!(ok.contains("dropped"));
-        // Malformed input is a parse error, not a panic.
-        assert!(bench_diff("{}", current, 3.0).is_err());
+
+        // Input that cannot gate is an `Invalid` error, never a panic, a
+        // regression or a pass.
+        let invalid = |base: &str, cur: &str, tolerance: f64| {
+            let result = bench_diff(base, cur, tolerance);
+            let Err(DiffError::Invalid(msg)) = result else {
+                panic!("{base:?} vs {cur:?} at {tolerance}: {result:?}");
+            };
+            msg
+        };
+        for tolerance in [0.5, 0.0, -3.0, f64::NAN, f64::INFINITY] {
+            assert!(invalid(baseline, current, tolerance).contains("tolerance"));
+        }
+        for bad in ["abc", "NaN", "inf", "-5", "0"] {
+            let snapshot = format!("{{\n  \"a/x\": 100.0,\n  \"a/y\": {bad}\n}}\n");
+            assert!(invalid(&snapshot, current, 3.0).starts_with("baseline: bad mean for a/y"));
+            assert!(invalid(baseline, &snapshot, 3.0).starts_with("current: bad mean for a/y"));
+        }
+        assert!(invalid("{}", current, 3.0).contains("malformed snapshot line"));
+        assert!(invalid("{\n}\n", current, 3.0).contains("no cases"));
+        let disjoint = "{\n  \"b/z\": 100.0\n}\n";
+        assert_eq!(
+            invalid(baseline, disjoint, 3.0),
+            "the snapshots share no case"
+        );
     }
 }

@@ -30,10 +30,10 @@
 use crate::compact::TierStats;
 use crate::fault::{with_retry, FaultLane, FaultSite, RetryPolicy};
 use crate::frame::{crc32, Frame};
-use parking_lot::RwLock;
+use crate::locks::{read, write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, OnceLock, RwLock};
 use trimgame_numerics::stats::OnlineStats;
 
 /// One round's public record.
@@ -347,7 +347,7 @@ impl RangedBoard {
     /// Clones the tiers of spans `first..`, stamping the LRU clock onto
     /// every cold span the read is about to touch.
     fn tiers_from(&self, first: usize) -> Vec<SpanTier> {
-        let guard = self.shared.spans.read();
+        let guard = read(&self.shared.spans);
         let tick = self.shared.clock.fetch_add(1, Ordering::Relaxed) + 1;
         guard
             .iter()
@@ -418,14 +418,14 @@ impl RangedBoard {
     /// Hot spans account at raw record size, framed spans at their packed
     /// size, spilled spans at zero.
     pub(crate) fn span_summaries(&self) -> Vec<SpanSummary> {
-        let guard = self.shared.spans.read();
+        let guard = read(&self.shared.spans);
         guard
             .iter()
             .enumerate()
             .map(|(idx, slot)| {
                 let (resident_bytes, is_hot, is_framed, len) = match &slot.tier {
                     SpanTier::Hot(span) => {
-                        let len = span.read().len();
+                        let len = read(span).len();
                         (len * std::mem::size_of::<RoundRecord>(), true, false, len)
                     }
                     SpanTier::Framed(frame) => (frame.packed_bytes(), false, true, frame.len()),
@@ -450,9 +450,9 @@ impl RangedBoard {
     /// cold.
     pub(crate) fn freeze_span(&self, idx: usize) -> Option<FreezeReceipt> {
         let records = {
-            let guard = self.shared.spans.read();
+            let guard = read(&self.shared.spans);
             match &guard.get(idx)?.tier {
-                SpanTier::Hot(span) => span.read().records(),
+                SpanTier::Hot(span) => read(span).records(),
                 _ => return None,
             }
         };
@@ -467,12 +467,12 @@ impl RangedBoard {
             base_round: records[0].round,
             last_round: records[records.len() - 1].round,
         };
-        let mut guard = self.shared.spans.write();
+        let mut guard = write(&self.shared.spans);
         let slot = guard.get_mut(idx)?;
         match &slot.tier {
             // A sealed span below the live one cannot grow, but re-check
             // anyway so a racing (contract-violating) post loses cleanly.
-            SpanTier::Hot(span) if span.read().len() == records.len() => {
+            SpanTier::Hot(span) if read(span).len() == records.len() => {
                 slot.tier = SpanTier::Framed(frame);
                 self.shared.stats.count_frame(
                     records.len() as u64,
@@ -500,7 +500,7 @@ impl RangedBoard {
         path: PathBuf,
     ) -> std::io::Result<Option<SpillReceipt>> {
         let frame = {
-            let guard = self.shared.spans.read();
+            let guard = read(&self.shared.spans);
             match guard.get(idx).map(|s| &s.tier) {
                 Some(SpanTier::Framed(frame)) => frame.clone(),
                 _ => return Ok(None),
@@ -523,7 +523,7 @@ impl RangedBoard {
         }
         let file_crc = crc32(&bytes);
         std::fs::write(&path, bytes)?;
-        let mut guard = self.shared.spans.write();
+        let mut guard = write(&self.shared.spans);
         let Some(slot) = guard.get_mut(idx) else {
             return Ok(None);
         };
@@ -559,7 +559,7 @@ impl RangedBoard {
         len: usize,
         last_round: usize,
     ) {
-        let mut guard = self.shared.spans.write();
+        let mut guard = write(&self.shared.spans);
         assert_eq!(guard.len(), idx, "recovered spans adopt in order");
         guard.push(SpanSlot {
             tier: SpanTier::Spilled(SpilledSpan { path, len }),
@@ -586,17 +586,17 @@ impl RangedBoard {
                 panic!("posting into compacted span {idx}");
             };
             let round = record.round;
-            span.write().push(record);
+            write(span).push(record);
             self.shared.last_round.fetch_max(round, Ordering::Relaxed);
             self.shared.len.fetch_add(1, Ordering::Relaxed);
         };
         {
-            let guard = self.shared.spans.read();
+            let guard = read(&self.shared.spans);
             if let Some(slot) = guard.get(idx) {
                 return push(slot, record);
             }
         }
-        let mut guard = self.shared.spans.write();
+        let mut guard = write(&self.shared.spans);
         while guard.len() <= idx {
             guard.push(SpanSlot::hot());
         }
@@ -635,7 +635,7 @@ impl RangedBoard {
         let found = |r: &RoundRecord| (r.round == round).then(|| r.clone());
         match self.tiers_from(self.span_of(round)).into_iter().next()? {
             SpanTier::Hot(span) => {
-                let span = span.read();
+                let span = read(&span);
                 let at = span.start_of(round);
                 (at < span.len()).then(|| span.get(at)).and_then(found)
             }
@@ -657,7 +657,7 @@ impl RangedBoard {
         for tier in self.tiers_from(self.span_of(round)) {
             match tier {
                 SpanTier::Hot(span) => {
-                    let span = span.read();
+                    let span = read(&span);
                     span.for_each_from(span.start_of(round), &mut f);
                 }
                 cold => {
@@ -678,7 +678,7 @@ impl RangedBoard {
         for tier in self.tiers_from(self.span_of(round)) {
             match tier {
                 SpanTier::Hot(span) => {
-                    let span = span.read();
+                    let span = read(&span);
                     span.segments_from(span.start_of(round), &mut out);
                 }
                 cold => {

@@ -19,17 +19,10 @@
 //! * [`Sender::backpressure_events`] counts the times a send had to
 //!   wait for space (shared across clones of the channel).
 
+use crate::locks::lock;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-
-/// The workspace's vendored `parking_lot` stand-in has no `Condvar`,
-/// so this module uses the std primitives directly with `parking_lot`'s
-/// non-poisoning semantics (a poisoned lock is recovered, not
-/// propagated — a panicking producer must not wedge the pipeline).
-fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(|e| e.into_inner())
-}
+use std::sync::{Arc, Condvar, Mutex};
 
 /// The receiver disconnected; the payload is handed back to the caller.
 #[derive(Debug, PartialEq, Eq)]

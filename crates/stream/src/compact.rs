@@ -33,11 +33,11 @@
 
 use crate::board::RangedBoard;
 use crate::fault::{with_retry, RetryPolicy};
+use crate::locks::lock;
 use crate::recover::{ManifestWriter, SpanManifest};
-use parking_lot::Mutex;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Knobs of the storage tiers.
 #[derive(Debug, Clone)]
@@ -341,7 +341,7 @@ impl Compactor {
                             frame_crc: receipt.file_crc,
                             file_name: name,
                         };
-                        if manifest.lock().log_spilled(&entry).is_err() {
+                        if lock(manifest).log_spilled(&entry).is_err() {
                             stats.count_spill_write_failure();
                         }
                     }
@@ -374,8 +374,7 @@ impl Compactor {
         len: usize,
     ) {
         if let Some(manifest) = &self.manifest {
-            let ok = manifest
-                .lock()
+            let ok = lock(manifest)
                 .log_frozen(idx as u64, base_round as u64, last_round as u64, len as u64)
                 .is_ok();
             if !ok {

@@ -39,6 +39,7 @@ pub mod coalesce;
 pub mod compact;
 pub mod fault;
 pub mod frame;
+mod locks;
 pub mod recover;
 pub mod trim;
 

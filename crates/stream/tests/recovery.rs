@@ -13,9 +13,8 @@
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
 use proptest::prelude::*;
 use rand::Rng;
 use trimgame_stream::board::{RangedVenue, RoundRecord};
