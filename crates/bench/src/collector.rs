@@ -14,7 +14,11 @@
 //! ```
 //!
 //! * **Channels** ([`trimgame_stream::channel`]): bounded, blocking
-//!   producers with counted backpressure; workers drain in batches.
+//!   producers with counted backpressure. A producer hands over what its
+//!   shuffle buffer released during a round in one `send_batch`, all of
+//!   it under one send stamp; workers drain in batches. An ingest thread
+//!   that finds every stream it owns idle registers on their channels
+//!   and parks until a send or a disconnect on any of them wakes it.
 //! * **Coalescing** ([`trimgame_stream::coalesce`]): per-round batches
 //!   seal on a count trigger or when the bounded reorder window ages
 //!   them out; late-beyond-watermark records are counted and routed by
@@ -35,7 +39,6 @@
 //! worker runs, never *what* it computes. Only the wall-clock figures
 //! (throughput, latency histogram) vary across runs.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -165,18 +168,30 @@ pub struct StreamOutcome {
     pub run: EngineRun,
     /// Coalescer counters for the stream.
     pub coalesce: CoalesceStats,
+    /// Times the stream's producer found its channel full and waited,
+    /// read from the channel after the stream drained (so a producer
+    /// killed mid-stream still counts).
+    pub backpressure_events: u64,
 }
 
-/// A lock-free (single-writer) log2-bucketed latency histogram. Each
-/// ingest worker owns one and records nanoseconds from producer `send`
-/// to worker dequeue — so time spent blocked on backpressure counts —
-/// and the per-worker histograms merge by plain addition at report
-/// time.
+/// Sub-buckets per power of two, as a bit count: 8 sub-buckets, so a
+/// bucket's width is at most 1/8 of its lower edge.
+const SUB_BITS: u32 = 3;
+const SUB_BUCKETS: usize = 1 << SUB_BITS;
+/// Values below `SUB_BUCKETS` get one exact bucket each; every power of
+/// two from `SUB_BUCKETS` up to `2^63` gets `SUB_BUCKETS` more.
+const LATENCY_BUCKETS: usize = (64 - SUB_BITS as usize + 1) * SUB_BUCKETS;
+
+/// A lock-free (single-writer) log-linear latency histogram, in the
+/// manner of HdrHistogram: each power of two splits into 8 equal
+/// sub-buckets, so a reported quantile is within 12.5% of the true
+/// sample. Each ingest worker owns one and records nanoseconds from
+/// producer send to worker dequeue — so time spent blocked on
+/// backpressure counts — and the per-worker histograms merge by plain
+/// addition at report time.
 #[derive(Debug, Clone)]
 pub struct LatencyHistogram {
-    /// `buckets[i]` counts samples with `floor(log2(ns)) == i`
-    /// (bucket 0 also holds 0 ns).
-    buckets: [u64; 64],
+    buckets: [u64; LATENCY_BUCKETS],
     count: u64,
 }
 
@@ -190,20 +205,36 @@ impl LatencyHistogram {
     #[must_use]
     pub fn new() -> Self {
         Self {
-            buckets: [0; 64],
+            buckets: [0; LATENCY_BUCKETS],
             count: 0,
         }
+    }
+
+    /// The bucket of `ns`: exact below `SUB_BUCKETS`, else the power of
+    /// two `e` and the top `SUB_BITS` bits below its leading one.
+    fn bucket(ns: u64) -> usize {
+        if ns < SUB_BUCKETS as u64 {
+            return ns as usize;
+        }
+        let e = 63 - ns.leading_zeros();
+        let sub = (ns >> (e - SUB_BITS)) as usize - SUB_BUCKETS;
+        (e - SUB_BITS + 1) as usize * SUB_BUCKETS + sub
+    }
+
+    /// The exclusive upper edge of bucket `i`, saturating at `u64::MAX`.
+    fn upper_edge(i: usize) -> u64 {
+        if i < SUB_BUCKETS {
+            return i as u64 + 1;
+        }
+        let e = (i / SUB_BUCKETS) as u32 + SUB_BITS - 1;
+        let top = (SUB_BUCKETS + i % SUB_BUCKETS + 1) as u128;
+        u64::try_from(top << (e - SUB_BITS)).unwrap_or(u64::MAX)
     }
 
     /// Records one latency sample.
     pub fn record(&mut self, latency: Duration) {
         let ns = latency.as_nanos().min(u128::from(u64::MAX)) as u64;
-        let bucket = if ns == 0 {
-            0
-        } else {
-            63 - ns.leading_zeros() as usize
-        };
-        self.buckets[bucket] += 1;
+        self.buckets[Self::bucket(ns)] += 1;
         self.count += 1;
     }
 
@@ -221,9 +252,8 @@ impl LatencyHistogram {
         self.count
     }
 
-    /// Upper bound (in ns) of the bucket containing quantile `q`, or 0
-    /// with no samples. Bucket resolution is a factor of two — ample
-    /// for a tail-latency gate.
+    /// Upper edge (in ns) of the sub-bucket containing quantile `q`, or
+    /// 0 with no samples: at most 12.5% above the true sample.
     #[must_use]
     pub fn quantile_ns(&self, q: f64) -> u64 {
         if self.count == 0 {
@@ -234,7 +264,7 @@ impl LatencyHistogram {
         for (i, &c) in self.buckets.iter().enumerate() {
             seen += c;
             if seen >= rank {
-                return if i >= 63 { u64::MAX } else { 2u64 << i };
+                return Self::upper_edge(i);
             }
         }
         u64::MAX
@@ -256,7 +286,8 @@ pub struct CollectorReport {
     pub rounds_played: usize,
     /// Records ingested across all streams (including late ones).
     pub records_ingested: u64,
-    /// Times a producer blocked on a full channel.
+    /// Times a producer blocked on a full channel, summed over the
+    /// streams' channels.
     pub backpressure_events: u64,
     /// Merged per-record ingest latency histogram.
     pub latency: LatencyHistogram,
@@ -302,7 +333,9 @@ impl CollectorReport {
 
 /// A record in flight: the stamped observation plus its send time, so
 /// the dequeue side can histogram true ingest latency (including any
-/// backpressure wait, since the stamp is taken before `send`).
+/// backpressure wait, since the stamp is taken before `send_batch`).
+/// Producers hand the channel one released round at a time, and every
+/// record of that round carries the same stamp.
 struct Stamped {
     rec: IngestRecord,
     sent: Instant,
@@ -332,12 +365,12 @@ struct Worker<S: Scenario> {
 
 impl<S: Scenario> Worker<S> {
     /// Drains whatever the channel holds, coalesces it, and plays every
-    /// round that sealed. Returns `true` while the stream is live.
+    /// round that sealed. Returns `true` if it made progress: records
+    /// drained, or the stream finished.
     fn pump(&mut self) -> bool {
         if self.done {
             return false;
         }
-        self.inbox.clear();
         let got = self.rx.try_recv_batch(&mut self.inbox, 4096);
         let now = Instant::now();
         for stamped in self.inbox.drain(..) {
@@ -358,7 +391,7 @@ impl<S: Scenario> Worker<S> {
                 compactor.run(&self.shard);
             }
         }
-        !self.done
+        got > 0 || self.done
     }
 
     /// Plays one engine round per sealed batch, posting to this
@@ -446,7 +479,6 @@ where
     assert!(cfg.rounds > 0, "need at least one round");
     assert!(cfg.batch > 0, "need a positive batch");
     let threads = cfg.effective_threads();
-    let backpressure = AtomicU64::new(0);
     let plan = cfg.faults.map(FaultPlan::new);
     let watermarks: Vec<usize> = resume
         .as_ref()
@@ -510,24 +542,27 @@ where
         // Producers: one per stream, emitting `rounds × batch` stamped
         // records through a seeded shuffle buffer (bounded disorder),
         // plus deliberate stale duplicates every `late_every` records.
+        // What the buffer releases during a round goes out in one
+        // `send_batch`, so a producer never holds more than a round.
+        let mut producers = Vec::with_capacity(cfg.streams);
         for (stream, tx) in senders.into_iter().enumerate() {
-            let backpressure = &backpressure;
             let lane = plan.as_ref().map(|p| p.lane(stream as u64));
-            scope.spawn(move || {
+            producers.push(scope.spawn(move || {
                 let mut rng = seeded_rng(derive_seed(
                     derive_seed(cfg.seed, PRODUCER_STREAM),
                     stream as u64,
                 ));
                 let mut pending: Vec<IngestRecord> = Vec::with_capacity(cfg.jitter + 1);
+                let mut released: Vec<IngestRecord> = Vec::with_capacity(cfg.batch + cfg.jitter);
+                let mut batch: Vec<Stamped> = Vec::with_capacity(cfg.batch + cfg.jitter);
                 let mut emitted = 0u64;
-                let send = |rec: IngestRecord| {
-                    let stamped = Stamped {
-                        rec,
-                        sent: Instant::now(),
-                    };
+                let mut send = |released: &mut Vec<IngestRecord>| {
+                    let sent = Instant::now();
+                    batch.extend(released.drain(..).map(|rec| Stamped { rec, sent }));
                     // A send only fails if the service dropped the
                     // receiver early (a panic elsewhere); nothing to do.
-                    let _ = tx.send(stamped);
+                    let _ = tx.send_batch(&mut batch);
+                    batch.clear();
                 };
                 for round in 1..=cfg.rounds {
                     if let Some(lane) = &lane {
@@ -561,16 +596,17 @@ where
                         pending.push(rec);
                         while pending.len() > cfg.jitter {
                             let i = rng.gen_range(0..pending.len());
-                            send(pending.swap_remove(i));
+                            released.push(pending.swap_remove(i));
                         }
                     }
+                    send(&mut released);
                 }
                 while !pending.is_empty() {
                     let i = rng.gen_range(0..pending.len());
-                    send(pending.swap_remove(i));
+                    released.push(pending.swap_remove(i));
                 }
-                backpressure.fetch_add(tx.backpressure_events(), Ordering::Relaxed);
-            });
+                send(&mut released);
+            }));
         }
 
         // Ingest threads: thread `t` owns workers `{w : w % threads == t}`.
@@ -630,15 +666,21 @@ where
                         }
                     })
                     .collect();
+                // Pump every owned worker; after a pass that found
+                // nothing, register on every live channel and park until
+                // a send or a disconnect on any of them. A registration
+                // fails if its channel turned ready since the pass, and
+                // then the thread pumps again instead of parking.
+                let me = std::thread::current();
                 loop {
-                    let mut live = false;
-                    for w in workers.iter_mut() {
-                        live |= w.pump();
-                    }
-                    if !live {
+                    let progressed = workers.iter_mut().fold(false, |p, w| w.pump() | p);
+                    let mut live = workers.iter().filter(|w| !w.done).peekable();
+                    if live.peek().is_none() {
                         break;
                     }
-                    std::thread::yield_now();
+                    if !progressed && live.all(|w| w.rx.register_waiter(&me)) {
+                        std::thread::park();
+                    }
                 }
                 workers
                     .into_iter()
@@ -648,6 +690,7 @@ where
                                 stream: w.stream,
                                 run: w.stepper.finish(),
                                 coalesce: w.coalescer.stats(),
+                                backpressure_events: w.rx.backpressure_events(),
                             },
                             w.latency,
                             w.compactor.as_ref().is_some_and(Compactor::is_degraded),
@@ -663,12 +706,20 @@ where
                 outcomes.push(outcome);
             }
         }
+        // Join the producers too, rather than leaving them to the scope:
+        // a joined thread has fully exited, so the allocator has taken
+        // back its per-thread arena before the next run spawns threads
+        // that would otherwise each open a new one.
+        for producer in producers {
+            producer.join().expect("producer thread panicked");
+        }
     });
     let elapsed = started.elapsed();
     outcomes.sort_by_key(|o| o.stream);
 
     let rounds_played = outcomes.iter().map(|o| o.run.rounds).sum();
     let records_ingested = outcomes.iter().map(|o| o.coalesce.records).sum();
+    let backpressure_events = outcomes.iter().map(|o| o.backpressure_events).sum();
     CollectorReport {
         cfg: cfg.clone(),
         threads,
@@ -676,7 +727,7 @@ where
         venue,
         rounds_played,
         records_ingested,
-        backpressure_events: backpressure.load(Ordering::Relaxed),
+        backpressure_events,
         latency,
         faults: plan
             .as_ref()
@@ -820,7 +871,7 @@ pub fn collect_report(run: &crate::config::RunConfig) -> String {
     );
     let _ = writeln!(
         out,
-        "  ingest latency: p50 {} ns  p99 {} ns  ({} samples, log2 buckets)",
+        "  ingest latency: p50 {} ns  p99 {} ns  ({} samples, log-linear buckets)",
         sharded.latency.quantile_ns(0.50),
         sharded.latency.quantile_ns(0.99),
         sharded.latency.count(),
@@ -1094,26 +1145,42 @@ mod tests {
     fn collector_output_is_bit_identical_across_thread_counts() {
         // The acceptance contract: same seed, same coalescing
         // boundaries → identical outputs for TRIMGAME_SWEEP_THREADS-
-        // style thread counts 1 and 8 (8 > streams exercises the cap).
+        // style thread counts 1, 2 and 8 (2 multiplexes two streams per
+        // parked thread, 8 > streams exercises the cap). The second
+        // config's rounds outgrow the channel, so every `send_batch`
+        // fills it, waits and sends the rest.
         let pool = standard_pool();
-        let run = |threads: usize| {
-            let cfg = CollectorConfig {
-                threads,
+        for base in [
+            small_cfg(),
+            CollectorConfig {
+                channel_cap: 5,
                 ..small_cfg()
+            },
+        ] {
+            let run = |threads: usize| {
+                let cfg = CollectorConfig {
+                    threads,
+                    ..base.clone()
+                };
+                run_collector(&cfg, |stream| {
+                    scalar_stream_setup(&pool, cfg.rounds, cfg.seed, stream)
+                })
             };
-            run_collector(&cfg, |stream| {
-                scalar_stream_setup(&pool, cfg.rounds, cfg.seed, stream)
-            })
-        };
-        let single = run(1);
-        let multi = run(8);
-        assert_eq!(finals(&single), finals(&multi));
-        assert_eq!(merged_rounds(&single), merged_rounds(&multi));
-        let a: Vec<CoalesceStats> = single.streams.iter().map(|s| s.coalesce).collect();
-        let b: Vec<CoalesceStats> = multi.streams.iter().map(|s| s.coalesce).collect();
-        assert_eq!(a, b);
-        assert_eq!(single.rounds_played, multi.rounds_played);
-        assert_eq!(single.records_ingested, multi.records_ingested);
+            let single = run(1);
+            assert!(
+                base.batch <= base.channel_cap || single.backpressure_events > 0,
+                "rounds larger than the channel never waited"
+            );
+            for multi in [run(2), run(8)] {
+                assert_eq!(finals(&single), finals(&multi));
+                assert_eq!(merged_rounds(&single), merged_rounds(&multi));
+                let a: Vec<CoalesceStats> = single.streams.iter().map(|s| s.coalesce).collect();
+                let b: Vec<CoalesceStats> = multi.streams.iter().map(|s| s.coalesce).collect();
+                assert_eq!(a, b);
+                assert_eq!(single.rounds_played, multi.rounds_played);
+                assert_eq!(single.records_ingested, multi.records_ingested);
+            }
+        }
     }
 
     #[test]
@@ -1268,6 +1335,43 @@ mod tests {
     }
 
     #[test]
+    fn killed_producers_backpressure_is_counted() {
+        // Rounds of 16 records through a 4-record channel: every round's
+        // `send_batch` waits at least once, so any producer that sent a
+        // round counts backpressure, including the ones a disconnect
+        // fault kills mid-stream. The report sums its channels.
+        let pool = standard_pool();
+        let cfg = CollectorConfig {
+            rounds: 80,
+            channel_cap: 4,
+            faults: Some(FaultSpec {
+                seed: 601,
+                rate: 0.25,
+            }),
+            ..small_cfg()
+        };
+        let report = run_collector(&cfg, |stream| {
+            scalar_stream_setup(&pool, cfg.rounds, cfg.seed, stream)
+        });
+        assert!(report.faults.disconnects > 0);
+        let per_channel: u64 = report.streams.iter().map(|s| s.backpressure_events).sum();
+        assert_eq!(report.backpressure_events, per_channel);
+        let killed: Vec<&StreamOutcome> = report
+            .streams
+            .iter()
+            .filter(|s| s.run.rounds > 0 && s.run.rounds < cfg.rounds)
+            .collect();
+        assert!(!killed.is_empty(), "no producer died after sending a round");
+        for s in killed {
+            assert!(
+                s.backpressure_events > 0,
+                "stream {} lost its count",
+                s.stream
+            );
+        }
+    }
+
+    #[test]
     fn killed_run_recovers_and_resumes_bit_identical() {
         // The acceptance contract: a run killed mid-stream by injected
         // disconnects leaves durable manifests; recovery + fault-free
@@ -1346,5 +1450,38 @@ mod tests {
         let p99 = merged.quantile_ns(0.99);
         assert!(p50 <= p99, "p50 {p50} > p99 {p99}");
         assert!(p99 >= 1_000_000, "p99 {p99} below the largest sample");
+
+        // Log-linear resolution: a sample reads back within 12.5%.
+        let mut one = LatencyHistogram::new();
+        one.record(Duration::from_nanos(1_000));
+        let p50 = one.quantile_ns(0.5);
+        assert!(
+            (1_000..=1_125).contains(&p50),
+            "1000 ns sample reads p50 {p50}"
+        );
+
+        // Quantiles stay monotone in q across merges of mixed samples,
+        // and every reported edge lies within 12.5% above its sample.
+        let mut acc = LatencyHistogram::new();
+        for (k, ns) in [3u64, 8, 999, 1_000, 4_194_304, 5_000_000, u64::MAX]
+            .into_iter()
+            .enumerate()
+        {
+            let mut h = LatencyHistogram::new();
+            h.record(Duration::from_nanos(ns));
+            let edge = h.quantile_ns(1.0);
+            assert!(edge > ns || edge == u64::MAX, "edge {edge} not above {ns}");
+            assert!(
+                edge as f64 <= ns as f64 * 1.125 + 1.0,
+                "edge {edge} for {ns}"
+            );
+            acc.merge(&h);
+            assert_eq!(acc.count(), k as u64 + 1);
+            let qs: Vec<u64> = [0.0, 0.1, 0.5, 0.9, 0.99, 1.0]
+                .iter()
+                .map(|&q| acc.quantile_ns(q))
+                .collect();
+            assert!(qs.windows(2).all(|w| w[0] <= w[1]), "non-monotone {qs:?}");
+        }
     }
 }

@@ -1,12 +1,12 @@
 //! In-process perf snapshots (`expt bench`): wall-clock means for the
 //! per-round hot paths and per-layer cases (trim, the retained-data
-//! summary, GK ingest, frames, matrix solves, engine runs and smoke-scale
-//! equilibrium estimates), as a table or — with `--json` — a
-//! machine-readable snapshot (`case → mean ns`) on stdout, so the perf
-//! trajectory is diffable across PRs (`expt benchdiff` compares two
-//! snapshots under a regression tolerance). End-to-end collector and
-//! full-grid solver throughput is measured by the stand-alone `trimbench`
-//! package, whose bounds are sized to noise.
+//! summary, the ingest channel, GK ingest, frames, matrix solves, engine
+//! runs and smoke-scale equilibrium estimates), as a table or — with
+//! `--json` — a machine-readable snapshot (`case → mean ns`) on stdout,
+//! so the perf trajectory is diffable across PRs (`expt benchdiff`
+//! compares two snapshots under a regression tolerance). End-to-end
+//! collector and full-grid solver throughput is measured by the
+//! stand-alone `trimbench` package, whose bounds are sized to noise.
 //!
 //! Each case runs a warm-up window, then calibrated batches until the
 //! measurement window is spent, and reports the mean per iteration. Both
@@ -109,11 +109,55 @@ pub fn run_cases(warmup: Duration, measure: Duration) -> Vec<BenchCase> {
             }),
         );
     }
+    cases.extend(channel_cases(warmup, measure));
     cases.extend(gk_cases(warmup, measure));
     cases.extend(frame_cases(warmup, measure));
     cases.extend(matrix_cases(warmup, measure));
     cases.extend(engine_cases(warmup, measure));
     cases
+}
+
+/// The ingest channel's hand-off, single-threaded so neither side ever
+/// blocks: fill a 1024-record channel to capacity, then drain it with one
+/// `try_recv_batch`, as a collector worker does. One iteration moves 1024
+/// collector-shaped items (a record and its send stamp), once with a
+/// `send` per item and once with a single `send_batch`.
+fn channel_cases(warmup: Duration, measure: Duration) -> Vec<BenchCase> {
+    use trimgame_stream::channel::bounded;
+    use trimgame_stream::coalesce::IngestRecord;
+
+    const CAP: usize = 1024;
+    let sent = Instant::now();
+    let items: Vec<(IngestRecord, Instant)> = batch_values(CAP)
+        .into_iter()
+        .enumerate()
+        .map(|(round, value)| (IngestRecord { round, value }, sent))
+        .collect();
+    let (tx, rx) = bounded::<(IngestRecord, Instant)>(CAP);
+    let mut out = Vec::with_capacity(CAP);
+    let send_then_drain = time_ns(warmup, measure, || {
+        for &item in &items {
+            tx.send(item).expect("receiver alive");
+        }
+        out.clear();
+        std::hint::black_box(rx.try_recv_batch(&mut out, CAP));
+    });
+    // The drained vector is the next iteration's batch: no copy-in.
+    let mut batch = items;
+    let send_batch_then_drain = time_ns(warmup, measure, || {
+        tx.send_batch(&mut batch).expect("receiver alive");
+        std::hint::black_box(rx.try_recv_batch(&mut batch, CAP));
+    });
+    vec![
+        BenchCase {
+            name: format!("channel/send_then_drain/{CAP}"),
+            mean_ns: send_then_drain,
+        },
+        BenchCase {
+            name: format!("channel/send_batch_then_drain/{CAP}"),
+            mean_ns: send_batch_then_drain,
+        },
+    ]
 }
 
 /// The tiered-storage cases: the frame encode/decode kernels on a
@@ -590,7 +634,7 @@ mod tests {
     #[test]
     fn suite_runs_with_tiny_windows_and_serializes() {
         let cases = run_cases(Duration::from_millis(1), Duration::from_millis(2));
-        assert_eq!(cases.len(), 31);
+        assert_eq!(cases.len(), 33);
         for case in &cases {
             assert!(case.mean_ns > 0.0, "{}: {}", case.name, case.mean_ns);
         }
@@ -601,6 +645,8 @@ mod tests {
         assert!(json.contains("\"trim/absolute_in_place/1000\""));
         assert!(json.contains("\"stats/extend/17\""));
         assert!(json.contains("\"stats/extend/1100\""));
+        assert!(json.contains("\"channel/send_then_drain/1024\""));
+        assert!(json.contains("\"channel/send_batch_then_drain/1024\""));
         assert!(json.contains("\"gk/ingest_batch/100000\""));
         assert!(json.contains("\"frame/encode/256\""));
         assert!(json.contains("\"frame/decode/256\""));

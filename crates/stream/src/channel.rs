@@ -5,39 +5,105 @@
 //! event is *counted*, so the bench harness can report how often the
 //! pipeline ran hot), and the consumer drains in batches to amortize
 //! lock traffic. The implementation is a deliberately small
-//! Mutex+Condvar ring — no external channel crates — sized so the
+//! Mutex-guarded ring — no external channel crates — sized so the
 //! per-record cost is one short critical section in the common case.
 //!
 //! Semantics:
 //!
 //! * [`Sender::send`] blocks while the buffer holds `capacity` items and
 //!   fails with [`SendError`] once the receiver is gone.
+//! * [`Sender::send_batch`] moves a whole vector under one lock: as many
+//!   items as fit, then waits in place for room and moves the rest. On a
+//!   gone receiver it fails and leaves the unsent items in the vector.
 //! * [`Receiver::recv`] blocks until an item arrives and returns `None`
 //!   once every sender has dropped *and* the buffer is drained.
 //! * [`Receiver::try_recv_batch`] moves up to `max` items without
 //!   blocking — the collector's hot path.
 //! * [`Sender::backpressure_events`] counts the times a send had to
 //!   wait for space (shared across clones of the channel).
+//!
+//! Wake-ups are paid only when a party is actually blocked. The waiter
+//! state lives under the queue lock: a count of senders waiting on the
+//! `not_full` condvar, and the handle of a consumer thread parked on the
+//! channel. A drain notifies `not_full` only when that count is nonzero.
+//! A consumer blocks by parking: [`Receiver::register_waiter`] records
+//! its thread (only while the channel is empty and connected), and the
+//! next send, or the last sender dropping, takes the handle and unparks
+//! it. One thread may register on many channels and park once, which is
+//! how a collector ingest thread waits on every stream it owns;
+//! [`Receiver::recv`] blocks the same way. A registration left behind on
+//! a channel the thread did not end up waiting on costs at most one
+//! spurious wake-up, which a polling loop absorbs.
 
 use crate::locks::lock;
 use std::collections::VecDeque;
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::thread::Thread;
 
 /// The receiver disconnected; the payload is handed back to the caller.
 #[derive(Debug, PartialEq, Eq)]
 pub struct SendError<T>(pub T);
 
+/// Everything guarded by the channel's one lock.
+struct State<T> {
+    queue: VecDeque<T>,
+    /// The consumer parked waiting for an item or a disconnect; taken
+    /// and unparked by the next send or the last sender dropping.
+    consumer: Option<Thread>,
+    /// Senders waiting on `not_full`.
+    blocked_senders: usize,
+}
+
 struct ChannelInner<T> {
-    queue: Mutex<VecDeque<T>>,
-    /// Signalled when the queue gains an item or the channel closes.
-    not_empty: Condvar,
-    /// Signalled when the queue loses an item or the receiver drops.
+    state: Mutex<State<T>>,
+    /// Signalled when the queue loses items while a sender waits, or
+    /// when the receiver drops.
     not_full: Condvar,
     capacity: usize,
     senders: AtomicUsize,
     receiver_alive: AtomicUsize,
     backpressure: AtomicU64,
+}
+
+impl<T> ChannelInner<T> {
+    fn receiver_gone(&self) -> bool {
+        self.receiver_alive.load(Ordering::Acquire) == 0
+    }
+
+    /// Waits while the queue is full; `None` once the receiver is gone.
+    /// A wait counts one backpressure event and first wakes a parked
+    /// consumer, which would otherwise never make room.
+    fn wait_for_room<'a>(
+        &self,
+        mut state: MutexGuard<'a, State<T>>,
+    ) -> Option<MutexGuard<'a, State<T>>> {
+        if state.queue.len() >= self.capacity && !self.receiver_gone() {
+            self.backpressure.fetch_add(1, Ordering::Relaxed);
+            if let Some(consumer) = state.consumer.take() {
+                consumer.unpark();
+            }
+            state.blocked_senders += 1;
+            state = self
+                .not_full
+                .wait_while(state, |s| {
+                    s.queue.len() >= self.capacity && !self.receiver_gone()
+                })
+                .unwrap_or_else(|e| e.into_inner());
+            state.blocked_senders -= 1;
+        }
+        (!self.receiver_gone()).then_some(state)
+    }
+}
+
+/// Unlocks `state`, then unparks the consumer if one was parked on it.
+fn unlock_and_wake<T>(mut state: MutexGuard<'_, State<T>>) {
+    let consumer = state.consumer.take();
+    drop(state);
+    if let Some(consumer) = consumer {
+        consumer.unpark();
+    }
 }
 
 /// Producer half of a bounded channel; cloneable (MPSC).
@@ -53,9 +119,12 @@ impl<T> std::fmt::Debug for Sender<T> {
     }
 }
 
-/// Consumer half of a bounded channel; single owner.
+/// Consumer half of a bounded channel; single owner. It may move
+/// between threads but not be shared by them (`!Sync`): the channel
+/// keeps one parked-consumer slot.
 pub struct Receiver<T> {
     inner: Arc<ChannelInner<T>>,
+    _single_consumer: PhantomData<std::cell::Cell<()>>,
 }
 
 impl<T> std::fmt::Debug for Receiver<T> {
@@ -73,8 +142,11 @@ impl<T> std::fmt::Debug for Receiver<T> {
 pub fn bounded<T>(capacity: usize) -> (Sender<T>, Receiver<T>) {
     assert!(capacity > 0, "channel capacity must be positive");
     let inner = Arc::new(ChannelInner {
-        queue: Mutex::new(VecDeque::with_capacity(capacity)),
-        not_empty: Condvar::new(),
+        state: Mutex::new(State {
+            queue: VecDeque::with_capacity(capacity),
+            consumer: None,
+            blocked_senders: 0,
+        }),
         not_full: Condvar::new(),
         capacity,
         senders: AtomicUsize::new(1),
@@ -85,7 +157,10 @@ pub fn bounded<T>(capacity: usize) -> (Sender<T>, Receiver<T>) {
         Sender {
             inner: Arc::clone(&inner),
         },
-        Receiver { inner },
+        Receiver {
+            inner,
+            _single_consumer: PhantomData,
+        },
     )
 }
 
@@ -96,29 +171,33 @@ impl<T> Sender<T> {
     /// once. Returns the value if the receiver has disconnected.
     pub fn send(&self, value: T) -> Result<(), SendError<T>> {
         let inner = &*self.inner;
-        let mut queue = lock(&inner.queue);
-        if queue.len() >= inner.capacity {
-            inner.backpressure.fetch_add(1, Ordering::Relaxed);
-            while queue.len() >= inner.capacity {
-                if inner.receiver_alive.load(Ordering::Acquire) == 0 {
-                    return Err(SendError(value));
-                }
-                queue = inner
-                    .not_full
-                    .wait(queue)
-                    .unwrap_or_else(|e| e.into_inner());
-            }
-        }
-        if inner.receiver_alive.load(Ordering::Acquire) == 0 {
+        let Some(mut state) = inner.wait_for_room(lock(&inner.state)) else {
             return Err(SendError(value));
-        }
-        queue.push_back(value);
-        drop(queue);
-        inner.not_empty.notify_one();
+        };
+        state.queue.push_back(value);
+        unlock_and_wake(state);
         Ok(())
     }
 
-    /// Times a `send` found the channel full and had to wait.
+    /// Enqueue every item of `items`, front first, under one lock
+    /// acquisition per fill: as many as fit, then, while the channel is
+    /// full, wait in place (one backpressure event per wait) and move the
+    /// rest. On success `items` is left empty; an empty `items` never
+    /// waits. Fails once the receiver is gone, leaving the unsent items
+    /// in `items`.
+    pub fn send_batch(&self, items: &mut Vec<T>) -> Result<(), SendError<()>> {
+        let inner = &*self.inner;
+        let mut state = lock(&inner.state);
+        while !items.is_empty() {
+            state = inner.wait_for_room(state).ok_or(SendError(()))?;
+            let room = inner.capacity - state.queue.len();
+            state.queue.extend(items.drain(..room.min(items.len())));
+        }
+        unlock_and_wake(state);
+        Ok(())
+    }
+
+    /// Times a send found the channel full and had to wait.
     pub fn backpressure_events(&self) -> u64 {
         self.inner.backpressure.load(Ordering::Relaxed)
     }
@@ -136,10 +215,9 @@ impl<T> Clone for Sender<T> {
 impl<T> Drop for Sender<T> {
     fn drop(&mut self) {
         if self.inner.senders.fetch_sub(1, Ordering::AcqRel) == 1 {
-            // Last sender: wake a receiver blocked in recv() so it can
-            // observe the disconnect.
-            let _guard = lock(&self.inner.queue);
-            self.inner.not_empty.notify_all();
+            // Last sender: wake a parked consumer so it can observe the
+            // disconnect.
+            unlock_and_wake(lock(&self.inner.state));
         }
     }
 }
@@ -149,20 +227,22 @@ impl<T> Receiver<T> {
     /// once all senders have dropped and the buffer is empty.
     pub fn recv(&self) -> Option<T> {
         let inner = &*self.inner;
-        let mut queue = lock(&inner.queue);
         loop {
-            if let Some(value) = queue.pop_front() {
-                drop(queue);
-                inner.not_full.notify_one();
+            let mut state = lock(&inner.state);
+            if let Some(value) = state.queue.pop_front() {
+                let wake = state.blocked_senders > 0;
+                drop(state);
+                if wake {
+                    inner.not_full.notify_one();
+                }
                 return Some(value);
             }
-            if inner.senders.load(Ordering::Acquire) == 0 {
+            if self.is_disconnected() {
                 return None;
             }
-            queue = inner
-                .not_empty
-                .wait(queue)
-                .unwrap_or_else(|e| e.into_inner());
+            state.consumer = Some(std::thread::current());
+            drop(state);
+            std::thread::park();
         }
     }
 
@@ -170,14 +250,30 @@ impl<T> Receiver<T> {
     /// number moved. The collector's batch-drain hot path.
     pub fn try_recv_batch(&self, out: &mut Vec<T>, max: usize) -> usize {
         let inner = &*self.inner;
-        let mut queue = lock(&inner.queue);
-        let take = queue.len().min(max);
-        out.extend(queue.drain(..take));
-        drop(queue);
-        if take > 0 {
+        let mut state = lock(&inner.state);
+        let take = state.queue.len().min(max);
+        out.extend(state.queue.drain(..take));
+        let wake = take > 0 && state.blocked_senders > 0;
+        drop(state);
+        if wake {
             inner.not_full.notify_all();
         }
         take
+    }
+
+    /// Arranges for `waiter` to be unparked by the next send or by the
+    /// last sender dropping, and returns `true`. Returns `false` without
+    /// registering when the channel already holds items or has
+    /// disconnected: the caller has work and must not park. The check
+    /// and the registration share one critical section, so a send can
+    /// never slip between them unnoticed.
+    pub fn register_waiter(&self, waiter: &Thread) -> bool {
+        let mut state = lock(&self.inner.state);
+        if !state.queue.is_empty() || self.is_disconnected() {
+            return false;
+        }
+        state.consumer = Some(waiter.clone());
+        true
     }
 
     /// True once every sender has dropped (items may still be queued).
@@ -187,7 +283,7 @@ impl<T> Receiver<T> {
 
     /// Items currently buffered.
     pub fn len(&self) -> usize {
-        lock(&self.inner.queue).len()
+        lock(&self.inner.state).queue.len()
     }
 
     /// True when no items are buffered.
@@ -195,7 +291,7 @@ impl<T> Receiver<T> {
         self.len() == 0
     }
 
-    /// Times a `send` found the channel full and had to wait.
+    /// Times a send found the channel full and had to wait.
     pub fn backpressure_events(&self) -> u64 {
         self.inner.backpressure.load(Ordering::Relaxed)
     }
@@ -204,7 +300,7 @@ impl<T> Receiver<T> {
 impl<T> Drop for Receiver<T> {
     fn drop(&mut self) {
         self.inner.receiver_alive.store(0, Ordering::Release);
-        let _guard = lock(&self.inner.queue);
+        let _guard = lock(&self.inner.state);
         self.inner.not_full.notify_all();
     }
 }
@@ -212,7 +308,9 @@ impl<T> Drop for Receiver<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc;
     use std::thread;
+    use std::time::Duration;
 
     #[test]
     fn delivers_in_order_and_signals_disconnect() {
@@ -273,11 +371,127 @@ mod tests {
     }
 
     #[test]
+    fn send_batch_larger_than_capacity_arrives_in_order() {
+        let cap = 8;
+        let (tx, rx) = bounded::<usize>(cap);
+        let mut items: Vec<usize> = (0..3 * cap).collect();
+        thread::scope(|s| {
+            s.spawn(move || {
+                tx.send_batch(&mut items).unwrap();
+                assert!(items.is_empty());
+                assert!(tx.backpressure_events() >= 1);
+            });
+            let got: Vec<usize> = std::iter::from_fn(|| rx.recv()).collect();
+            assert_eq!(got, (0..3 * cap).collect::<Vec<_>>());
+        });
+        // A batch of three capacities cannot fit without waiting.
+        assert!(rx.backpressure_events() >= 1);
+    }
+
+    #[test]
+    fn send_batch_fails_once_receiver_is_gone() {
+        let (tx, rx) = bounded::<usize>(2);
+        drop(rx);
+        let mut items = vec![1, 2, 3];
+        assert_eq!(tx.send_batch(&mut items), Err(SendError(())));
+        assert_eq!(items, vec![1, 2, 3]);
+
+        // A receiver that drops while the batch waits for room: the
+        // items that fit went out, the rest stay with the caller.
+        let (tx, rx) = bounded::<usize>(2);
+        let mut items = vec![1, 2, 3, 4, 5];
+        let watch = &tx;
+        thread::scope(|s| {
+            s.spawn(move || {
+                while watch.backpressure_events() == 0 {
+                    thread::yield_now();
+                }
+                drop(rx);
+            });
+            assert_eq!(tx.send_batch(&mut items), Err(SendError(())));
+        });
+        assert_eq!(items, vec![3, 4, 5]);
+    }
+
+    #[test]
     fn send_fails_once_receiver_is_gone() {
         let (tx, rx) = bounded::<usize>(1);
         tx.send(1).unwrap();
         drop(rx);
         assert_eq!(tx.send(2), Err(SendError(2)));
+    }
+
+    #[test]
+    fn register_waiter_refuses_a_ready_channel() {
+        let me = thread::current();
+        let (tx, rx) = bounded::<usize>(4);
+        assert!(rx.register_waiter(&me));
+        tx.send(1).unwrap();
+        assert!(!rx.register_waiter(&me), "items are queued");
+        let mut out = Vec::new();
+        rx.try_recv_batch(&mut out, 4);
+        drop(tx);
+        assert!(!rx.register_waiter(&me), "the channel disconnected");
+    }
+
+    #[test]
+    fn parked_consumer_wakes_on_any_of_its_channels() {
+        // One thread parked on four channels must wake for a send to any
+        // one of them and for the last sender of each dropping. A lost
+        // wake-up hangs the consumer, so the watchdog fails the test
+        // instead of letting it hang.
+        const ITERS: usize = 1000;
+        let (done_tx, done_rx) = mpsc::channel();
+        thread::spawn(move || {
+            for iter in 0..ITERS {
+                let (txs, rxs): (Vec<_>, Vec<_>) = (0..4).map(|_| bounded::<usize>(2)).unzip();
+                let mut txs: Vec<Option<Sender<usize>>> = txs.into_iter().map(Some).collect();
+                let parks = AtomicUsize::new(0);
+                let parks = &parks;
+                thread::scope(|s| {
+                    let consumer = s.spawn(move || {
+                        let me = thread::current();
+                        let mut got = Vec::new();
+                        loop {
+                            let drained: usize =
+                                rxs.iter().map(|rx| rx.try_recv_batch(&mut got, 8)).sum();
+                            let mut live = rxs
+                                .iter()
+                                .filter(|rx| !(rx.is_disconnected() && rx.is_empty()))
+                                .peekable();
+                            if live.peek().is_none() {
+                                return got;
+                            }
+                            if drained == 0 && live.all(|rx| rx.register_waiter(&me)) {
+                                parks.fetch_add(1, Ordering::SeqCst);
+                                thread::park();
+                            }
+                        }
+                    });
+                    // Each event waits until the consumer has registered
+                    // and gone to park since the event before it.
+                    let mut seen = 0;
+                    let mut settle = || {
+                        while parks.load(Ordering::SeqCst) <= seen {
+                            thread::yield_now();
+                        }
+                        seen = parks.load(Ordering::SeqCst);
+                    };
+                    settle();
+                    let target = iter % 4;
+                    txs[target].as_ref().unwrap().send(iter).unwrap();
+                    for k in 1..=4 {
+                        settle();
+                        txs[(target + k) % 4] = None;
+                    }
+                    assert_eq!(consumer.join().unwrap(), vec![iter]);
+                });
+            }
+            done_tx.send(()).unwrap();
+        });
+        done_rx
+            .recv_timeout(Duration::from_secs(120))
+            .expect("a parked consumer missed a wake-up (watchdog expired)");
     }
 
     #[test]
