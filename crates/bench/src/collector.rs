@@ -17,8 +17,10 @@
 //!   producers with counted backpressure. A producer hands over what its
 //!   shuffle buffer released during a round in one `send_batch`, all of
 //!   it under one send stamp; workers drain in batches. An ingest thread
-//!   that finds every stream it owns idle registers on their channels
-//!   and parks until a send or a disconnect on any of them wakes it.
+//!   that finds every stream it owns idle polls them again, yielding
+//!   between passes, for up to [`trimgame_stream::channel::SPIN`]; then
+//!   it registers on their channels and parks until a send or a
+//!   disconnect on any of them wakes it.
 //! * **Coalescing** ([`trimgame_stream::coalesce`]): per-round batches
 //!   seal on a count trigger or when the bounded reorder window ages
 //!   them out; late-beyond-watermark records are counted and routed by
@@ -49,7 +51,7 @@ use trim_core::strategy::ThresholdPolicy;
 use trim_core::{EngineRun, EngineStepper, Scenario};
 use trimgame_numerics::rand_ext::{derive_seed, seeded_rng};
 use trimgame_stream::board::RangedVenue;
-use trimgame_stream::channel::{bounded, Receiver};
+use trimgame_stream::channel::{bounded, Backoff, Receiver};
 use trimgame_stream::coalesce::{
     CoalesceStats, Coalescer, CoalescerConfig, IngestRecord, LatePolicy, RoundBatch,
 };
@@ -666,20 +668,28 @@ where
                         }
                     })
                     .collect();
-                // Pump every owned worker; after a pass that found
-                // nothing, register on every live channel and park until
-                // a send or a disconnect on any of them. A registration
-                // fails if its channel turned ready since the pass, and
-                // then the thread pumps again instead of parking.
+                // Pump every owned worker. Passes that find nothing
+                // repeat for up to `channel::SPIN`, yielding between
+                // them; then the thread registers on every live channel
+                // and parks until a send or a disconnect on any of them.
+                // A registration fails if its channel turned ready since
+                // the pass, and then the thread pumps again instead of
+                // parking.
                 let me = std::thread::current();
+                let mut backoff = Backoff::default();
                 loop {
                     let progressed = workers.iter_mut().fold(false, |p, w| w.pump() | p);
                     let mut live = workers.iter().filter(|w| !w.done).peekable();
                     if live.peek().is_none() {
                         break;
                     }
-                    if !progressed && live.all(|w| w.rx.register_waiter(&me)) {
-                        std::thread::park();
+                    if progressed {
+                        backoff.reset();
+                    } else if !backoff.snooze() {
+                        backoff.reset();
+                        if live.all(|w| w.rx.register_waiter(&me)) {
+                            std::thread::park();
+                        }
                     }
                 }
                 workers

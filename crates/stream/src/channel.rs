@@ -34,6 +34,19 @@
 //! [`Receiver::recv`] blocks the same way. A registration left behind on
 //! a channel the thread did not end up waiting on costs at most one
 //! spurious wake-up, which a polling loop absorbs.
+//!
+//! Every wait is spin-then-sleep. Before a sender waits on `not_full`,
+//! and before a consumer parks, it polls for up to [`SPIN`], yielding
+//! its CPU between polls ([`Backoff`]). The gaps of a streaming
+//! hand-off are far shorter than that, so in steady streaming neither
+//! side sleeps. A sleep costs a wake-up whose latency is the
+//! scheduler's, not the channel's: on a virtual machine, waking a
+//! halted vCPU takes from microseconds to milliseconds depending on
+//! the host's load, and a hand-off that slept on every round ran at a
+//! rate set by that latency, varying from run to run. The polls read
+//! a length mirror, not the lock, so a poll never delays the other
+//! side; [`Receiver::try_recv_batch`] on an empty channel takes no lock
+//! either. A party idle for longer than [`SPIN`] sleeps.
 
 use crate::locks::lock;
 use std::collections::VecDeque;
@@ -41,6 +54,40 @@ use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::Thread;
+use std::time::{Duration, Instant};
+
+/// How long a waiting party polls before it sleeps. The gaps of a
+/// streaming hand-off are tens of microseconds (one collector round);
+/// the budget also rides out a peer that its scheduler preempted for
+/// about one tick (1 to 4 ms), which a 0.5 ms budget slept through
+/// during noisy spells. An idle party still sleeps within 2 ms.
+pub const SPIN: Duration = Duration::from_millis(2);
+
+/// A bounded spin ahead of a sleep: a party with nothing to do calls
+/// [`Backoff::snooze`] between polls until it returns `false`, then
+/// sleeps; progress calls [`Backoff::reset`].
+#[derive(Debug, Default)]
+pub struct Backoff {
+    started: Option<Instant>,
+}
+
+impl Backoff {
+    /// Yields the CPU and returns `true` until [`SPIN`] has passed
+    /// since the first call after a reset; from then on returns `false`
+    /// at once.
+    pub fn snooze(&mut self) -> bool {
+        if self.started.get_or_insert_with(Instant::now).elapsed() >= SPIN {
+            return false;
+        }
+        std::thread::yield_now();
+        true
+    }
+
+    /// Starts the next spin afresh.
+    pub fn reset(&mut self) {
+        self.started = None;
+    }
+}
 
 /// The receiver disconnected; the payload is handed back to the caller.
 #[derive(Debug, PartialEq, Eq)]
@@ -65,6 +112,9 @@ struct ChannelInner<T> {
     senders: AtomicUsize,
     receiver_alive: AtomicUsize,
     backpressure: AtomicU64,
+    /// `queue.len()`, stored under the lock after every change, read
+    /// without it by polls.
+    len: AtomicUsize,
 }
 
 impl<T> ChannelInner<T> {
@@ -72,11 +122,17 @@ impl<T> ChannelInner<T> {
         self.receiver_alive.load(Ordering::Acquire) == 0
     }
 
+    /// Stores the queue's length for the lock-free polls.
+    fn publish_len(&self, state: &State<T>) {
+        self.len.store(state.queue.len(), Ordering::Release);
+    }
+
     /// Waits while the queue is full; `None` once the receiver is gone.
     /// A wait counts one backpressure event and first wakes a parked
-    /// consumer, which would otherwise never make room.
+    /// consumer, which would otherwise never make room. It polls the
+    /// length mirror for up to [`SPIN`] before it sleeps on `not_full`.
     fn wait_for_room<'a>(
-        &self,
+        &'a self,
         mut state: MutexGuard<'a, State<T>>,
     ) -> Option<MutexGuard<'a, State<T>>> {
         if state.queue.len() >= self.capacity && !self.receiver_gone() {
@@ -84,6 +140,13 @@ impl<T> ChannelInner<T> {
             if let Some(consumer) = state.consumer.take() {
                 consumer.unpark();
             }
+            drop(state);
+            let mut backoff = Backoff::default();
+            while self.len.load(Ordering::Acquire) >= self.capacity
+                && !self.receiver_gone()
+                && backoff.snooze()
+            {}
+            state = lock(&self.state);
             state.blocked_senders += 1;
             state = self
                 .not_full
@@ -152,6 +215,7 @@ pub fn bounded<T>(capacity: usize) -> (Sender<T>, Receiver<T>) {
         senders: AtomicUsize::new(1),
         receiver_alive: AtomicUsize::new(1),
         backpressure: AtomicU64::new(0),
+        len: AtomicUsize::new(0),
     });
     (
         Sender {
@@ -175,6 +239,7 @@ impl<T> Sender<T> {
             return Err(SendError(value));
         };
         state.queue.push_back(value);
+        inner.publish_len(&state);
         unlock_and_wake(state);
         Ok(())
     }
@@ -192,6 +257,7 @@ impl<T> Sender<T> {
             state = inner.wait_for_room(state).ok_or(SendError(()))?;
             let room = inner.capacity - state.queue.len();
             state.queue.extend(items.drain(..room.min(items.len())));
+            inner.publish_len(&state);
         }
         unlock_and_wake(state);
         Ok(())
@@ -227,9 +293,12 @@ impl<T> Receiver<T> {
     /// once all senders have dropped and the buffer is empty.
     pub fn recv(&self) -> Option<T> {
         let inner = &*self.inner;
+        let mut backoff = Backoff::default();
         loop {
+            while self.is_empty() && !self.is_disconnected() && backoff.snooze() {}
             let mut state = lock(&inner.state);
             if let Some(value) = state.queue.pop_front() {
+                inner.publish_len(&state);
                 let wake = state.blocked_senders > 0;
                 drop(state);
                 if wake {
@@ -247,12 +316,17 @@ impl<T> Receiver<T> {
     }
 
     /// Move up to `max` items into `out` without blocking; returns the
-    /// number moved. The collector's batch-drain hot path.
+    /// number moved. The collector's batch-drain hot path. An empty
+    /// channel returns 0 without taking the lock.
     pub fn try_recv_batch(&self, out: &mut Vec<T>, max: usize) -> usize {
+        if self.is_empty() {
+            return 0;
+        }
         let inner = &*self.inner;
         let mut state = lock(&inner.state);
         let take = state.queue.len().min(max);
         out.extend(state.queue.drain(..take));
+        inner.publish_len(&state);
         let wake = take > 0 && state.blocked_senders > 0;
         drop(state);
         if wake {
@@ -281,9 +355,9 @@ impl<T> Receiver<T> {
         self.inner.senders.load(Ordering::Acquire) == 0
     }
 
-    /// Items currently buffered.
+    /// Items currently buffered (read without the lock).
     pub fn len(&self) -> usize {
-        lock(&self.inner.state).queue.len()
+        self.inner.len.load(Ordering::Acquire)
     }
 
     /// True when no items are buffered.
@@ -359,11 +433,17 @@ mod tests {
         for i in 0..10 {
             tx.send(i).unwrap();
         }
+        assert_eq!(rx.len(), 10);
         let mut out = Vec::new();
         assert_eq!(rx.try_recv_batch(&mut out, 4), 4);
         assert_eq!(out, vec![0, 1, 2, 3]);
-        assert_eq!(rx.try_recv_batch(&mut out, 100), 6);
-        assert_eq!(out.len(), 10);
+        assert_eq!(rx.len(), 6);
+        tx.send_batch(&mut vec![10, 11]).unwrap();
+        assert_eq!(rx.len(), 8);
+        assert_eq!(rx.recv(), Some(4));
+        assert_eq!(rx.len(), 7);
+        assert_eq!(rx.try_recv_batch(&mut out, 100), 7);
+        assert_eq!(out, vec![0, 1, 2, 3, 5, 6, 7, 8, 9, 10, 11]);
         assert_eq!(rx.try_recv_batch(&mut out, 100), 0);
         assert!(rx.is_empty());
         drop(tx);
@@ -411,6 +491,54 @@ mod tests {
             assert_eq!(tx.send_batch(&mut items), Err(SendError(())));
         });
         assert_eq!(items, vec![3, 4, 5]);
+    }
+
+    #[test]
+    fn backoff_spins_for_the_budget_then_stops() {
+        let mut backoff = Backoff::default();
+        let start = Instant::now();
+        let mut polls = 0u64;
+        while backoff.snooze() {
+            polls += 1;
+        }
+        assert!(start.elapsed() >= SPIN);
+        assert!(polls > 0);
+        assert!(!backoff.snooze(), "a spent spin stays spent");
+        backoff.reset();
+        assert!(backoff.snooze(), "a reset starts a fresh spin");
+    }
+
+    #[test]
+    fn waits_longer_than_the_spin_sleep_and_wake() {
+        // Every wait outlasts `SPIN`, so each ends asleep (the sender on
+        // `not_full`, the consumer parked for an item and then for the
+        // disconnect) and must be woken. A lost wake-up fails at the
+        // watchdog instead of hanging the test.
+        let pause = SPIN * 10;
+        let (done_tx, done_rx) = mpsc::channel();
+        thread::spawn(move || {
+            let (tx, rx) = bounded::<usize>(2);
+            // Not a scoped thread: a scoped thread's exit unparks the
+            // scope's owner, which would mask a missed disconnect wake.
+            let sender = thread::spawn(move || {
+                tx.send_batch(&mut vec![0, 1, 2]).unwrap();
+                thread::sleep(pause);
+                tx.send(3).unwrap();
+                // The last sender drops after the consumer parked.
+                thread::sleep(pause);
+            });
+            while rx.backpressure_events() == 0 {
+                thread::yield_now();
+            }
+            thread::sleep(pause);
+            let got: Vec<usize> = std::iter::from_fn(|| rx.recv()).collect();
+            sender.join().unwrap();
+            done_tx.send(got).unwrap();
+        });
+        let got = done_rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("a sleeping party missed its wake-up (watchdog expired)");
+        assert_eq!(got, vec![0, 1, 2, 3]);
     }
 
     #[test]
