@@ -1,7 +1,7 @@
 //! The streaming collector service: sharded, batch-coalescing ingest.
 //!
-//! The engine's pull-based driver ([`trim_core::Engine`]) decides when
-//! rounds happen. A production collector cannot: records arrive from
+//! A pull run ([`trim_core::EngineStepper::run`]) decides when rounds
+//! happen. A production collector cannot: records arrive from
 //! millions of users over bounded channels, late and out of order, and
 //! a round plays when its batch *seals*. This module builds that front
 //! half on the pieces the PRs before it laid down:
@@ -698,7 +698,7 @@ where
                         (
                             StreamOutcome {
                                 stream: w.stream,
-                                run: w.stepper.finish(),
+                                run: w.stepper.summary(),
                                 coalesce: w.coalescer.stats(),
                                 backpressure_events: w.rx.backpressure_events(),
                             },

@@ -87,8 +87,10 @@ pub struct DoubleOracleConfig {
     /// Minimum model-value improvement a best response must promise
     /// before its row/column is measured; also the convergence margin.
     pub tolerance: f64,
-    /// Candidates closer than this to an existing same-side atom are
-    /// considered already represented and skipped.
+    /// Candidates closer than this to an existing same-side atom are not
+    /// measured. A skipped candidate that promised more than the
+    /// tolerance still leaves its side wanting to grow, so the pass stops
+    /// unconverged rather than claiming convergence.
     pub min_separation: f64,
     /// Golden-section probes per oracle search.
     pub golden_iterations: usize,
@@ -263,8 +265,8 @@ pub struct OracleStep {
     /// when the step was skipped).
     pub value_after: f64,
     /// Whether the support actually grew (candidate promised more than
-    /// the tolerance, was separated from existing atoms, and fit the
-    /// support and engine-run caps).
+    /// the tolerance, was not already an atom, was separated from
+    /// existing atoms, and fit the support and engine-run caps).
     pub grew: bool,
 }
 
@@ -297,8 +299,11 @@ pub struct DoubleOracleEquilibrium {
     pub steps: Vec<OracleStep>,
     /// Oracle rounds executed.
     pub rounds: usize,
-    /// True if a round ended with neither side improving (rather than
-    /// hitting the round, support, or engine-run cap).
+    /// True if a round ended with neither side improving: every best
+    /// response promised at most the tolerance or was already an atom of
+    /// its side. False when the pass stopped with a best response past
+    /// the tolerance unmeasured (separation, support, round or
+    /// engine-run cap).
     pub converged: bool,
     /// Seeded engine runs actually executed.
     pub engine_runs: usize,
@@ -344,6 +349,28 @@ fn min_distance(atoms: &[f64], x: f64) -> f64 {
         .iter()
         .map(|&a| (a - x).abs())
         .fold(f64::INFINITY, f64::min)
+}
+
+/// Whether a best response with model gain `gain` at `cand` leaves its
+/// side quiet (`quiet`), and whether it can be measured (`grow`). A
+/// side is quiet when the gain is within the tolerance or the candidate
+/// already is one of its atoms (nothing new to measure). A distinct
+/// candidate within `min_separation` of an atom is not measured, but
+/// the side is not quiet either: at a payoff discontinuity a nearby
+/// atom can be worth far less than the candidate.
+fn growth(
+    oracle: &DoubleOracleConfig,
+    atoms: &[f64],
+    cand: f64,
+    gain: f64,
+    runs_after: usize,
+) -> (bool, bool) {
+    let quiet = gain <= oracle.tolerance || atoms.contains(&cand);
+    let grow = !quiet
+        && min_distance(atoms, cand) >= oracle.min_separation
+        && atoms.len() < oracle.max_support
+        && runs_after <= oracle.max_engine_runs;
+    (quiet, grow)
 }
 
 /// The attacker oracle: the response maximizing expected model loss
@@ -486,15 +513,8 @@ pub fn double_oracle(
         );
         let (a_cand, a_val) = attacker_candidate(&model, &d_atoms, &eq.row_strategy, oracle);
         let a_gain = a_val - baseline;
-        // Quiet: the best response is not materially better, or it is
-        // already represented in the support. Anything else wants growth;
-        // whether it *can* grow depends on the support and run caps.
-        let a_quiet =
-            a_gain <= oracle.tolerance || min_distance(&a_atoms, a_cand) < oracle.min_separation;
         let col_cost = d_atoms.len() * mcfg.seeds;
-        let a_grow = !a_quiet
-            && a_atoms.len() < oracle.max_support
-            && engine_runs + col_cost <= oracle.max_engine_runs;
+        let (a_quiet, a_grow) = growth(oracle, &a_atoms, a_cand, a_gain, engine_runs + col_cost);
         all_quiet &= a_quiet;
         let value_before = eq.value;
         if a_grow {
@@ -534,12 +554,8 @@ pub fn double_oracle(
             oracle,
         );
         let d_gain = baseline - d_val;
-        let d_quiet =
-            d_gain <= oracle.tolerance || min_distance(&d_atoms, d_cand) < oracle.min_separation;
         let row_cost = a_atoms.len() * mcfg.seeds;
-        let d_grow = !d_quiet
-            && d_atoms.len() < oracle.max_support
-            && engine_runs + row_cost <= oracle.max_engine_runs;
+        let (d_quiet, d_grow) = growth(oracle, &d_atoms, d_cand, d_gain, engine_runs + row_cost);
         all_quiet &= d_quiet;
         let value_before = eq.value;
         if d_grow {
@@ -570,8 +586,9 @@ pub fn double_oracle(
             break;
         }
         if !grew_this_round {
-            // Somebody wants to grow but a cap is in the way: stop
-            // honestly rather than reporting convergence.
+            // Somebody wants to grow but the separation rule or a cap is
+            // in the way: stop honestly rather than reporting
+            // convergence.
             break;
         }
     }
@@ -703,7 +720,7 @@ fn render_solution(
         if solved.converged {
             "converged: neither oracle improves past the tolerance"
         } else {
-            "stopped at a cap (rounds, support, or engine-run budget)"
+            "stopped: a best response past the tolerance was not measured (separation, support, round or engine-run cap)"
         },
         solved.rounds
     );
@@ -789,6 +806,56 @@ mod tests {
         cfg
     }
 
+    /// A converged pass ended on a round in which every best response
+    /// promised at most the tolerance or named an atom already in its
+    /// side's support — nothing was left unmeasured.
+    pub(super) fn assert_honest_convergence(
+        solved: &DoubleOracleEquilibrium,
+        oracle: &DoubleOracleConfig,
+    ) {
+        if !solved.converged {
+            return;
+        }
+        // Every round takes one attacker and one defender step.
+        for s in solved.steps.iter().rev().take(2) {
+            let atoms = match s.side {
+                OracleSide::Attacker => &solved.attacker_atoms,
+                OracleSide::Defender => &solved.defender_atoms,
+            };
+            assert!(
+                !s.grew && (s.model_gain <= oracle.tolerance || atoms.contains(&s.atom)),
+                "converged past an unmeasured best response: {s:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn separation_skipped_best_response_is_not_convergence() {
+        // The full scalar continuum pass: the attacker grows a column at
+        // the defender's 0.98 atom, and the defender's best response
+        // against it, 0.9797, promises ~0.098 but lies within
+        // `min_separation` of 0.98. It is not measured, so the pass must
+        // stop unconverged instead of claiming an equilibrium.
+        let sub = crate::empirical::standard_substrate(SubstrateKind::Scalar);
+        let mut cfg = EquilibriumConfig::default_grid();
+        cfg.workers = 2;
+        let oracle = DoubleOracleConfig::for_game(&cfg);
+        let solved = double_oracle(&*sub, &cfg, &oracle);
+        let skipped = solved.steps.iter().find(|s| {
+            let atoms = match s.side {
+                OracleSide::Attacker => &solved.attacker_atoms,
+                OracleSide::Defender => &solved.defender_atoms,
+            };
+            !s.grew
+                && s.model_gain > oracle.tolerance
+                && !atoms.contains(&s.atom)
+                && min_distance(atoms, s.atom) < oracle.min_separation
+        });
+        assert!(skipped.is_some(), "fixture lost its separation skip");
+        assert!(!solved.converged);
+        assert_eq!(solved.engine_runs, 72);
+    }
+
     #[test]
     fn seed_support_only_matches_restricted_game() {
         // With growth disabled (zero extra budget) the solver is exactly
@@ -827,6 +894,7 @@ mod tests {
         cfg.workers = 8;
         let eight = double_oracle(&sub, &cfg, &oracle);
         assert_eq!(one, eight);
+        assert_honest_convergence(&one, &oracle);
     }
 
     #[test]
@@ -836,6 +904,7 @@ mod tests {
         let mut oracle = DoubleOracleConfig::for_game(&cfg);
         oracle.max_engine_runs = usize::MAX;
         let solved = double_oracle(&sub, &cfg, &oracle);
+        assert_honest_convergence(&solved, &oracle);
         for s in &solved.steps {
             if !s.grew {
                 assert_eq!(s.value_before.to_bits(), s.value_after.to_bits());
@@ -868,6 +937,7 @@ mod tests {
         let mut oracle = DoubleOracleConfig::for_game(&cfg);
         oracle.max_engine_runs = 30;
         let solved = double_oracle(&sub, &cfg, &oracle);
+        assert_honest_convergence(&solved, &oracle);
         assert!(solved.engine_runs <= 30, "runs {}", solved.engine_runs);
         // Every cell of the final restricted matrix was measured exactly
         // once (seed block + one measurement per appended row/column), so
@@ -966,6 +1036,7 @@ mod contract {
         oracle.max_engine_runs = usize::MAX;
         let solved = double_oracle(&sub, &cfg, &oracle);
         assert!(solved.converged, "smoke grid oracle should converge");
+        super::tests::assert_honest_convergence(&solved, &oracle);
         assert_values_agree(&solved, &dense);
     }
 

@@ -5,7 +5,7 @@
 //! `trim-core` (the Stackelberg solver over the continuum, the matrix
 //! machinery over finite supports) — this module closes the loop by
 //! *playing* the same finite threshold game through thousands of seeded
-//! `Engine` runs and checking that the analytic and simulated equilibria
+//! engine runs and checking that the analytic and simulated equilibria
 //! agree. The paper's central claim is that this equilibrium structure is
 //! a property of the *game*, not of any one environment, so the whole
 //! pipeline runs behind the [`GameSubstrate`] abstraction on all three

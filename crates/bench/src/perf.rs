@@ -25,8 +25,9 @@ use crate::empirical::{
     SubstrateKind,
 };
 use trim_core::adversary::AdversaryPolicy;
+use trim_core::engine::EngineScratch;
 use trim_core::matrix::MatrixGame;
-use trim_core::simulation::{run_game_with_policies, GameConfig, Scheme};
+use trim_core::simulation::{run_game_with_scratch, GameConfig, ScalarArena, Scheme};
 use trim_core::strategy::DefenderPolicy;
 use trimgame_numerics::gk::{GkScratch, GkSummary};
 use trimgame_numerics::stats::OnlineStats;
@@ -380,22 +381,23 @@ fn gk_cases(warmup: Duration, measure: Duration) -> Vec<BenchCase> {
     cases
 }
 
-/// One full seeded scalar engine run, the payoff-grid cell shape: lean
-/// mode, fixed defender at 0.9, ideal attacker just below.
-fn engine_cell(pool: &[f64], rounds: usize, batch: usize) -> f64 {
+/// One seeded scalar engine run in the payoff-grid cell shape (lean
+/// mode, fixed defender at 0.9, ideal attacker just below) on `arena`
+/// and `scratch`.
+fn engine_cell(arena: &mut ScalarArena, scratch: &mut EngineScratch) -> f64 {
     let mut cfg = GameConfig::new(Scheme::BaselineStatic);
-    cfg.rounds = rounds;
-    cfg.batch = batch;
+    cfg.rounds = 20;
+    cfg.batch = 1_000;
     cfg.seed = 7;
-    let out = run_game_with_policies(
-        pool,
+    let run = run_game_with_scratch(
         &cfg,
         Box::new(DefenderPolicy::Fixed { tth: cfg.tth }),
         Box::new(AdversaryPolicy::Fixed { percentile: 0.89 }),
         None,
-        false,
+        arena,
+        scratch,
     );
-    *out.utilities.u_c.last().expect("rounds > 0")
+    run.final_u_c
 }
 
 /// The end-to-end cases the equilibrium estimator's wall-clock rides on:
@@ -405,33 +407,23 @@ fn engine_cases(warmup: Duration, measure: Duration) -> Vec<BenchCase> {
     let mut cases = Vec::new();
     let pool = crate::empirical::standard_pool();
 
+    // A cold run: a fresh arena (pool copy + sort) and scratch each
+    // iteration — what a one-off run pays.
     cases.push(BenchCase {
         name: "engine/scalar_run/1000x20".into(),
         mean_ns: time_ns(warmup, measure, || {
-            std::hint::black_box(engine_cell(&pool, 20, 1_000));
+            let (mut arena, mut scratch) = (ScalarArena::new(&pool), EngineScratch::new());
+            std::hint::black_box(engine_cell(&mut arena, &mut scratch));
         }),
     });
 
-    // The same run through the scratch path: one arena + one engine
-    // scratch across every iteration — what a payoff-grid worker pays.
-    let mut arena = trim_core::simulation::ScalarArena::new(&pool);
-    let mut scratch = trim_core::engine::EngineScratch::new();
-    let mut cfg = GameConfig::new(Scheme::BaselineStatic);
-    cfg.rounds = 20;
-    cfg.batch = 1_000;
-    cfg.seed = 7;
+    // The same run on one arena + one engine scratch across every
+    // iteration — what a payoff-grid worker pays.
+    let (mut arena, mut scratch) = (ScalarArena::new(&pool), EngineScratch::new());
     cases.push(BenchCase {
         name: "engine/scalar_run_scratch/1000x20".into(),
         mean_ns: time_ns(warmup, measure, || {
-            let run = trim_core::simulation::run_game_with_scratch(
-                &cfg,
-                Box::new(DefenderPolicy::Fixed { tth: cfg.tth }),
-                Box::new(AdversaryPolicy::Fixed { percentile: 0.89 }),
-                None,
-                &mut arena,
-                &mut scratch,
-            );
-            std::hint::black_box(run.final_u_c);
+            std::hint::black_box(engine_cell(&mut arena, &mut scratch));
         }),
     });
 

@@ -20,7 +20,7 @@
 
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use trim_core::simulation::{run_game_with_policies, run_game_with_scratch, GameConfig, Scheme};
+use trim_core::simulation::{run_game_with_scratch, GameConfig, Scheme};
 use trimgame_numerics::stats::OnlineStats;
 use trimgame_stream::board::RangedVenue;
 
@@ -142,23 +142,6 @@ pub struct SweepCell {
     pub termination_round: Option<usize>,
 }
 
-fn run_cell(pool: &[f64], grid: &SweepGrid, idx: usize) -> SweepCell {
-    let (scheme, seed, shape) = grid.cell(idx);
-    let cfg = grid.config(scheme, seed, shape);
-    let (defender, adversary) = cfg.policies();
-    let out = run_game_with_policies(pool, &cfg, defender, adversary, None, false);
-    SweepCell {
-        scheme,
-        seed,
-        shape: shape.name.clone(),
-        surviving_poison_fraction: out.totals.surviving_poison_fraction(),
-        benign_trim_fraction: out.totals.benign_trim_fraction(),
-        final_u_a: *out.utilities.u_a.last().expect("rounds > 0"),
-        final_u_c: *out.utilities.u_c.last().expect("rounds > 0"),
-        termination_round: out.termination_round,
-    }
-}
-
 /// One sweep worker's reusable state: the pool arena (reference tables +
 /// round buffers) and the engine trajectory scratch, shared by every
 /// cell that worker claims.
@@ -180,9 +163,9 @@ impl SweepWorker {
     }
 }
 
-/// The scratch-path cell: bit-identical outcomes to [`run_cell`]'s
-/// allocating engine run (the parallel ≡ sequential test crosses the two
-/// paths on purpose), with zero per-cell allocation after worker warm-up.
+/// One grid cell on the worker's arena and scratch, with zero per-cell
+/// allocation after worker warm-up; `board`, when given, receives the
+/// cell's public records.
 fn run_cell_with(
     worker: &mut SweepWorker,
     grid: &SweepGrid,
@@ -210,17 +193,6 @@ fn run_cell_with(
         final_u_c: run.final_u_c,
         termination_round: run.termination_round,
     }
-}
-
-/// Runs every cell of the grid sequentially, in grid order.
-///
-/// # Panics
-/// Panics if the pool is empty or the grid degenerate.
-#[must_use]
-pub fn run_sequential(pool: &[f64], grid: &SweepGrid) -> Vec<SweepCell> {
-    (0..grid.len())
-        .map(|idx| run_cell(pool, grid, idx))
-        .collect()
 }
 
 /// Resolves a requested worker count: `0` means the machine's available
@@ -321,10 +293,10 @@ where
 
 /// Runs every cell of the grid across `workers` scoped threads and
 /// returns the cells in grid order. `workers == 0` uses the machine's
-/// available parallelism. The result is identical to [`run_sequential`]
-/// on the same grid (cells are seed-deterministic and
-/// scheduling-independent); each worker reuses one [`SweepWorker`]
-/// (arena + engine scratch) across all of its cells.
+/// available parallelism and `1` runs the cells in grid order on the
+/// calling thread. The result is the same for every worker count (cells
+/// are seed-deterministic and scheduling-independent); each worker reuses
+/// one [`SweepWorker`] (arena + engine scratch) across all of its cells.
 ///
 /// # Panics
 /// Panics if the pool is empty, the grid is degenerate, or a worker
@@ -431,7 +403,7 @@ pub fn sweep_report(threads: usize) -> String {
     let grid = SweepGrid::paper_roster(4, 2024);
 
     let t0 = std::time::Instant::now();
-    let sequential = run_sequential(&pool, &grid);
+    let sequential = run(&pool, &grid, 1);
     let seq_time = t0.elapsed();
     let t1 = std::time::Instant::now();
     let parallel = run(&pool, &grid, threads);
@@ -546,8 +518,8 @@ mod tests {
     fn parallel_matches_sequential() {
         let grid = small_grid();
         let pool = pool();
-        let seq = run_sequential(&pool, &grid);
-        for workers in [1, 2, 4] {
+        let seq = run(&pool, &grid, 1);
+        for workers in [2, 3, 4] {
             let par = run(&pool, &grid, workers);
             assert_eq!(seq, par, "workers={workers}");
         }
@@ -608,7 +580,7 @@ mod tests {
     #[test]
     fn aggregate_groups_by_scheme() {
         let grid = small_grid();
-        let stats = aggregate(&run_sequential(&pool(), &grid));
+        let stats = aggregate(&run(&pool(), &grid, 1));
         assert_eq!(stats.len(), 3);
         for s in &stats {
             assert_eq!(s.cells, 4);
@@ -626,14 +598,17 @@ mod tests {
     fn cell_matches_direct_engine_run() {
         let grid = small_grid();
         let pool = pool();
-        let cells = run_sequential(&pool, &grid);
+        let cells = run(&pool, &grid, 2);
         let cfg = grid.config(grid.schemes[0], grid.seeds[0], &grid.shapes[0]);
         let (defender, adversary) = cfg.policies();
-        let direct = run_game_with_policies(&pool, &cfg, defender, adversary, None, false);
+        let mut scratch = trim_core::engine::EngineScratch::new();
+        let mut arena = trim_core::simulation::ScalarArena::new(&pool);
+        let direct =
+            run_game_with_scratch(&cfg, defender, adversary, None, &mut arena, &mut scratch);
         assert_eq!(
             cells[0].surviving_poison_fraction,
             direct.totals.surviving_poison_fraction()
         );
-        assert_eq!(cells[0].final_u_a, *direct.utilities.u_a.last().unwrap());
+        assert_eq!(cells[0].final_u_a, *scratch.utilities().u_a.last().unwrap());
     }
 }

@@ -1,5 +1,4 @@
-//! The unified simulation core: one generic engine for the Fig. 3 round
-//! loop.
+//! The unified simulation core: one round loop for the Fig. 3 game.
 //!
 //! The paper's evaluation plays the *same* interactive trimming game on
 //! three very different substrates — scalar value streams (§VI-B),
@@ -11,30 +10,37 @@
 //! quality score and observed injection (via the public board), and the
 //! adversary moves on round `i − 1`'s threshold.
 //!
-//! [`Scenario`] captures the varying part; [`Engine`] owns the invariant
-//! part — policy plumbing, observation hand-off, public-board recording,
-//! utility trajectories and aggregate counts. Adding a new workload is a
-//! ~100-line `Scenario` impl, not a new simulator file.
+//! [`Scenario`] captures the varying part; [`EngineStepper`] owns the
+//! invariant part — policy plumbing, observation hand-off, utility and
+//! aggregate accounting. Adding a new workload is a ~100-line `Scenario`
+//! impl, not a new simulator file. A pull run (a figure, a sweep cell, a
+//! payoff-grid cell) plays a whole game with [`EngineStepper::run`], which
+//! records each round's series into a reusable [`EngineScratch`] and posts
+//! the public record only to a board the caller passes. A push run (the
+//! streaming collector) calls [`EngineStepper::step`] once per sealed
+//! batch and posts each step's record to its own board shard.
 //!
-//! The engine preserves RNG call order exactly: threshold (no main-stream
+//! The stepper preserves RNG call order exactly: threshold (no main-stream
 //! draws), then the adversary's injection draw, then the scenario's
-//! environment step — so re-expressing a simulator on the engine keeps
-//! fixed-seed runs bit-identical.
+//! environment step — so re-expressing a simulator on it keeps fixed-seed
+//! runs bit-identical.
 //!
-//! Policies enter through the object-safe
-//! [`ThresholdPolicy`] / [`AttackPolicy`] traits. The closed
-//! enum rosters ([`DefenderPolicy`]/[`AdversaryPolicy`]) implement them as
-//! shims, so [`Engine::new`] keeps its historical signature; open-world
-//! policies (randomized defenders, board-driven attackers) use
-//! [`Engine::with_policies`]. Randomized *defender* policies draw from a
-//! dedicated sub-stream seeded by [`Engine::with_policy_seed`] — never
-//! from the main environment stream — so adding randomness to the
-//! defender cannot perturb the benign draws, the adversary's mixing, or
-//! any deterministic-policy replay.
+//! Policies enter through the object-safe [`ThresholdPolicy`] /
+//! [`AttackPolicy`] traits; the closed enum rosters
+//! ([`DefenderPolicy`](crate::strategy::DefenderPolicy) /
+//! [`AdversaryPolicy`](crate::adversary::AdversaryPolicy)) implement them
+//! as shims. Randomized *defender* policies draw from a dedicated
+//! sub-stream seeded by [`EngineStepper::with_policy_seed`] — never from
+//! the main environment stream — so adding randomness to the defender
+//! cannot perturb the benign draws, the adversary's mixing, or any
+//! deterministic-policy replay. Derive that seed from the run's master
+//! seed (the substrates use
+//! [`POLICY_SEED_STREAM`](crate::simulation::POLICY_SEED_STREAM)) so
+//! independent repetitions draw independent thresholds.
 
-use crate::adversary::{AdversaryObservation, AdversaryPolicy, AttackPolicy};
+use crate::adversary::{AdversaryObservation, AttackPolicy};
 use crate::lagrange::UtilityTrajectory;
-use crate::strategy::{DefenderObservation, DefenderPolicy, ThresholdPolicy};
+use crate::strategy::{DefenderObservation, ThresholdPolicy};
 use rand::Rng;
 use trimgame_numerics::rand_ext::seeded_rng;
 use trimgame_numerics::stats::OnlineStats;
@@ -119,7 +125,7 @@ pub(crate) fn provenance_counts(kept_mask: &[bool], n_benign: usize) -> (usize, 
 ///
 /// Implementations hold their scenario state (streams, reference quantile
 /// tables, retained payloads, trim scratch buffers) and are driven by the
-/// [`Engine`], which owns the game-theoretic plumbing. The three stock
+/// [`EngineStepper`], which owns the game-theoretic plumbing. The three stock
 /// scenarios keep their reusable state in a worker arena and are generic
 /// over how they hold it (`A: BorrowMut<Arena>`): owned for one-off
 /// recording runs, `&mut` borrowed for payoff-grid cells that replay many
@@ -180,13 +186,12 @@ impl EngineTotals {
     }
 }
 
-/// Reusable trajectory buffers for [`Engine::run_with_scratch`]: the
-/// per-round series a run records, recycled across runs so a sweep or
-/// payoff-grid worker allocates them once instead of five vectors per
-/// cell.
+/// Reusable trajectory buffers for [`EngineStepper::run`]: the per-round
+/// series a run records, recycled across runs so a sweep or payoff-grid
+/// worker allocates them once instead of five vectors per cell.
 ///
-/// After a scratch run the buffers hold that run's series (read them via
-/// the accessors); the next run clears and refills them, keeping the
+/// After a run the buffers hold that run's series (read them via the
+/// accessors); the next run clears and refills them, keeping the
 /// capacity.
 #[derive(Debug, Default)]
 pub struct EngineScratch {
@@ -243,15 +248,15 @@ impl EngineScratch {
     }
 }
 
-/// Aggregate result of a scratch-backed lean run ([`Engine::run_with_scratch`]):
-/// everything a payoff-estimation cell needs, with no owned trajectories
-/// — those stay in the [`EngineScratch`].
+/// Aggregate result of a run ([`EngineStepper::run`] or
+/// [`EngineStepper::summary`]): everything a payoff-estimation cell needs,
+/// with no owned trajectories — those stay in the [`EngineScratch`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EngineRun {
     /// Aggregate counts.
     pub totals: EngineTotals,
-    /// Final cumulative adversary utility (bit-identical to
-    /// `utilities.u_a.last()` of [`Engine::run`]).
+    /// Final cumulative adversary utility (bit-identical to the last
+    /// entry of [`EngineScratch::utilities`]).
     pub final_u_a: f64,
     /// Final cumulative collector utility.
     pub final_u_c: f64,
@@ -299,23 +304,18 @@ impl EngineStep {
     }
 }
 
-/// A `play_round`-level engine entry usable without the pull-based
-/// driver: the Fig. 3 information structure, one round at a time.
+/// The Fig. 3 round loop over any [`Scenario`]: the information
+/// structure of the game, one round at a time.
 ///
-/// [`Engine::run`] owns the whole loop — it decides when rounds happen
-/// and where records go. A streaming collector service cannot hand over
-/// that control: rounds fire when the ingest pipeline *seals a batch*,
-/// and records route to a per-worker board shard. The stepper inverts
-/// the control flow — each [`EngineStepper::step`] call plays exactly
-/// one round (threshold from the policy sub-stream, injection from the
-/// main stream, `Scenario::play_round` unchanged, bandit feedback,
-/// utility/total accumulation) and hands the outcome back to the
-/// caller, who records it wherever the deployment demands.
-///
-/// [`Engine::run`]/[`Engine::run_with_scratch`] are implemented *on*
-/// this stepper, so the two paths cannot drift: a stepper driven `n`
-/// times produces bit-identical trajectories to `Engine::run(n)` for
-/// the same seeds.
+/// Each [`EngineStepper::step`] call plays exactly one round (threshold
+/// from the policy sub-stream, injection from the main stream,
+/// `Scenario::play_round` unchanged, bandit feedback, utility/total
+/// accumulation) and hands the outcome back to the caller, who records
+/// it wherever the deployment demands — a streaming collector steps when
+/// its ingest pipeline *seals a batch* and posts to a per-worker board
+/// shard. [`EngineStepper::run`] is the same loop driven `rounds` times
+/// for a pull run, so a stepper stepped by hand `n` times and one run for
+/// `n` rounds produce bit-identical trajectories for the same seeds.
 #[derive(Debug)]
 pub struct EngineStepper<S: Scenario> {
     scenario: S,
@@ -334,25 +334,12 @@ pub struct EngineStepper<S: Scenario> {
 }
 
 impl<S: Scenario> EngineStepper<S> {
-    /// Builds a stepper with the default policy-sub-stream seed (see
-    /// [`Engine::DEFAULT_POLICY_SEED`] for the replay caveats).
-    #[must_use]
-    pub fn new(
-        scenario: S,
-        defender: Box<dyn ThresholdPolicy>,
-        adversary: Box<dyn AttackPolicy>,
-    ) -> Self {
-        Self::with_policy_seed(
-            scenario,
-            defender,
-            adversary,
-            Engine::<S>::DEFAULT_POLICY_SEED,
-        )
-    }
-
     /// Builds a stepper whose defender draws from a dedicated sub-stream
-    /// seeded with `policy_seed` — the stepper equivalent of
-    /// [`Engine::with_policy_seed`].
+    /// seeded with `policy_seed`. Deterministic policies never draw from
+    /// it; for randomized defenders, runs sharing a policy seed replay the
+    /// identical threshold draws, so derive it per run from the run's
+    /// master seed (e.g. with
+    /// [`trimgame_numerics::rand_ext::derive_seed`]).
     #[must_use]
     pub fn with_policy_seed(
         scenario: S,
@@ -434,6 +421,40 @@ impl<S: Scenario> EngineStepper<S> {
         }
     }
 
+    /// Plays `rounds` more rounds — the whole game of a pull run. `rng`
+    /// drives the adversary's mixed strategies and the scenario's
+    /// environment; the caller seeds it. Every round's threshold,
+    /// injection, quality and gains are recorded into `scratch`, which is
+    /// cleared first and keeps its capacity. Each round's public record is
+    /// posted to `board` when one is given (e.g. a board the adversary
+    /// already holds a clone of) and is not built otherwise. Returns
+    /// [`EngineStepper::summary`].
+    ///
+    /// # Panics
+    /// Panics if `rounds == 0`.
+    pub fn run<R: Rng + ?Sized>(
+        &mut self,
+        rounds: usize,
+        rng: &mut R,
+        scratch: &mut EngineScratch,
+        board: Option<&RangedBoard>,
+    ) -> EngineRun {
+        assert!(rounds > 0, "need at least one round");
+        scratch.reset(rounds);
+        for _ in 0..rounds {
+            let step = self.step(rng);
+            if let Some(board) = board {
+                board.post(step.to_record());
+            }
+            scratch.thresholds.push(step.threshold);
+            scratch.injections.push(step.injection);
+            scratch.qualities.push(step.report.quality);
+            scratch.gains_a.push(step.report.gain_adversary);
+            scratch.gains_c.push(step.gain_collector());
+        }
+        self.summary()
+    }
+
     /// The aggregate result so far, without consuming the stepper.
     #[must_use]
     pub fn summary(&self) -> EngineRun {
@@ -444,12 +465,6 @@ impl<S: Scenario> EngineStepper<S> {
             termination_round: self.defender.termination_round(),
             rounds: self.round,
         }
-    }
-
-    /// Finishes the run, returning the aggregate result.
-    #[must_use]
-    pub fn finish(self) -> EngineRun {
-        self.summary()
     }
 
     /// Finishes the run, handing back the aggregate result together
@@ -469,184 +484,11 @@ impl<S: Scenario> EngineStepper<S> {
     }
 }
 
-/// Result of driving a [`Scenario`] through the round loop.
-#[derive(Debug)]
-pub struct EngineOutcome<S> {
-    /// The scenario, with whatever payload it accumulated.
-    pub scenario: S,
-    /// The defender policy in its final state.
-    pub defender: Box<dyn ThresholdPolicy>,
-    /// The adversary policy in its final state.
-    pub adversary: Box<dyn AttackPolicy>,
-    /// The threshold percentile applied each round.
-    pub thresholds: Vec<f64>,
-    /// The adversary's injection percentile each round (as produced by the
-    /// policy, unclamped).
-    pub injections: Vec<f64>,
-    /// The quality score of each round's received batch.
-    pub qualities: Vec<f64>,
-    /// Cumulative utility trajectories (percentile-damage proxy).
-    pub utilities: UtilityTrajectory,
-    /// Aggregate counts.
-    pub totals: EngineTotals,
-    /// Round at which a trigger defender terminated cooperation, if any.
-    pub termination_round: Option<usize>,
-    /// The public board with one record per round (Fig. 3 steps ①/⑥).
-    pub board: RangedBoard,
-}
-
-/// The Fig. 3 round loop over any [`Scenario`].
-#[derive(Debug)]
-pub struct Engine<S: Scenario> {
-    scenario: S,
-    defender: Box<dyn ThresholdPolicy>,
-    adversary: Box<dyn AttackPolicy>,
-    board: RangedBoard,
-    policy_seed: u64,
-}
-
-impl<S: Scenario> Engine<S> {
-    /// Default seed of the defender policy sub-stream when
-    /// [`Engine::with_policy_seed`] is not called. Deterministic policies
-    /// never draw from the sub-stream, so this default only matters for
-    /// randomized defenders — and for those, **every run sharing this
-    /// default replays the identical threshold draws**, even across
-    /// different main-stream seeds. Repetitions meant to be independent
-    /// must derive a per-run policy seed (as `run_game_with_policies` and
-    /// the three `*_with_scratch` cell paths do from the game seed); the
-    /// constant default exists so deterministic replays need no ceremony,
-    /// not as a sampling scheme.
-    pub const DEFAULT_POLICY_SEED: u64 = 0x5452_494D_5052_4E47; // "TRIMPRNG"
-
-    /// Builds an engine from the scenario and the paper's closed-roster
-    /// policies (the enum shims; see [`Engine::with_policies`] for the
-    /// open trait-object form).
-    #[must_use]
-    pub fn new(scenario: S, defender: DefenderPolicy, adversary: AdversaryPolicy) -> Self {
-        Self::with_policies(scenario, Box::new(defender), Box::new(adversary))
-    }
-
-    /// Builds an engine from arbitrary boxed policies — the entry point
-    /// for randomized defenders, board-driven attackers, and downstream
-    /// custom strategies.
-    #[must_use]
-    pub fn with_policies(
-        scenario: S,
-        defender: Box<dyn ThresholdPolicy>,
-        adversary: Box<dyn AttackPolicy>,
-    ) -> Self {
-        Self {
-            scenario,
-            defender,
-            adversary,
-            board: RangedBoard::unbounded(),
-            policy_seed: Self::DEFAULT_POLICY_SEED,
-        }
-    }
-
-    /// Shares an existing public board (e.g. one the adversary already
-    /// holds a clone of) instead of creating a fresh one.
-    #[must_use]
-    pub fn with_board(mut self, board: RangedBoard) -> Self {
-        self.board = board;
-        self
-    }
-
-    /// Seeds the dedicated defender policy sub-stream. Derive this from
-    /// the run's master seed (e.g. with
-    /// [`trimgame_numerics::rand_ext::derive_seed`]) so randomized
-    /// defenders vary across repetitions while deterministic replays stay
-    /// untouched.
-    #[must_use]
-    pub fn with_policy_seed(mut self, seed: u64) -> Self {
-        self.policy_seed = seed;
-        self
-    }
-
-    /// Runs `rounds` rounds with the paper's information structure and
-    /// returns the outcome. `rng` drives the adversary's mixed strategies
-    /// and the scenario's environment; the caller seeds it. Randomized
-    /// defender policies draw from the separate sub-stream seeded by
-    /// [`Engine::with_policy_seed`].
-    ///
-    /// # Panics
-    /// Panics if `rounds == 0`.
-    #[must_use]
-    pub fn run<R: Rng + ?Sized>(self, rounds: usize, rng: &mut R) -> EngineOutcome<S> {
-        let mut scratch = EngineScratch::new();
-        let (run, scenario, defender, adversary, board) = self.run_core(rounds, rng, &mut scratch);
-        EngineOutcome {
-            termination_round: run.termination_round,
-            scenario,
-            defender,
-            adversary,
-            utilities: UtilityTrajectory::from_roundwise(&scratch.gains_a, &scratch.gains_c),
-            thresholds: scratch.thresholds,
-            injections: scratch.injections,
-            qualities: scratch.qualities,
-            totals: run.totals,
-            board,
-        }
-    }
-
-    /// The allocation-free run entry point: identical round loop, RNG
-    /// call order and arithmetic as [`Engine::run`], but every per-round
-    /// series is recorded into the caller's reusable [`EngineScratch`]
-    /// and only the aggregate [`EngineRun`] is returned. A worker playing
-    /// hundreds of payoff-grid cells reuses one scratch (and one scenario
-    /// arena) across all of them.
-    ///
-    /// # Panics
-    /// Panics if `rounds == 0`.
-    #[must_use]
-    pub fn run_with_scratch<R: Rng + ?Sized>(
-        self,
-        rounds: usize,
-        rng: &mut R,
-        scratch: &mut EngineScratch,
-    ) -> EngineRun {
-        self.run_core(rounds, rng, scratch).0
-    }
-
-    /// The Fig. 3 round loop shared by both run entry points.
-    #[allow(clippy::type_complexity)]
-    fn run_core<R: Rng + ?Sized>(
-        self,
-        rounds: usize,
-        rng: &mut R,
-        scratch: &mut EngineScratch,
-    ) -> (
-        EngineRun,
-        S,
-        Box<dyn ThresholdPolicy>,
-        Box<dyn AttackPolicy>,
-        RangedBoard,
-    ) {
-        assert!(rounds > 0, "need at least one round");
-        scratch.reset(rounds);
-        let mut stepper = EngineStepper::with_policy_seed(
-            self.scenario,
-            self.defender,
-            self.adversary,
-            self.policy_seed,
-        );
-        for _ in 0..rounds {
-            let step = stepper.step(rng);
-            scratch.gains_a.push(step.report.gain_adversary);
-            scratch.gains_c.push(step.gain_collector());
-            self.board.post(step.to_record());
-            scratch.thresholds.push(step.threshold);
-            scratch.injections.push(step.injection);
-            scratch.qualities.push(step.report.quality);
-        }
-        let (run, scenario, defender, adversary) = stepper.into_parts();
-        (run, scenario, defender, adversary, self.board)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::adversary::AdversaryPolicy;
+    use crate::strategy::DefenderPolicy;
     use trimgame_numerics::rand_ext::seeded_rng;
 
     #[test]
@@ -688,66 +530,90 @@ mod tests {
         }
     }
 
+    fn toy_stepper(
+        defender: Box<dyn ThresholdPolicy>,
+        adversary: Box<dyn AttackPolicy>,
+        policy_seed: u64,
+    ) -> EngineStepper<ToyScenario> {
+        let scenario = ToyScenario {
+            batch: 90,
+            poison: 10,
+        };
+        EngineStepper::with_policy_seed(scenario, defender, adversary, policy_seed)
+    }
+
+    /// One seeded toy game through [`EngineStepper::run`], without a
+    /// board: the summary and the recorded series.
+    fn play(
+        defender: Box<dyn ThresholdPolicy>,
+        adversary: Box<dyn AttackPolicy>,
+        policy_seed: u64,
+        rounds: usize,
+        seed: u64,
+    ) -> (EngineRun, EngineScratch) {
+        let mut scratch = EngineScratch::new();
+        let run = toy_stepper(defender, adversary, policy_seed).run(
+            rounds,
+            &mut seeded_rng(seed),
+            &mut scratch,
+            None,
+        );
+        (run, scratch)
+    }
+
     #[test]
     fn engine_runs_rounds_and_accumulates() {
-        let engine = Engine::new(
-            ToyScenario {
-                batch: 90,
-                poison: 10,
-            },
-            DefenderPolicy::Fixed { tth: 0.9 },
-            AdversaryPolicy::Fixed { percentile: 0.95 },
+        let mut stepper = toy_stepper(
+            Box::new(DefenderPolicy::Fixed { tth: 0.9 }),
+            Box::new(AdversaryPolicy::Fixed { percentile: 0.95 }),
+            1,
         );
-        let mut rng = seeded_rng(1);
-        let out = engine.run(5, &mut rng);
-        assert_eq!(out.thresholds, vec![0.9; 5]);
-        assert_eq!(out.injections, vec![0.95; 5]);
-        assert_eq!(out.totals.received, 500);
-        assert_eq!(out.totals.poison_survived, 0);
-        assert_eq!(out.totals.trimmed, 50);
-        assert_eq!(out.utilities.rounds(), 5);
-        assert_eq!(out.board.len(), 5);
-        assert_eq!(out.termination_round, None);
+        let board = RangedBoard::unbounded();
+        let mut scratch = EngineScratch::new();
+        let run = stepper.run(5, &mut seeded_rng(1), &mut scratch, Some(&board));
+        assert_eq!(scratch.thresholds(), &[0.9; 5]);
+        assert_eq!(scratch.injections(), &[0.95; 5]);
+        assert_eq!(run.totals.received, 500);
+        assert_eq!(run.totals.poison_survived, 0);
+        assert_eq!(run.totals.trimmed, 50);
+        assert_eq!(run.rounds, 5);
+        assert_eq!(scratch.utilities().rounds(), 5);
+        assert_eq!(board.len(), 5);
+        assert_eq!(run.termination_round, None);
     }
 
     #[test]
     fn adversary_sees_previous_threshold() {
-        let engine = Engine::new(
-            ToyScenario {
-                batch: 90,
-                poison: 10,
-            },
-            DefenderPolicy::Fixed { tth: 0.9 },
-            AdversaryPolicy::JustBelowThreshold {
+        let (run, scratch) = play(
+            Box::new(DefenderPolicy::Fixed { tth: 0.9 }),
+            Box::new(AdversaryPolicy::JustBelowThreshold {
                 offset: 0.01,
                 fallback: 0.99,
-            },
+            }),
+            1,
+            3,
+            2,
         );
-        let mut rng = seeded_rng(2);
-        let out = engine.run(3, &mut rng);
         // Round 1: fallback (no history); afterwards: just below 0.9.
-        assert_eq!(out.injections[0], 0.99);
-        assert!((out.injections[1] - 0.89).abs() < 1e-12);
-        assert_eq!(out.totals.poison_survived, 20);
+        assert_eq!(scratch.injections()[0], 0.99);
+        assert!((scratch.injections()[1] - 0.89).abs() < 1e-12);
+        assert_eq!(run.totals.poison_survived, 20);
     }
 
     #[test]
     fn defender_sees_previous_quality() {
         // Tit-for-tat triggers off the quality the scenario reported for
         // the high injection, then stays hard.
-        let engine = Engine::new(
-            ToyScenario {
-                batch: 90,
-                poison: 10,
-            },
-            DefenderPolicy::titfortat(0.9, 1.0, 0.005),
-            AdversaryPolicy::Fixed { percentile: 0.99 },
+        let (run, scratch) = play(
+            Box::new(DefenderPolicy::titfortat(0.9, 1.0, 0.005)),
+            Box::new(AdversaryPolicy::Fixed { percentile: 0.99 }),
+            1,
+            4,
+            3,
         );
-        let mut rng = seeded_rng(3);
-        let out = engine.run(4, &mut rng);
-        assert_eq!(out.termination_round, Some(2));
-        assert!((out.thresholds[0] - 0.91).abs() < 1e-12);
-        assert!((out.thresholds[2] - 0.87).abs() < 1e-12);
+        assert_eq!(run.termination_round, Some(2));
+        assert!((scratch.thresholds()[0] - 0.91).abs() < 1e-12);
+        assert!((scratch.thresholds()[2] - 0.87).abs() < 1e-12);
     }
 
     #[test]
@@ -768,59 +634,54 @@ mod tests {
     #[test]
     fn single_atom_randomized_matches_fixed() {
         use crate::strategy::RandomizedDefender;
-        let make = || ToyScenario {
-            batch: 90,
-            poison: 10,
-        };
-        let fixed = Engine::new(
-            make(),
-            DefenderPolicy::Fixed { tth: 0.9 },
-            AdversaryPolicy::Uniform { lo: 0.85, hi: 1.0 },
-        )
-        .run(8, &mut seeded_rng(9));
-        let randomized = Engine::with_policies(
-            make(),
+        let attack = || Box::new(AdversaryPolicy::Uniform { lo: 0.85, hi: 1.0 });
+        let fixed = play(
+            Box::new(DefenderPolicy::Fixed { tth: 0.9 }),
+            attack(),
+            1,
+            8,
+            9,
+        );
+        let randomized = play(
             Box::new(RandomizedDefender::new(&[0.9], &[3.0]).unwrap()),
-            Box::new(AdversaryPolicy::Uniform { lo: 0.85, hi: 1.0 }),
-        )
-        .with_policy_seed(777)
-        .run(8, &mut seeded_rng(9));
+            attack(),
+            777,
+            8,
+            9,
+        );
         // The degenerate mixture consumes no randomness anywhere, so the
         // whole trajectory — including the adversary's main-stream draws —
         // is bit-identical to the deterministic policy's.
-        assert_eq!(fixed.thresholds, randomized.thresholds);
-        assert_eq!(fixed.injections, randomized.injections);
-        assert_eq!(fixed.utilities.u_a, randomized.utilities.u_a);
-        assert_eq!(fixed.totals, randomized.totals);
+        assert_eq!(fixed.1.thresholds(), randomized.1.thresholds());
+        assert_eq!(fixed.1.injections(), randomized.1.injections());
+        assert_eq!(fixed.1.utilities().u_a, randomized.1.utilities().u_a);
+        assert_eq!(fixed.0.totals, randomized.0.totals);
     }
 
     #[test]
     fn randomized_defender_draws_from_substream_only() {
         use crate::strategy::RandomizedDefender;
-        let make = || ToyScenario {
-            batch: 90,
-            poison: 10,
-        };
         let run_with_seed = |policy_seed: u64| {
-            Engine::with_policies(
-                make(),
+            play(
                 Box::new(RandomizedDefender::new(&[0.86, 0.94], &[0.5, 0.5]).unwrap()),
                 Box::new(AdversaryPolicy::Uniform { lo: 0.85, hi: 1.0 }),
+                policy_seed,
+                16,
+                4,
             )
-            .with_policy_seed(policy_seed)
-            .run(16, &mut seeded_rng(4))
+            .1
         };
         let a = run_with_seed(1);
         let b = run_with_seed(2);
         // Different sub-streams change the threshold sequence...
-        assert_ne!(a.thresholds, b.thresholds);
+        assert_ne!(a.thresholds(), b.thresholds());
         // ...but never the main environment stream: the adversary's
         // injection draws are identical across policy seeds.
-        assert_eq!(a.injections, b.injections);
+        assert_eq!(a.injections(), b.injections());
         // And the same policy seed replays exactly.
         let c = run_with_seed(1);
-        assert_eq!(a.thresholds, c.thresholds);
-        assert!(a.thresholds.iter().all(|&t| t == 0.86 || t == 0.94));
+        assert_eq!(a.thresholds(), c.thresholds());
+        assert!(a.thresholds().iter().all(|&t| t == 0.86 || t == 0.94));
     }
 
     #[test]
@@ -828,24 +689,22 @@ mod tests {
         use crate::adversary::AdaptiveAttacker;
         let board = RangedBoard::unbounded();
         let attacker = AdaptiveAttacker::new(board.clone(), 0.01, 0.99);
-        let out = Engine::with_policies(
-            ToyScenario {
-                batch: 90,
-                poison: 10,
-            },
+        let mut stepper = toy_stepper(
             Box::new(DefenderPolicy::Fixed { tth: 0.9 }),
             Box::new(attacker),
-        )
-        .with_board(board)
-        .run(4, &mut seeded_rng(6));
+            1,
+        );
+        let mut scratch = EngineScratch::new();
+        let run = stepper.run(4, &mut seeded_rng(6), &mut scratch, Some(&board));
         // Round 1: fallback above the cut (trimmed); afterwards: the board
         // reveals the fixed threshold and the attacker rides just below.
-        assert_eq!(out.injections[0], 0.99);
-        for &inj in &out.injections[1..] {
+        assert_eq!(scratch.injections()[0], 0.99);
+        for &inj in &scratch.injections()[1..] {
             assert!((inj - 0.89).abs() < 1e-12, "injection {inj}");
         }
-        assert_eq!(out.totals.poison_survived, 30);
-        assert_eq!(out.adversary.name(), "Adaptive");
+        assert_eq!(run.totals.poison_survived, 30);
+        let (_, _, _, adversary) = stepper.into_parts();
+        assert_eq!(adversary.name(), "Adaptive");
     }
 
     #[test]
@@ -856,79 +715,72 @@ mod tests {
         // The engine's observe_payoff feedback is the only signal Exp3
         // gets — concentration on 0.85 proves the loop is wired.
         let rounds = 300;
-        let out = Engine::with_policies(
-            ToyScenario {
-                batch: 90,
-                poison: 10,
-            },
-            Box::new(DefenderPolicy::Fixed { tth: 0.9 }),
-            Box::new(Exp3Attacker::new(&[0.85, 0.95], rounds, 0.1, 42).unwrap()),
-        )
-        .run(rounds, &mut seeded_rng(8));
-        let late = &out.injections[rounds - 100..];
+        let run = || {
+            play(
+                Box::new(DefenderPolicy::Fixed { tth: 0.9 }),
+                Box::new(Exp3Attacker::new(&[0.85, 0.95], rounds, 0.1, 42).unwrap()),
+                1,
+                rounds,
+                8,
+            )
+            .1
+        };
+        let out = run();
+        let late = &out.injections()[rounds - 100..];
         let hits = late.iter().filter(|&&x| x == 0.85).count();
         assert!(hits > 70, "late surviving-arm plays: {hits}/100");
         // Replays are exact: the attacker samples only its private stream.
-        let again = Engine::with_policies(
-            ToyScenario {
-                batch: 90,
-                poison: 10,
-            },
-            Box::new(DefenderPolicy::Fixed { tth: 0.9 }),
-            Box::new(Exp3Attacker::new(&[0.85, 0.95], rounds, 0.1, 42).unwrap()),
-        )
-        .run(rounds, &mut seeded_rng(8));
-        assert_eq!(out.injections, again.injections);
+        assert_eq!(out.injections(), run().injections());
     }
 
     #[test]
     fn scratch_run_matches_owned_run_bit_for_bit() {
-        let make = || {
-            Engine::new(
-                ToyScenario {
-                    batch: 90,
-                    poison: 10,
-                },
-                DefenderPolicy::titfortat(0.9, 1.0, 0.005),
-                AdversaryPolicy::Uniform { lo: 0.85, hi: 1.0 },
+        // A scratch warmed on an unrelated run must replay a fresh one
+        // exactly — stale contents must not leak into the next run.
+        let game = || {
+            toy_stepper(
+                Box::new(DefenderPolicy::titfortat(0.9, 1.0, 0.005)),
+                Box::new(AdversaryPolicy::Uniform { lo: 0.85, hi: 1.0 }),
+                1,
             )
         };
-        let owned = make().run(12, &mut seeded_rng(11));
+        let (owned, fresh) = {
+            let mut scratch = EngineScratch::new();
+            let run = game().run(12, &mut seeded_rng(11), &mut scratch, None);
+            (run, scratch)
+        };
         let mut scratch = EngineScratch::new();
-        // Warm the scratch on an unrelated run, then reuse it — stale
-        // contents must not leak into the next run.
-        let _ = make().run_with_scratch(5, &mut seeded_rng(99), &mut scratch);
-        let lean = make().run_with_scratch(12, &mut seeded_rng(11), &mut scratch);
-        assert_eq!(lean.totals, owned.totals);
-        assert_eq!(lean.termination_round, owned.termination_round);
+        let _ = game().run(5, &mut seeded_rng(99), &mut scratch, None);
+        let lean = game().run(12, &mut seeded_rng(11), &mut scratch, None);
+        assert_eq!(lean, owned);
         assert_eq!(lean.rounds, 12);
-        assert_eq!(Some(&lean.final_u_a), owned.utilities.u_a.last());
-        assert_eq!(Some(&lean.final_u_c), owned.utilities.u_c.last());
-        assert_eq!(scratch.thresholds(), owned.thresholds.as_slice());
-        assert_eq!(scratch.injections(), owned.injections.as_slice());
-        assert_eq!(scratch.qualities(), owned.qualities.as_slice());
-        assert_eq!(scratch.utilities().u_a, owned.utilities.u_a);
-        assert_eq!(scratch.utilities().u_c, owned.utilities.u_c);
+        assert_eq!(Some(&lean.final_u_a), fresh.utilities().u_a.last());
+        assert_eq!(Some(&lean.final_u_c), fresh.utilities().u_c.last());
+        assert_eq!(scratch.thresholds(), fresh.thresholds());
+        assert_eq!(scratch.injections(), fresh.injections());
+        assert_eq!(scratch.qualities(), fresh.qualities());
+        assert_eq!(scratch.utilities().u_a, fresh.utilities().u_a);
+        assert_eq!(scratch.utilities().u_c, fresh.utilities().u_c);
     }
 
     #[test]
     fn stepper_matches_engine_run_bit_for_bit() {
         // Drive the stepper by hand — posting records to our own board —
-        // and the outcome must be indistinguishable from Engine::run:
-        // same thresholds, injections, utilities, totals and board.
-        let make_defender = || Box::new(DefenderPolicy::titfortat(0.9, 1.0, 0.005));
-        let make_adversary = || Box::new(AdversaryPolicy::Uniform { lo: 0.85, hi: 1.0 });
-        let make_scenario = || ToyScenario {
-            batch: 90,
-            poison: 10,
+        // and the outcome must be indistinguishable from `run`: same
+        // thresholds, injections, utilities, totals and board.
+        let make = || {
+            toy_stepper(
+                Box::new(DefenderPolicy::titfortat(0.9, 1.0, 0.005)),
+                Box::new(AdversaryPolicy::Uniform { lo: 0.85, hi: 1.0 }),
+                31,
+            )
         };
         let rounds = 12;
-        let owned = Engine::with_policies(make_scenario(), make_defender(), make_adversary())
-            .with_policy_seed(31)
-            .run(rounds, &mut seeded_rng(21));
+        let run_board = RangedBoard::unbounded();
+        let mut owned = EngineScratch::new();
+        let whole = make().run(rounds, &mut seeded_rng(21), &mut owned, Some(&run_board));
 
-        let mut stepper =
-            EngineStepper::with_policy_seed(make_scenario(), make_defender(), make_adversary(), 31);
+        let mut stepper = make();
         let board = RangedBoard::unbounded();
         let mut rng = seeded_rng(21);
         let mut thresholds = Vec::new();
@@ -945,23 +797,23 @@ mod tests {
             gains_c.push(step.gain_collector());
         }
         assert_eq!(stepper.rounds_played(), rounds);
-        let run = stepper.finish();
-        assert_eq!(thresholds, owned.thresholds);
-        assert_eq!(injections, owned.injections);
-        assert_eq!(run.totals, owned.totals);
-        assert_eq!(run.termination_round, owned.termination_round);
-        assert_eq!(Some(&run.final_u_a), owned.utilities.u_a.last());
-        assert_eq!(Some(&run.final_u_c), owned.utilities.u_c.last());
+        let run = stepper.summary();
+        assert_eq!(run, whole);
+        assert_eq!(thresholds, owned.thresholds());
+        assert_eq!(injections, owned.injections());
+        assert_eq!(Some(&run.final_u_a), owned.utilities().u_a.last());
+        assert_eq!(Some(&run.final_u_c), owned.utilities().u_c.last());
         let traj = UtilityTrajectory::from_roundwise(&gains_a, &gains_c);
-        assert_eq!(traj.u_a, owned.utilities.u_a);
-        assert_eq!(traj.u_c, owned.utilities.u_c);
-        // The hand-posted board matches the engine's record for record.
+        assert_eq!(traj.u_a, owned.utilities().u_a);
+        assert_eq!(traj.u_c, owned.utilities().u_c);
+        // The hand-posted board matches the run's record for record.
         let history = |board: &RangedBoard| {
             let mut out = Vec::new();
             board.for_each_since_round(0, |r| out.push(r.clone()));
             out
         };
-        let (ours, theirs) = (history(&board), history(&owned.board));
+        let (ours, theirs) = (history(&board), history(&run_board));
+        assert_eq!(ours.len(), rounds);
         assert_eq!(ours.len(), theirs.len());
         for (a, b) in ours.iter().zip(theirs.iter()) {
             assert_eq!(a.round, b.round);
@@ -974,13 +826,10 @@ mod tests {
 
     #[test]
     fn stepper_summary_tracks_partial_runs() {
-        let mut stepper = EngineStepper::new(
-            ToyScenario {
-                batch: 90,
-                poison: 10,
-            },
+        let mut stepper = toy_stepper(
             Box::new(DefenderPolicy::Fixed { tth: 0.9 }),
             Box::new(AdversaryPolicy::Fixed { percentile: 0.95 }),
+            1,
         );
         let mut rng = seeded_rng(5);
         assert_eq!(stepper.summary().rounds, 0);
@@ -998,14 +847,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one round")]
     fn zero_rounds_rejected() {
-        let engine = Engine::new(
-            ToyScenario {
-                batch: 1,
-                poison: 0,
-            },
-            DefenderPolicy::Ostrich,
-            AdversaryPolicy::Fixed { percentile: 0.5 },
+        let _ = play(
+            Box::new(DefenderPolicy::Ostrich),
+            Box::new(AdversaryPolicy::Fixed { percentile: 0.5 }),
+            1,
+            0,
+            4,
         );
-        let _ = engine.run(0, &mut seeded_rng(4));
     }
 }

@@ -25,8 +25,10 @@
 //! inflection at small ε.
 
 use crate::adversary::AdversaryPolicy;
-use crate::engine::{provenance_counts, Engine, RoundReport, Scenario};
-use crate::simulation::POLICY_SEED_STREAM;
+use crate::engine::{
+    provenance_counts, EngineRun, EngineScratch, EngineStepper, RoundReport, Scenario,
+};
+use crate::simulation::policy_seed;
 use crate::strategy::{DefenderPolicy, ThresholdPolicy};
 use crate::titfortat::TitForTat;
 use rand::rngs::StdRng;
@@ -588,35 +590,37 @@ pub fn ldp_defender(defense: LdpDefense, cfg: &LdpSimConfig) -> DefenderPolicy {
 pub fn run_ldp_collection(population: &[f64], defense: LdpDefense, cfg: &LdpSimConfig) -> f64 {
     let mut rng = seeded_rng(cfg.seed);
     let scenario = LdpScenario::new(population, defense, cfg, &mut rng);
-    let out = Engine::new(
+    let mut stepper = EngineStepper::with_policy_seed(
         scenario,
-        ldp_defender(defense, cfg),
-        AdversaryPolicy::Fixed { percentile: 1.0 },
-    )
-    .with_policy_seed(derive_seed(cfg.seed, POLICY_SEED_STREAM))
-    .run(cfg.rounds, &mut rng);
+        Box::new(ldp_defender(defense, cfg)),
+        Box::new(AdversaryPolicy::Fixed { percentile: 1.0 }),
+        policy_seed(cfg.seed),
+    );
+    let _ = stepper.run(cfg.rounds, &mut rng, &mut EngineScratch::new(), None);
+    let (_, scenario, _, _) = stepper.into_parts();
     match defense {
         LdpDefense::Emf => {
             let beta = cfg.attack_ratio / (1.0 + cfg.attack_ratio);
-            let emf = EmFilter::for_piecewise(out.scenario.mechanism(), 16, 32, beta.min(0.95));
-            emf.filter_mean(out.scenario.raw_reports())
+            let emf = EmFilter::for_piecewise(scenario.mechanism(), 16, 32, beta.min(0.95));
+            emf.filter_mean(scenario.raw_reports())
         }
-        _ => out.scenario.trimmed_estimate(),
+        _ => scenario.trimmed_estimate(),
     }
 }
 
 /// The allocation-free LDP run: one seeded collection with arbitrary
 /// boxed policies on *both* sides over the worker-owned [`LdpArena`]
 /// (calibration table, prefix sums, report and trim buffers) recording
-/// into the reusable [`EngineScratch`](crate::engine::EngineScratch) — the
-/// LDP payoff-grid cell path. No raw-report retention and no
-/// trimmed-mean estimate; the attacker's injection percentile maps to a
-/// counterfeit input through [`counterfeit_input`], so mixed and learning
-/// attackers play a real position game on the report stream. Pass `board`
-/// to share a [`RangedBoard`](trimgame_stream::board::RangedBoard) an
-/// outside observer (or a board-driven policy) already holds a clone of.
-/// The defender sub-stream is seeded from `cfg.seed` via
-/// [`POLICY_SEED_STREAM`].
+/// into the reusable [`EngineScratch`] — the LDP payoff-grid cell path.
+/// No raw-report retention and no trimmed-mean estimate; the attacker's
+/// injection percentile maps to a counterfeit input through
+/// [`counterfeit_input`], so mixed and learning attackers play a real
+/// position game on the report stream. Pass `board` to post every
+/// round's record to a
+/// [`RangedBoard`](trimgame_stream::board::RangedBoard) an outside
+/// observer (or a board-driven policy) already holds a clone of. The
+/// defender sub-stream is seeded from `cfg.seed` via
+/// [`POLICY_SEED_STREAM`](crate::simulation::POLICY_SEED_STREAM).
 ///
 /// # Panics
 /// Panics if the population is empty or config degenerate.
@@ -630,18 +634,18 @@ pub fn run_ldp_collection_with_scratch(
     adversary: Box<dyn crate::adversary::AttackPolicy>,
     board: Option<trimgame_stream::board::RangedBoard>,
     arena: &mut LdpArena,
-    scratch: &mut crate::engine::EngineScratch,
-) -> crate::engine::EngineRun {
+    scratch: &mut EngineScratch,
+) -> EngineRun {
     let mut rng = seeded_rng(cfg.seed);
     let mech = Piecewise::new(cfg.epsilon);
     let params = ldp_calibrate_cached(population, &mech, defense, cfg, arena, &mut rng);
     let scenario = LdpScenario::over(population, mech, arena, params, false);
-    let mut engine = Engine::with_policies(scenario, defender, adversary)
-        .with_policy_seed(derive_seed(cfg.seed, POLICY_SEED_STREAM));
-    if let Some(board) = board {
-        engine = engine.with_board(board);
-    }
-    engine.run_with_scratch(cfg.rounds, &mut rng, scratch)
+    EngineStepper::with_policy_seed(scenario, defender, adversary, policy_seed(cfg.seed)).run(
+        cfg.rounds,
+        &mut rng,
+        scratch,
+        board.as_ref(),
+    )
 }
 
 /// A deterministic honest-report calibration sample: `n` reports of the
@@ -697,18 +701,20 @@ mod tests {
 
     /// One recording Tit-for-tat engine run with arbitrary boxed
     /// policies, seeded as [`run_ldp_collection_with_scratch`] seeds its
-    /// lean run.
+    /// lean run: the summary, the scenario and the recorded series.
     fn run_recording<'a>(
         pop: &'a [f64],
         cfg: &LdpSimConfig,
         defender: Box<dyn ThresholdPolicy>,
         adversary: Box<dyn crate::adversary::AttackPolicy>,
-    ) -> crate::engine::EngineOutcome<LdpScenario<'a>> {
+    ) -> (EngineRun, LdpScenario<'a>, EngineScratch) {
         let mut rng = seeded_rng(cfg.seed);
         let scenario = LdpScenario::new(pop, LdpDefense::TitForTat, cfg, &mut rng);
-        Engine::with_policies(scenario, defender, adversary)
-            .with_policy_seed(derive_seed(cfg.seed, POLICY_SEED_STREAM))
-            .run(cfg.rounds, &mut rng)
+        let mut stepper =
+            EngineStepper::with_policy_seed(scenario, defender, adversary, policy_seed(cfg.seed));
+        let mut scratch = EngineScratch::new();
+        let run = stepper.run(cfg.rounds, &mut rng, &mut scratch, None);
+        (run, stepper.into_parts().1, scratch)
     }
 
     #[test]
@@ -720,7 +726,6 @@ mod tests {
     #[test]
     fn ldp_scratch_cells_replay_the_outcome_path_bit_for_bit() {
         use crate::adversary::AdversaryPolicy;
-        use crate::engine::EngineScratch;
         let pop = population();
         let mut arena = LdpArena::new();
         let mut scratch = EngineScratch::new();
@@ -748,7 +753,7 @@ mod tests {
                 )
             };
             let (d, a) = policies();
-            let owned = run_recording(&pop, &cfg, d, a);
+            let (owned, _, series) = run_recording(&pop, &cfg, d, a);
             let (d, a) = policies();
             let lean = run_ldp_collection_with_scratch(
                 &pop,
@@ -761,17 +766,16 @@ mod tests {
                 &mut scratch,
             );
             assert_eq!(lean.totals, owned.totals, "soft={soft} seed={seed}");
-            assert_eq!(Some(&lean.final_u_a), owned.utilities.u_a.last());
-            assert_eq!(Some(&lean.final_u_c), owned.utilities.u_c.last());
-            assert_eq!(scratch.thresholds(), owned.thresholds.as_slice());
-            assert_eq!(scratch.qualities(), owned.qualities.as_slice());
+            assert_eq!(Some(&lean.final_u_a), series.utilities().u_a.last());
+            assert_eq!(Some(&lean.final_u_c), series.utilities().u_c.last());
+            assert_eq!(scratch.thresholds(), series.thresholds());
+            assert_eq!(scratch.qualities(), series.qualities());
         }
     }
 
     #[test]
     fn ldp_calibration_cache_replays_bit_for_bit() {
         use crate::adversary::AdversaryPolicy;
-        use crate::engine::EngineScratch;
         // The payoff-grid shape: cells differ in threshold but share the
         // repetition seed. The second run on a warm arena hits the
         // calibration cache and must match a cold run from a fresh arena
@@ -810,7 +814,6 @@ mod tests {
     #[test]
     fn ldp_exact_path_calibration_cache_replays_bit_for_bit() {
         use crate::adversary::AdversaryPolicy;
-        use crate::engine::EngineScratch;
         // Same contract as the sketch-mode test, on the exact (no
         // sketch) table game: the second run on a warm arena restores
         // the calibration buffers and RNG state from the cache and must
@@ -980,7 +983,7 @@ mod tests {
         let estimate = || {
             let attack = Box::new(AdversaryPolicy::Fixed { percentile: 1.0 });
             run_recording(&pop, &cfg, mixed(), attack)
-                .scenario
+                .1
                 .trimmed_estimate()
         };
         let (a, b) = (estimate(), estimate());

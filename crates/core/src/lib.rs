@@ -15,7 +15,7 @@
 //! | §V-B Elastic (Algorithm 2), Definition 2, Theorem 4 | [`elastic`] |
 //! | §VI-A scheme roster (Ostrich, baselines, ours) | [`strategy`], [`adversary`] |
 //! | Stackelberg equilibrium computation | [`equilibrium`] |
-//! | Fig. 3 unified round loop (`Engine<S: Scenario>`) | [`engine`] |
+//! | Fig. 3 unified round loop (`EngineStepper<S: Scenario>`) | [`engine`] |
 //! | §VI-B/C/D experiment drivers (k-means/SVM/SOM, Table III/IV) | [`simulation`], [`ml_sim`] |
 //! | §VI-E LDP case study (Fig. 9) | [`ldp_sim`] |
 
@@ -38,8 +38,7 @@ pub mod variants;
 pub use adversary::{AdaptiveAttacker, AdversaryPolicy, AttackPolicy};
 pub use elastic::{CoupledDynamics, ElasticThreshold};
 pub use engine::{
-    Engine, EngineOutcome, EngineRun, EngineScratch, EngineStep, EngineStepper, EngineTotals,
-    RoundReport, Scenario,
+    EngineRun, EngineScratch, EngineStep, EngineStepper, EngineTotals, RoundReport, Scenario,
 };
 pub use equilibrium::StackelbergSolver;
 pub use error::CoreError;

@@ -13,8 +13,10 @@
 //! [`crate::simulation`]; this module adds the geometry, the retained
 //! training set, and the three learners' metrics.
 
-use crate::engine::{provenance_counts, Engine, EngineTotals, RoundReport, Scenario};
-use crate::simulation::Scheme;
+use crate::engine::{
+    provenance_counts, EngineRun, EngineScratch, EngineStepper, EngineTotals, RoundReport, Scenario,
+};
+use crate::simulation::{policy_seed, Scheme};
 use rand::Rng;
 use std::borrow::BorrowMut;
 use trimgame_datasets::Dataset;
@@ -541,25 +543,27 @@ pub fn collect_poisoned_with_model(
 ) -> CollectedSet {
     let defender = cfg.scheme.defender(cfg.tth, 1.0, cfg.red);
     let adversary = cfg.scheme.adversary(cfg.tth);
-    let mut rng = seeded_rng(cfg.seed);
     let arena = MlArena::with_model(std::sync::Arc::clone(model));
     let scenario = MlScenario::with_arena(data, arena, cfg);
-    let engine = Engine::with_policies(scenario, Box::new(defender), Box::new(adversary))
-        .with_policy_seed(trimgame_numerics::rand_ext::derive_seed(
-            cfg.seed,
-            crate::simulation::POLICY_SEED_STREAM,
-        ));
-    let out = engine.run(cfg.rounds, &mut rng);
-    out.scenario.into_collected(cfg.scheme, &out.totals)
+    let mut stepper = EngineStepper::with_policy_seed(
+        scenario,
+        Box::new(defender),
+        Box::new(adversary),
+        policy_seed(cfg.seed),
+    );
+    let mut scratch = EngineScratch::new();
+    let run = stepper.run(cfg.rounds, &mut seeded_rng(cfg.seed), &mut scratch, None);
+    let (_, scenario, _, _) = stepper.into_parts();
+    scenario.into_collected(cfg.scheme, &run.totals)
 }
 
 /// The allocation-free ML run: one seeded collection with arbitrary
 /// boxed policies over the worker-owned [`MlArena`] (shared fitted model
-/// and round buffers), recording into the reusable
-/// [`EngineScratch`](crate::engine::EngineScratch) and retaining no rows —
+/// and round buffers), recording into the reusable [`EngineScratch`] and
+/// retaining no rows —
 /// the ML payoff-grid cell path. Randomized defenders and board-driven
 /// attackers play the feature-vector game exactly as the closed roster
-/// does. Pass `board` to share a
+/// does. Pass `board` to post every round's record to a
 /// [`RangedBoard`](trimgame_stream::board::RangedBoard) the attacker
 /// already holds a clone of (an
 /// [`AdaptiveAttacker`](crate::adversary::AdaptiveAttacker) without it
@@ -578,17 +582,15 @@ pub fn collect_poisoned_with_scratch(
     adversary: Box<dyn crate::adversary::AttackPolicy>,
     board: Option<trimgame_stream::board::RangedBoard>,
     arena: &mut MlArena,
-    scratch: &mut crate::engine::EngineScratch,
-) -> crate::engine::EngineRun {
-    let mut rng = seeded_rng(cfg.seed);
+    scratch: &mut EngineScratch,
+) -> EngineRun {
     let scenario = MlScenario::over(data, arena, cfg, false);
-    let mut engine = Engine::with_policies(scenario, defender, adversary).with_policy_seed(
-        trimgame_numerics::rand_ext::derive_seed(cfg.seed, crate::simulation::POLICY_SEED_STREAM),
-    );
-    if let Some(board) = board {
-        engine = engine.with_board(board);
-    }
-    engine.run_with_scratch(cfg.rounds, &mut rng, scratch)
+    EngineStepper::with_policy_seed(scenario, defender, adversary, policy_seed(cfg.seed)).run(
+        cfg.rounds,
+        &mut seeded_rng(cfg.seed),
+        scratch,
+        board.as_ref(),
+    )
 }
 
 /// The sorted clean anomaly-score distribution of `data`: each row's
@@ -689,20 +691,20 @@ mod tests {
     }
 
     /// One recording engine run with arbitrary boxed policies, seeded as
-    /// [`collect_poisoned_with_scratch`] seeds its lean run.
+    /// [`collect_poisoned_with_scratch`] seeds its lean run: the summary,
+    /// the scenario with its retained rows, and the recorded series.
     fn run_recording<'a>(
         data: &'a Dataset,
         cfg: &MlSimConfig,
         defender: Box<dyn crate::strategy::ThresholdPolicy>,
         adversary: Box<dyn crate::adversary::AttackPolicy>,
-    ) -> crate::engine::EngineOutcome<MlScenario<'a>> {
-        let policy_seed = trimgame_numerics::rand_ext::derive_seed(
-            cfg.seed,
-            crate::simulation::POLICY_SEED_STREAM,
-        );
-        Engine::with_policies(MlScenario::new(data, cfg), defender, adversary)
-            .with_policy_seed(policy_seed)
-            .run(cfg.rounds, &mut seeded_rng(cfg.seed))
+    ) -> (EngineRun, MlScenario<'a>, EngineScratch) {
+        let scenario = MlScenario::new(data, cfg);
+        let mut stepper =
+            EngineStepper::with_policy_seed(scenario, defender, adversary, policy_seed(cfg.seed));
+        let mut scratch = EngineScratch::new();
+        let run = stepper.run(cfg.rounds, &mut seeded_rng(cfg.seed), &mut scratch, None);
+        (run, stepper.into_parts().1, scratch)
     }
 
     #[test]
@@ -789,13 +791,13 @@ mod tests {
         let data = blobs(8);
         let cfg = small_cfg(Scheme::Baseline09, 0.3);
         let run_once = || {
-            let out = run_recording(
+            let (run, scenario, _) = run_recording(
                 &data,
                 &cfg,
                 Box::new(RandomizedDefender::new(&[0.85, 0.95], &[0.5, 0.5]).unwrap()),
                 Box::new(cfg.scheme.adversary(cfg.tth)),
             );
-            out.scenario.into_collected(cfg.scheme, &out.totals)
+            scenario.into_collected(cfg.scheme, &run.totals)
         };
         let a = run_once();
         let b = run_once();
@@ -807,7 +809,6 @@ mod tests {
 
     #[test]
     fn ml_scratch_cells_replay_the_outcome_path_bit_for_bit() {
-        use crate::engine::EngineScratch;
         use crate::strategy::DefenderPolicy;
         let data = blobs(11);
         let mut arena = MlArena::new(&data);
@@ -839,15 +840,15 @@ mod tests {
                 )
             };
             let (d, a) = policies();
-            let owned = run_recording(&data, &cfg, d, a);
+            let (owned, _, series) = run_recording(&data, &cfg, d, a);
             let (d, a) = policies();
             let lean =
                 collect_poisoned_with_scratch(&data, &cfg, d, a, None, &mut arena, &mut scratch);
             assert_eq!(lean.totals, owned.totals, "tth={tth} seed={seed}");
-            assert_eq!(Some(&lean.final_u_a), owned.utilities.u_a.last());
-            assert_eq!(Some(&lean.final_u_c), owned.utilities.u_c.last());
-            assert_eq!(scratch.thresholds(), owned.thresholds.as_slice());
-            assert_eq!(scratch.injections(), owned.injections.as_slice());
+            assert_eq!(Some(&lean.final_u_a), series.utilities().u_a.last());
+            assert_eq!(Some(&lean.final_u_c), series.utilities().u_c.last());
+            assert_eq!(scratch.thresholds(), series.thresholds());
+            assert_eq!(scratch.injections(), series.injections());
         }
     }
 
@@ -860,7 +861,6 @@ mod tests {
         // exact path grants only interpolation slack. Mirrors the scalar
         // substrate's contract.
         use crate::adversary::AdversaryPolicy;
-        use crate::engine::EngineScratch;
         use crate::strategy::DefenderPolicy;
         let data = blobs(12);
         let mut arena = MlArena::new(&data);
@@ -917,7 +917,7 @@ mod tests {
             Box::new(attacker),
             Some(board.clone()),
             &mut MlArena::new(&data),
-            &mut crate::engine::EngineScratch::new(),
+            &mut EngineScratch::new(),
         );
         // The engine posted every round onto the shared board...
         assert_eq!(board.len(), cfg.rounds);
@@ -931,13 +931,9 @@ mod tests {
         // The collector's ML streams run lean: stepped round by round,
         // a lean scenario must play the recording scenario's game bit for
         // bit while retaining nothing.
-        use crate::engine::EngineStepper;
         let data = blobs(10);
         let cfg = small_cfg(Scheme::TitForTat, 0.3);
-        fn drive<'a>(
-            scenario: MlScenario<'a>,
-            cfg: &MlSimConfig,
-        ) -> (crate::engine::EngineRun, MlScenario<'a>) {
+        fn drive<'a>(scenario: MlScenario<'a>, cfg: &MlSimConfig) -> (EngineRun, MlScenario<'a>) {
             let mut stepper = EngineStepper::with_policy_seed(
                 scenario,
                 Box::new(cfg.scheme.defender(cfg.tth, 1.0, cfg.red)),

@@ -15,7 +15,7 @@
 
 use crate::adversary::{AdversaryPolicy, AttackPolicy};
 use crate::engine::{
-    provenance_counts, Engine, EngineOutcome, EngineRun, EngineScratch, RoundReport, Scenario,
+    provenance_counts, EngineRun, EngineScratch, EngineStepper, RoundReport, Scenario,
 };
 use crate::lagrange::UtilityTrajectory;
 use crate::strategy::{DefenderPolicy, ThresholdPolicy};
@@ -500,45 +500,18 @@ impl<A: BorrowMut<ScalarArena>> Scenario for ScalarScenario<A> {
 /// bit-identical.
 pub const POLICY_SEED_STREAM: u64 = 0x504F_4C49_4359; // "POLICY"
 
-/// Drives one scalar game through the unified engine with arbitrary boxed
-/// policies — the entry point for [`crate::strategy::RandomizedDefender`],
+/// The allocation-free scalar run: one seeded game with arbitrary boxed
+/// policies over the worker-owned [`ScalarArena`] (pool tables + round
+/// buffers, built once per worker) recording into the reusable
+/// [`EngineScratch`] — the payoff-grid cell path of the equilibrium
+/// estimator, and the entry point for
+/// [`crate::strategy::RandomizedDefender`],
 /// [`crate::adversary::AdaptiveAttacker`] and downstream custom
 /// strategies (pass [`GameConfig::policies`] for the scheme's own pair).
-/// Pass `board` to share a
+/// Pass `board` to post every round's record to a
 /// [`RangedBoard`](trimgame_stream::board::RangedBoard) the attacker
 /// already holds a clone of. The defender sub-stream is seeded from
-/// `config.seed` via [`POLICY_SEED_STREAM`]. Set `record_kept` to also
-/// keep per-round retained values in the scenario.
-///
-/// # Panics
-/// Panics if the pool is empty or the configuration is degenerate.
-#[must_use]
-pub fn run_game_with_policies(
-    pool: &[f64],
-    config: &GameConfig,
-    defender: Box<dyn ThresholdPolicy>,
-    adversary: Box<dyn AttackPolicy>,
-    board: Option<trimgame_stream::board::RangedBoard>,
-    record_kept: bool,
-) -> EngineOutcome<ScalarScenario> {
-    assert!(config.rounds > 0, "need at least one round");
-    let mut rng = seeded_rng(config.seed);
-    let scenario = ScalarScenario::over(ScalarArena::new(pool), config, record_kept);
-    let mut engine = Engine::with_policies(scenario, defender, adversary).with_policy_seed(
-        trimgame_numerics::rand_ext::derive_seed(config.seed, POLICY_SEED_STREAM),
-    );
-    if let Some(board) = board {
-        engine = engine.with_board(board);
-    }
-    engine.run(config.rounds, &mut rng)
-}
-
-/// The allocation-free scalar run: one seeded game over the
-/// worker-owned [`ScalarArena`] (pool tables + round buffers, built once
-/// per worker) recording into the reusable [`EngineScratch`]. Trajectory
-/// finals, totals and termination are bit-identical to
-/// [`run_game_with_policies`] in lean mode — the payoff-grid cell path
-/// of the equilibrium estimator.
+/// `config.seed` via [`POLICY_SEED_STREAM`].
 ///
 /// # Panics
 /// Panics if the configuration is degenerate.
@@ -551,16 +524,18 @@ pub fn run_game_with_scratch(
     arena: &mut ScalarArena,
     scratch: &mut EngineScratch,
 ) -> EngineRun {
-    assert!(config.rounds > 0, "need at least one round");
-    let mut rng = seeded_rng(config.seed);
     let scenario = ScalarScenario::over(arena, config, false);
-    let mut engine = Engine::with_policies(scenario, defender, adversary).with_policy_seed(
-        trimgame_numerics::rand_ext::derive_seed(config.seed, POLICY_SEED_STREAM),
-    );
-    if let Some(board) = board {
-        engine = engine.with_board(board);
-    }
-    engine.run_with_scratch(config.rounds, &mut rng, scratch)
+    EngineStepper::with_policy_seed(scenario, defender, adversary, policy_seed(config.seed)).run(
+        config.rounds,
+        &mut seeded_rng(config.seed),
+        scratch,
+        board.as_ref(),
+    )
+}
+
+/// The defender policy sub-stream seed of a game seeded with `seed`.
+pub(crate) fn policy_seed(seed: u64) -> u64 {
+    trimgame_numerics::rand_ext::derive_seed(seed, POLICY_SEED_STREAM)
 }
 
 /// Runs one scalar collection game over `pool` (see [`ScalarScenario`]
@@ -572,14 +547,24 @@ pub fn run_game_with_scratch(
 #[must_use]
 pub fn run_game(pool: &[f64], config: &GameConfig) -> GameResult {
     let (defender, adversary) = config.policies();
-    let out = run_game_with_policies(pool, config, defender, adversary, None, true);
+    let scenario = ScalarScenario::new(pool, config);
+    let mut stepper =
+        EngineStepper::with_policy_seed(scenario, defender, adversary, policy_seed(config.seed));
+    let mut scratch = EngineScratch::new();
+    let run = stepper.run(
+        config.rounds,
+        &mut seeded_rng(config.seed),
+        &mut scratch,
+        None,
+    );
+    let (_, scenario, _, _) = stepper.into_parts();
     GameResult {
-        outcomes: out.scenario.outcomes,
-        retained: out.scenario.retained,
-        utilities: out.utilities,
-        termination_round: out.termination_round,
-        thresholds: out.thresholds,
-        injections: out.injections,
+        outcomes: scenario.outcomes,
+        retained: scenario.retained,
+        utilities: scratch.utilities(),
+        termination_round: run.termination_round,
+        thresholds: scratch.thresholds().to_vec(),
+        injections: scratch.injections().to_vec(),
     }
 }
 
@@ -737,14 +722,24 @@ mod tests {
         (0..10_000).map(|i| (i % 1000) as f64 / 10.0).collect()
     }
 
-    /// One engine run with the scheme's roster policies.
-    fn run_roster(
+    /// One lean run on a fresh arena and scratch.
+    fn lean_run(
         pool: &[f64],
         cfg: &GameConfig,
-        record_kept: bool,
-    ) -> EngineOutcome<ScalarScenario> {
+        defender: Box<dyn ThresholdPolicy>,
+        adversary: Box<dyn AttackPolicy>,
+        board: Option<trimgame_stream::board::RangedBoard>,
+    ) -> (EngineRun, EngineScratch) {
+        let mut scratch = EngineScratch::new();
+        let mut arena = ScalarArena::new(pool);
+        let run = run_game_with_scratch(cfg, defender, adversary, board, &mut arena, &mut scratch);
+        (run, scratch)
+    }
+
+    /// One lean run with the scheme's roster policies.
+    fn run_roster(pool: &[f64], cfg: &GameConfig) -> (EngineRun, EngineScratch) {
         let (defender, adversary) = cfg.policies();
-        run_game_with_policies(pool, cfg, defender, adversary, None, record_kept)
+        lean_run(pool, cfg, defender, adversary, None)
     }
 
     #[test]
@@ -867,30 +862,39 @@ mod tests {
         // aggregate counts as the full recording mode, just without the
         // per-round kept payloads.
         let cfg = GameConfig::new(Scheme::Elastic(0.5));
-        let full = run_roster(&pool(), &cfg, true);
-        let lean = run_roster(&pool(), &cfg, false);
-        assert_eq!(full.thresholds, lean.thresholds);
-        assert_eq!(full.injections, lean.injections);
-        assert_eq!(full.utilities.u_a, lean.utilities.u_a);
-        assert_eq!(full.utilities.u_c, lean.utilities.u_c);
-        assert_eq!(full.totals, lean.totals);
-        assert!(lean.scenario.outcomes.is_empty());
-        assert!(lean.scenario.retained.is_empty());
-        // And the totals agree with the GameResult-level metrics.
-        let result = run_game(&pool(), &cfg);
+        let full = run_game(&pool(), &cfg);
+        let (d, a) = cfg.policies();
+        let mut stepper = EngineStepper::with_policy_seed(
+            ScalarScenario::lean(&pool(), &cfg),
+            d,
+            a,
+            policy_seed(cfg.seed),
+        );
+        let mut lean = EngineScratch::new();
+        let run = stepper.run(cfg.rounds, &mut seeded_rng(cfg.seed), &mut lean, None);
+        let (_, scenario, _, _) = stepper.into_parts();
+        assert_eq!(full.thresholds, lean.thresholds());
+        assert_eq!(full.injections, lean.injections());
+        assert_eq!(full.utilities.u_a, lean.utilities().u_a);
+        assert_eq!(full.utilities.u_c, lean.utilities().u_c);
+        assert_eq!(full.termination_round, run.termination_round);
+        assert!(scenario.outcomes.is_empty());
+        assert!(scenario.retained.is_empty());
+        // The owned lean scenario and the borrowed arena agree...
+        assert_eq!(run, run_roster(&pool(), &cfg).0);
+        // ...and the totals agree with the GameResult-level metrics.
         assert!(
-            (full.totals.surviving_poison_fraction() - result.surviving_poison_fraction()).abs()
+            (run.totals.surviving_poison_fraction() - full.surviving_poison_fraction()).abs()
                 < 1e-12
         );
-        assert!((full.totals.benign_trim_fraction() - result.benign_trim_fraction()).abs() < 1e-12);
-        assert_eq!(full.board.len(), cfg.rounds);
+        assert!((run.totals.benign_trim_fraction() - full.benign_trim_fraction()).abs() < 1e-12);
     }
 
     #[test]
     fn scratch_cells_replay_the_boxed_path_bit_for_bit() {
         // One arena + one engine scratch across many heterogeneous cells:
-        // every cell must reproduce the allocating entry point exactly,
-        // with no state leaking between consecutive runs.
+        // every cell must reproduce a run on a fresh arena and scratch
+        // exactly, with no state leaking between consecutive runs.
         let pool = pool();
         let mut arena = ScalarArena::new(&pool);
         let mut scratch = EngineScratch::new();
@@ -919,18 +923,18 @@ mod tests {
                 )
             };
             let (d, a) = policies();
-            let owned = run_game_with_policies(&pool, &cfg, d, a, None, false);
+            let (owned, fresh) = lean_run(&pool, &cfg, d, a, None);
             let (d, a) = policies();
             let lean = run_game_with_scratch(&cfg, d, a, None, &mut arena, &mut scratch);
             assert_eq!(
                 lean.totals, owned.totals,
                 "tth={tth} seed={seed} sketch={sketch_epsilon:?}"
             );
-            assert_eq!(Some(&lean.final_u_a), owned.utilities.u_a.last());
-            assert_eq!(Some(&lean.final_u_c), owned.utilities.u_c.last());
+            assert_eq!(Some(&lean.final_u_a), fresh.utilities().u_a.last());
+            assert_eq!(Some(&lean.final_u_c), fresh.utilities().u_c.last());
             assert_eq!(lean.termination_round, owned.termination_round);
-            assert_eq!(scratch.thresholds(), owned.thresholds.as_slice());
-            assert_eq!(scratch.injections(), owned.injections.as_slice());
+            assert_eq!(scratch.thresholds(), fresh.thresholds());
+            assert_eq!(scratch.injections(), fresh.injections());
         }
     }
 
@@ -940,19 +944,18 @@ mod tests {
         // the `GameConfig::policies` roster run bit-for-bit (the shim
         // contract).
         let cfg = GameConfig::new(Scheme::BaselineStatic);
-        let via_enum = run_roster(&pool(), &cfg, false);
-        let via_boxed = run_game_with_policies(
+        let via_enum = run_roster(&pool(), &cfg);
+        let via_boxed = lean_run(
             &pool(),
             &cfg,
             Box::new(DefenderPolicy::Fixed { tth: cfg.tth }),
             Box::new(cfg.scheme.adversary(cfg.tth)),
             None,
-            false,
         );
-        assert_eq!(via_enum.thresholds, via_boxed.thresholds);
-        assert_eq!(via_enum.injections, via_boxed.injections);
-        assert_eq!(via_enum.utilities.u_a, via_boxed.utilities.u_a);
-        assert_eq!(via_enum.totals, via_boxed.totals);
+        assert_eq!(via_enum.1.thresholds(), via_boxed.1.thresholds());
+        assert_eq!(via_enum.1.injections(), via_boxed.1.injections());
+        assert_eq!(via_enum.1.utilities().u_a, via_boxed.1.utilities().u_a);
+        assert_eq!(via_enum.0.totals, via_boxed.0.totals);
     }
 
     #[test]
@@ -966,23 +969,23 @@ mod tests {
             let board = RangedBoard::unbounded();
             let attacker = AdaptiveAttacker::new(board.clone(), 0.01, 0.99);
             let defender = RandomizedDefender::new(&[0.86, 0.94], &[0.5, 0.5]).unwrap();
-            run_game_with_policies(
+            lean_run(
                 &pool(),
                 &cfg,
                 Box::new(defender),
                 Box::new(attacker),
                 Some(board),
-                false,
             )
+            .1
         };
         let out = run_once();
         // The defender mixed over its atoms...
-        assert!(out.thresholds.iter().all(|&t| t == 0.86 || t == 0.94));
-        assert!(out.thresholds.contains(&0.86));
-        assert!(out.thresholds.contains(&0.94));
+        assert!(out.thresholds().iter().all(|&t| t == 0.86 || t == 0.94));
+        assert!(out.thresholds().contains(&0.86));
+        assert!(out.thresholds().contains(&0.94));
         // ...and the attacker converged onto best responses just below the
         // discovered atoms (after the fallback opener).
-        for &inj in &out.injections[1..] {
+        for &inj in &out.injections()[1..] {
             assert!(
                 (inj - 0.85).abs() < 1e-9 || (inj - 0.93).abs() < 1e-9,
                 "injection {inj}"
@@ -990,8 +993,8 @@ mod tests {
         }
         // Deterministic replay under the same config seed.
         let again = run_once();
-        assert_eq!(out.thresholds, again.thresholds);
-        assert_eq!(out.injections, again.injections);
+        assert_eq!(out.thresholds(), again.thresholds());
+        assert_eq!(out.injections(), again.injections());
     }
 
     #[test]
@@ -1014,7 +1017,7 @@ mod tests {
                 cfg.batch = 500;
                 cfg.sketch_epsilon = sketch_epsilon;
                 cfg.adversary_override = Some(AdversaryPolicy::Fixed { percentile: a });
-                let out = run_roster(&pool, &cfg, false);
+                let (out, _) = run_roster(&pool, &cfg);
                 if out.totals.poison_survived == out.totals.poison_received {
                     extra = extra.max(a - tth);
                 }
@@ -1035,8 +1038,8 @@ mod tests {
         // And the sketch path is deterministic: same run, same totals.
         let mut cfg = GameConfig::new(Scheme::BaselineStatic);
         cfg.sketch_epsilon = Some(eps);
-        let a = run_roster(&pool, &cfg, false).totals;
-        let b = run_roster(&pool, &cfg, false).totals;
+        let a = run_roster(&pool, &cfg).0.totals;
+        let b = run_roster(&pool, &cfg).0.totals;
         assert_eq!(a, b);
     }
 

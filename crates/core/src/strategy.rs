@@ -44,7 +44,7 @@ pub struct DefenderObservation {
 /// [`DefenderPolicy`] enum, which implements this trait as a compatibility
 /// shim; new policies ([`RandomizedDefender`], downstream custom
 /// strategies) implement the trait directly and enter the engine through
-/// [`crate::engine::Engine::with_policies`].
+/// [`crate::engine::EngineStepper::with_policy_seed`].
 pub trait ThresholdPolicy: std::fmt::Debug {
     /// Human-readable scheme name (used in sweep/report keys).
     fn name(&self) -> Cow<'static, str>;

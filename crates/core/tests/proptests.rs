@@ -1,11 +1,28 @@
 //! Property-based tests for the game-theoretic core.
 
 use proptest::prelude::*;
+use trim_core::adversary::AttackPolicy;
 use trim_core::elastic::CoupledDynamics;
+use trim_core::engine::{EngineRun, EngineScratch};
 use trim_core::matrix::{Move, UltimatumPayoffs};
-use trim_core::simulation::{run_game, GameConfig, Scheme};
+use trim_core::simulation::{run_game, run_game_with_scratch, GameConfig, ScalarArena, Scheme};
 use trim_core::space::StrategySpace;
+use trim_core::strategy::ThresholdPolicy;
 use trim_core::titfortat::{adversary_complies, compliance_margin, compliant_gain, defector_gain};
+
+/// One lean scalar game on a fresh arena and scratch: the summary and
+/// the recorded series.
+fn lean_run(
+    pool: &[f64],
+    cfg: &GameConfig,
+    defender: Box<dyn ThresholdPolicy>,
+    adversary: Box<dyn AttackPolicy>,
+) -> (EngineRun, EngineScratch) {
+    let mut scratch = EngineScratch::new();
+    let arena = &mut ScalarArena::new(pool);
+    let run = run_game_with_scratch(cfg, defender, adversary, None, arena, &mut scratch);
+    (run, scratch)
+}
 
 proptest! {
     #[test]
@@ -137,7 +154,6 @@ proptest! {
         // stream (benign draws, the Uniform adversary's mixing) is
         // untouched, regardless of the (renormalized) weight.
         use trim_core::adversary::AdversaryPolicy;
-        use trim_core::simulation::run_game_with_policies;
         use trim_core::strategy::{DefenderPolicy, RandomizedDefender};
         let pool: Vec<f64> = (0..2_000).map(|i| (i % 500) as f64).collect();
         let mut cfg = GameConfig::new(Scheme::Baseline09);
@@ -147,27 +163,19 @@ proptest! {
         cfg.seed = seed;
         cfg.attack_ratio = ratio;
         let adversary = || AdversaryPolicy::Uniform { lo: 0.85, hi: 1.0 };
-        let fixed = run_game_with_policies(
+        let (fixed, fixed_series) = lean_run(
             &pool,
             &cfg,
             Box::new(DefenderPolicy::Fixed { tth }),
             Box::new(adversary()),
-            None,
-            false,
         );
         let singleton = RandomizedDefender::new(&[tth], &[weight]).unwrap();
-        let randomized = run_game_with_policies(
-            &pool,
-            &cfg,
-            Box::new(singleton),
-            Box::new(adversary()),
-            None,
-            false,
-        );
-        prop_assert_eq!(&fixed.thresholds, &randomized.thresholds);
-        prop_assert_eq!(&fixed.injections, &randomized.injections);
-        prop_assert_eq!(&fixed.utilities.u_a, &randomized.utilities.u_a);
-        prop_assert_eq!(&fixed.utilities.u_c, &randomized.utilities.u_c);
+        let (randomized, randomized_series) =
+            lean_run(&pool, &cfg, Box::new(singleton), Box::new(adversary()));
+        prop_assert_eq!(fixed_series.thresholds(), randomized_series.thresholds());
+        prop_assert_eq!(fixed_series.injections(), randomized_series.injections());
+        prop_assert_eq!(fixed_series.utilities().u_a, randomized_series.utilities().u_a);
+        prop_assert_eq!(fixed_series.utilities().u_c, randomized_series.utilities().u_c);
         prop_assert_eq!(fixed.totals, randomized.totals);
     }
 
@@ -228,8 +236,7 @@ proptest! {
         // main environment stream, not its private stream — so the whole
         // engine trajectory is bit-identical to the corresponding pure
         // Fixed attack policy.
-        use trim_core::adversary::{AdversaryPolicy, AttackPolicy, Exp3Attacker};
-        use trim_core::simulation::run_game_with_policies;
+        use trim_core::adversary::{AdversaryPolicy, Exp3Attacker};
         use trim_core::strategy::DefenderPolicy;
         let pool: Vec<f64> = (0..2_000).map(|i| (i % 500) as f64 / 5.0).collect();
         let mut cfg = GameConfig::new(Scheme::BaselineStatic);
@@ -237,23 +244,16 @@ proptest! {
         cfg.batch = 120;
         cfg.seed = seed;
         let run = |attacker: Box<dyn AttackPolicy>| {
-            run_game_with_policies(
-                &pool,
-                &cfg,
-                Box::new(DefenderPolicy::Fixed { tth: cfg.tth }),
-                attacker,
-                None,
-                false,
-            )
+            lean_run(&pool, &cfg, Box::new(DefenderPolicy::Fixed { tth: cfg.tth }), attacker)
         };
-        let exp3 = run(Box::new(
+        let (exp3, exp3_series) = run(Box::new(
             Exp3Attacker::new(&[percentile], rounds, 1.0, seed).unwrap(),
         ));
-        let fixed = run(Box::new(AdversaryPolicy::Fixed { percentile }));
-        prop_assert_eq!(&exp3.thresholds, &fixed.thresholds);
-        prop_assert_eq!(&exp3.injections, &fixed.injections);
-        prop_assert_eq!(&exp3.utilities.u_a, &fixed.utilities.u_a);
-        prop_assert_eq!(&exp3.utilities.u_c, &fixed.utilities.u_c);
+        let (fixed, fixed_series) = run(Box::new(AdversaryPolicy::Fixed { percentile }));
+        prop_assert_eq!(exp3_series.thresholds(), fixed_series.thresholds());
+        prop_assert_eq!(exp3_series.injections(), fixed_series.injections());
+        prop_assert_eq!(exp3_series.utilities().u_a, fixed_series.utilities().u_a);
+        prop_assert_eq!(exp3_series.utilities().u_c, fixed_series.utilities().u_c);
         prop_assert_eq!(exp3.totals, fixed.totals);
     }
 }

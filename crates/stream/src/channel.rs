@@ -15,10 +15,9 @@
 //! * [`Sender::send_batch`] moves a whole vector under one lock: as many
 //!   items as fit, then waits in place for room and moves the rest. On a
 //!   gone receiver it fails and leaves the unsent items in the vector.
-//! * [`Receiver::recv`] blocks until an item arrives and returns `None`
-//!   once every sender has dropped *and* the buffer is drained.
 //! * [`Receiver::try_recv_batch`] moves up to `max` items without
-//!   blocking — the collector's hot path.
+//!   blocking; it is the consumer's only way to take items. The stream
+//!   is over once [`Receiver::is_disconnected`] and the buffer is empty.
 //! * [`Sender::backpressure_events`] counts the times a send had to
 //!   wait for space (shared across clones of the channel).
 //!
@@ -30,10 +29,11 @@
 //! its thread (only while the channel is empty and connected), and the
 //! next send, or the last sender dropping, takes the handle and unparks
 //! it. One thread may register on many channels and park once, which is
-//! how a collector ingest thread waits on every stream it owns;
-//! [`Receiver::recv`] blocks the same way. A registration left behind on
-//! a channel the thread did not end up waiting on costs at most one
-//! spurious wake-up, which a polling loop absorbs.
+//! how a collector ingest thread waits on every stream it owns: drain
+//! with `try_recv_batch`, spin with [`Backoff`] while nothing arrives,
+//! then register and park. A registration left behind on a channel the
+//! thread did not end up waiting on costs at most one spurious wake-up,
+//! which the polling loop absorbs.
 //!
 //! Every wait is spin-then-sleep. Before a sender waits on `not_full`,
 //! and before a consumer parks, it polls for up to [`SPIN`], yielding
@@ -289,32 +289,6 @@ impl<T> Drop for Sender<T> {
 }
 
 impl<T> Receiver<T> {
-    /// Dequeue one item, blocking until one arrives. Returns `None`
-    /// once all senders have dropped and the buffer is empty.
-    pub fn recv(&self) -> Option<T> {
-        let inner = &*self.inner;
-        let mut backoff = Backoff::default();
-        loop {
-            while self.is_empty() && !self.is_disconnected() && backoff.snooze() {}
-            let mut state = lock(&inner.state);
-            if let Some(value) = state.queue.pop_front() {
-                inner.publish_len(&state);
-                let wake = state.blocked_senders > 0;
-                drop(state);
-                if wake {
-                    inner.not_full.notify_one();
-                }
-                return Some(value);
-            }
-            if self.is_disconnected() {
-                return None;
-            }
-            state.consumer = Some(std::thread::current());
-            drop(state);
-            std::thread::park();
-        }
-    }
-
     /// Move up to `max` items into `out` without blocking; returns the
     /// number moved. The collector's batch-drain hot path. An empty
     /// channel returns 0 without taking the lock.
@@ -386,6 +360,30 @@ mod tests {
     use std::thread;
     use std::time::Duration;
 
+    /// Takes the next item, waiting the way a collector ingest thread
+    /// does: drain with `try_recv_batch`, spin with [`Backoff`] while
+    /// nothing arrives, then register and park. `None` once every sender
+    /// has dropped and the buffer is drained.
+    fn recv<T>(rx: &Receiver<T>) -> Option<T> {
+        let me = thread::current();
+        let mut backoff = Backoff::default();
+        let mut out = Vec::with_capacity(1);
+        loop {
+            if rx.try_recv_batch(&mut out, 1) > 0 {
+                return out.pop();
+            }
+            if rx.is_disconnected() && rx.is_empty() {
+                return None;
+            }
+            if !backoff.snooze() {
+                backoff.reset();
+                if rx.register_waiter(&me) {
+                    thread::park();
+                }
+            }
+        }
+    }
+
     #[test]
     fn delivers_in_order_and_signals_disconnect() {
         let (tx, rx) = bounded::<usize>(4);
@@ -396,9 +394,9 @@ mod tests {
                 }
             });
             for i in 0..100 {
-                assert_eq!(rx.recv(), Some(i));
+                assert_eq!(recv(&rx), Some(i));
             }
-            assert_eq!(rx.recv(), None);
+            assert_eq!(recv(&rx), None);
         });
     }
 
@@ -419,7 +417,7 @@ mod tests {
             }
             let mut got = Vec::new();
             for _ in 0..3 {
-                got.push(rx.recv().unwrap());
+                got.push(recv(&rx).unwrap());
             }
             assert_eq!(got, vec![0, 1, 2]);
         });
@@ -440,7 +438,7 @@ mod tests {
         assert_eq!(rx.len(), 6);
         tx.send_batch(&mut vec![10, 11]).unwrap();
         assert_eq!(rx.len(), 8);
-        assert_eq!(rx.recv(), Some(4));
+        assert_eq!(recv(&rx), Some(4));
         assert_eq!(rx.len(), 7);
         assert_eq!(rx.try_recv_batch(&mut out, 100), 7);
         assert_eq!(out, vec![0, 1, 2, 3, 5, 6, 7, 8, 9, 10, 11]);
@@ -461,7 +459,7 @@ mod tests {
                 assert!(items.is_empty());
                 assert!(tx.backpressure_events() >= 1);
             });
-            let got: Vec<usize> = std::iter::from_fn(|| rx.recv()).collect();
+            let got: Vec<usize> = std::iter::from_fn(|| recv(&rx)).collect();
             assert_eq!(got, (0..3 * cap).collect::<Vec<_>>());
         });
         // A batch of three capacities cannot fit without waiting.
@@ -531,7 +529,7 @@ mod tests {
                 thread::yield_now();
             }
             thread::sleep(pause);
-            let got: Vec<usize> = std::iter::from_fn(|| rx.recv()).collect();
+            let got: Vec<usize> = std::iter::from_fn(|| recv(&rx)).collect();
             sender.join().unwrap();
             done_tx.send(got).unwrap();
         });
@@ -639,7 +637,7 @@ mod tests {
             });
             let mut total = 0;
             let mut count = 0;
-            while let Some(v) = rx.recv() {
+            while let Some(v) = recv(&rx) {
                 total += v;
                 count += 1;
             }

@@ -1,11 +1,15 @@
 //! Prints seeded fingerprints of the three simulators.
 //!
-//! All three run through the unified `Engine<S: Scenario>`; this binary's
-//! output is the cross-refactor contract that fixed-seed trajectories stay
-//! bit-identical. Capture it before touching the engine or a scenario
-//! (`cargo run --release --example snapshot_check > before.txt`), diff it
-//! after — any drift means the RNG call order or the round arithmetic
-//! changed.
+//! All three run through the one round loop, `EngineStepper<S: Scenario>`;
+//! this binary's output is the contract that fixed-seed trajectories stay
+//! bit-identical. The expected output is committed next to this file as
+//! `snapshot_check.out`, and CI diffs a fresh run against it:
+//!
+//! ```sh
+//! cargo run --release --example snapshot_check | diff examples/snapshot_check.out -
+//! ```
+//!
+//! Any drift means the RNG call order or the round arithmetic changed.
 
 use trimgame::core::ldp_sim::{run_ldp_collection, LdpDefense, LdpSimConfig};
 use trimgame::core::ml_sim::{collect_poisoned, MlSimConfig};

@@ -20,10 +20,11 @@
 //!   Table II, k-means / SVM / SOM learners, an LDP pipeline (Duchi,
 //!   Piecewise, Laplace mechanisms; manipulation attacks; the EMF
 //!   baseline), and a streaming collection engine with a public board;
-//! * one unified simulation core — `core::engine::Engine<S: Scenario>`
-//!   drives the Fig. 3 round loop for the scalar, ML and LDP workloads
-//!   alike, on an allocation-free trimming hot path
-//!   (`stream::trim::TrimScratch`), with a parallel sweep runner in
+//! * one unified simulation core — `core::engine::EngineStepper<S: Scenario>`
+//!   plays the Fig. 3 round loop for the scalar, ML and LDP workloads
+//!   alike, pulled to the end by a figure or a sweep cell or pushed round
+//!   by round by the streaming collector, on an allocation-free trimming
+//!   hot path (`stream::trim::TrimScratch`), with a parallel sweep runner in
 //!   `trimgame-bench` fanning seeded game grids across threads.
 //!
 //! ## Quickstart
