@@ -285,7 +285,9 @@ fn frame_cases(warmup: Duration, measure: Duration) -> Vec<BenchCase> {
 /// plus the deterministic iterations-to-bound counts as pseudo-cases
 /// (`*_iters`, recorded in the `mean_ns` slot like the `*_runs` family)
 /// — that count is what the oracle loop pays on every support growth,
-/// and it diffs exactly across PRs.
+/// and it diffs exactly across PRs. Beside them, one fixed-budget `solve`
+/// of the dense pass's analytic game: gap-checked solves stop every 64
+/// rounds, a full-budget solve runs its best-response stretches whole.
 fn matrix_cases(warmup: Duration, measure: Duration) -> Vec<BenchCase> {
     // The oracle's own growth shape: the scalar substrate's closed-form
     // trimming losses on a threshold × response grid, grown by one
@@ -313,7 +315,23 @@ fn matrix_cases(warmup: Duration, measure: Duration) -> Vec<BenchCase> {
     let (prior, _) = parent.solve_to_gap(gap, 10_000_000, None);
     let (_, cold_iters) = grown.solve_to_gap(gap, 10_000_000, None);
     let (_, warm_iters) = grown.solve_to_gap(gap, 10_000_000, Some(&prior));
+    // The 5×5 closed-form loss grid the dense estimate cross-checks
+    // against, solved at the grid's full budget.
+    let responses = cfg.attacker_atoms();
+    let dense = MatrixGame::new(
+        cfg.defender_atoms
+            .iter()
+            .map(|&t| responses.iter().map(|&a| model.loss(t, a)).collect())
+            .collect(),
+    )
+    .expect("valid analytic game");
     vec![
+        BenchCase {
+            name: format!("matrix/solve/{}", dense.rows()),
+            mean_ns: time_ns(warmup, measure, || {
+                std::hint::black_box(dense.solve(cfg.fp_iterations).value);
+            }),
+        },
         BenchCase {
             name: format!("matrix/solve_to_gap_cold/{n}"),
             mean_ns: time_ns(warmup, measure, || {
@@ -626,7 +644,7 @@ mod tests {
     #[test]
     fn suite_runs_with_tiny_windows_and_serializes() {
         let cases = run_cases(Duration::from_millis(1), Duration::from_millis(2));
-        assert_eq!(cases.len(), 33);
+        assert_eq!(cases.len(), 34);
         for case in &cases {
             assert!(case.mean_ns > 0.0, "{}: {}", case.name, case.mean_ns);
         }
@@ -649,6 +667,7 @@ mod tests {
         assert!(json.contains("\"board/cold_scan_tiered/4096\""));
         assert!(json.contains("\"gk/ingest_batch_warm/10000\""));
         assert!(json.contains("\"matrix/solve_to_gap_warm/12\""));
+        assert!(json.contains("\"matrix/solve/5\""));
         assert!(json.contains("\"equilibrium/estimate/ml_sketch_smoke\""));
         assert!(json.contains("\"equilibrium/double_oracle/scalar_smoke\""));
         // No trailing comma before the closing brace.

@@ -190,7 +190,16 @@ impl PayoffMatrix {
 /// equilibria concentrate.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MatrixGame {
-    entries: Vec<Vec<f64>>,
+    rows: usize,
+    cols: usize,
+    /// Row-major: `entries[i * cols + j]` is the loss at `(i, j)`.
+    entries: Vec<f64>,
+    /// The same losses column-major (`transposed[j * rows + i]`), so the
+    /// column a fictitious-play step adds to the row sums is one slice.
+    transposed: Vec<f64>,
+    /// `max |entry|`: the per-step growth bound behind the rounding
+    /// margin of the best-response skip.
+    max_abs: f64,
 }
 
 /// An approximate mixed equilibrium of a [`MatrixGame`], with certified
@@ -253,25 +262,47 @@ impl MatrixGame {
                 }
             }
         }
-        Ok(Self { entries })
+        let rows = entries.len();
+        let flat: Vec<f64> = entries.concat();
+        let transposed = (0..cols)
+            .flat_map(|j| flat.iter().skip(j).step_by(cols).copied())
+            .collect();
+        let max_abs = flat.iter().fold(0.0, |m: f64, v| m.max(v.abs()));
+        Ok(Self {
+            rows,
+            cols,
+            entries: flat,
+            transposed,
+            max_abs,
+        })
     }
 
     /// Number of row strategies.
     #[must_use]
     pub fn rows(&self) -> usize {
-        self.entries.len()
+        self.rows
     }
 
     /// Number of column strategies.
     #[must_use]
     pub fn cols(&self) -> usize {
-        self.entries[0].len()
+        self.cols
     }
 
     /// The loss entry at `(row, col)`.
     #[must_use]
     pub fn at(&self, row: usize, col: usize) -> f64 {
-        self.entries[row][col]
+        self.row(row)[col]
+    }
+
+    /// Row `i`'s losses against every column.
+    fn row(&self, i: usize) -> &[f64] {
+        &self.entries[i * self.cols..(i + 1) * self.cols]
+    }
+
+    /// Every row's loss against column `j`.
+    fn col(&self, j: usize) -> &[f64] {
+        &self.transposed[j * self.rows..(j + 1) * self.rows]
     }
 
     /// The row player's expected loss under mixed strategies `x` (rows)
@@ -279,7 +310,7 @@ impl MatrixGame {
     #[must_use]
     pub fn expected_loss(&self, x: &[f64], y: &[f64]) -> f64 {
         self.entries
-            .iter()
+            .chunks_exact(self.cols)
             .zip(x)
             .map(|(row, &xi)| xi * row.iter().zip(y).map(|(&v, &yj)| v * yj).sum::<f64>())
             .sum()
@@ -293,7 +324,7 @@ impl MatrixGame {
     #[must_use]
     pub fn pure_commitment_value(&self) -> f64 {
         self.entries
-            .iter()
+            .chunks_exact(self.cols)
             .map(|row| row.iter().copied().fold(f64::NEG_INFINITY, f64::max))
             .fold(f64::INFINITY, f64::min)
     }
@@ -301,6 +332,24 @@ impl MatrixGame {
     /// Solves the game by `iterations` rounds of simultaneous fictitious
     /// play (deterministic; ties break to the lowest index) and returns
     /// the averaged strategies with certified value bounds.
+    ///
+    /// Rounds whose best responses provably do not change are played
+    /// without searching for them. While the plays are `(r, c)`, row
+    /// `i`'s cumulative loss leads row `r`'s by a gap `g` that moves by
+    /// `E[i][c] − E[r][c]` per round, and the round's two rounded adds
+    /// move it by at most `2·2⁻⁵³·M` more, where `M` bounds every
+    /// cumulative sum over the stretch (the largest one now plus the
+    /// rounds left times `max |entry|`). So `r` stays the argmin for `k`
+    /// rounds when `k·(max(E[r][c] − E[i][c], 0) + 2·EPSILON·M) < g`
+    /// (twice that rounding bound) for every `i ≠ r`. A tie (`g = 0`)
+    /// gives `k = 0`, except with a later row that grows no slower than
+    /// `r`: rounding is monotone, so that row never passes `r`, and the
+    /// first-index rule keeps `r`. The column side is the mirror image.
+    /// The solver takes the smallest `k` over both sides, less a `10⁻⁶`
+    /// share for the rounding in computing it, plays those `k` rounds as
+    /// plain adds and adds `k` to both play counts. The adds are the same
+    /// ones in the same order and the counts stay exact integers, so the
+    /// result is bit-identical to searching after every round.
     ///
     /// # Panics
     /// Panics if `iterations == 0`.
@@ -340,10 +389,10 @@ impl MatrixGame {
     }
 
     /// Runs fictitious play until the certified duality gap drops to
-    /// `gap`, checking every few hundred iterations, up to
-    /// `max_iterations` plays. Returns the equilibrium and the iterations
-    /// actually spent — the warm-start satellite's iterations-to-bound
-    /// measure.
+    /// `gap`, checking it after every block of `max(rows + cols, 64)`
+    /// iterations, up to `max_iterations` plays. Returns the equilibrium
+    /// and the iterations actually spent (the iterations-to-bound measure
+    /// a warm start is judged by).
     ///
     /// # Panics
     /// Panics if `max_iterations == 0`, `gap` is negative/NaN, or the
@@ -362,7 +411,7 @@ impl MatrixGame {
         // about as much as the check itself.
         let block = (self.rows() + self.cols()).max(64);
         let mut spent = 0usize;
-        let mut eq = loop {
+        let eq = loop {
             let step = block.min(max_iterations - spent);
             fp.run(self, step);
             spent += step;
@@ -371,11 +420,6 @@ impl MatrixGame {
                 break eq;
             }
         };
-        // Guard against a pathological averaged pair wobbling above the
-        // target at the cap: report whatever was certified.
-        if eq.gap().is_nan() {
-            eq = fp.equilibrium(self);
-        }
         (eq, spent)
     }
 
@@ -407,7 +451,7 @@ impl MatrixGame {
                     .map(|j| {
                         WARM_WEIGHT
                             * prior.col_strategy.get(j).copied().unwrap_or(0.0).max(0.0)
-                            * self.entries[i][j]
+                            * self.at(i, j)
                     })
                     .sum();
             }
@@ -416,7 +460,7 @@ impl MatrixGame {
                     .map(|i| {
                         WARM_WEIGHT
                             * prior.row_strategy.get(i).copied().unwrap_or(0.0).max(0.0)
-                            * self.entries[i][j]
+                            * self.at(i, j)
                     })
                     .sum();
             }
@@ -436,6 +480,7 @@ const WARM_WEIGHT: f64 = 256.0;
 /// Resumable simultaneous-fictitious-play state (the loop body of
 /// [`MatrixGame::solve`], factored out so warm starts and gap-targeted
 /// solves share it).
+#[derive(Debug, Clone, PartialEq)]
 struct FictitiousPlay {
     row_cum: Vec<f64>,
     col_cum: Vec<f64>,
@@ -445,40 +490,119 @@ struct FictitiousPlay {
     col_play: usize,
 }
 
+/// Share of the proven stretch a fast-forward takes. Computing a stretch
+/// (gap, slope, sum with the drift, quotient, this product) rounds it up
+/// by at most a factor `(1 + 2⁻⁵³)³ / (1 − 2⁻⁵³)²`; the `10⁻⁶` taken off
+/// covers that many times over.
+const SKIP_MARGIN: f64 = 0.999_999;
+
+/// Width of the local arrays a fast-forward keeps its sums in.
+const LANES: usize = 8;
+
 impl FictitiousPlay {
+    /// Plays `iterations` rounds, fast-forwarding every stretch whose
+    /// plays provably stay put (the skip rule of [`MatrixGame::solve`]).
     fn run(&mut self, game: &MatrixGame, iterations: usize) {
-        for _ in 0..iterations {
-            self.row_counts[self.row_play] += 1.0;
-            self.col_counts[self.col_play] += 1.0;
-            for (i, cum) in self.row_cum.iter_mut().enumerate() {
-                *cum += game.entries[i][self.col_play];
+        let mut left = iterations;
+        while left > 0 {
+            let k = self.unchanged_plays(game, left);
+            if k == 0 {
+                self.step(game);
+                left -= 1;
+            } else {
+                self.repeat(game, k);
+                left -= k;
             }
-            for (j, cum) in self.col_cum.iter_mut().enumerate() {
-                *cum += game.entries[self.row_play][j];
+        }
+    }
+
+    /// One round: both players add their current play, then best-respond.
+    fn step(&mut self, game: &MatrixGame) {
+        self.row_counts[self.row_play] += 1.0;
+        self.col_counts[self.col_play] += 1.0;
+        for (cum, &e) in self.row_cum.iter_mut().zip(game.col(self.col_play)) {
+            *cum += e;
+        }
+        for (cum, &e) in self.col_cum.iter_mut().zip(game.row(self.row_play)) {
+            *cum += e;
+        }
+        self.row_play = argmin(&self.row_cum);
+        self.col_play = argmax(&self.col_cum);
+    }
+
+    /// How many of the next rounds (at most `cap`) provably leave
+    /// `row_play` the first argmin of `row_cum` and `col_play` the first
+    /// argmax of `col_cum` after their rounded adds (the skip rule of
+    /// [`MatrixGame::solve`]). Zero when a tie or a near-crossing leaves
+    /// that unproven.
+    fn unchanged_plays(&self, game: &MatrixGame, cap: usize) -> usize {
+        let (r, c) = (self.row_play, self.col_play);
+        let largest = self
+            .row_cum
+            .iter()
+            .chain(&self.col_cum)
+            .fold(0.0, |m: f64, v| m.max(v.abs()));
+        let bound = largest + cap as f64 * game.max_abs;
+        if !bound.is_finite() {
+            return 0;
+        }
+        let drift = 2.0 * f64::EPSILON * bound;
+        let rounds = lead_rounds(&self.row_cum, game.col(c), r, 1.0, drift)
+            .min(lead_rounds(&self.col_cum, game.row(r), c, -1.0, drift))
+            .min(cap as f64);
+        (SKIP_MARGIN * rounds) as usize
+    }
+
+    /// `k` rounds whose plays are known not to change: the same adds as
+    /// `k` calls of [`FictitiousPlay::step`], without the searches. Each
+    /// block of `LANES` row sums and `LANES` column sums is carried in
+    /// local arrays through all `k` adds, so the two sides' add chains
+    /// overlap.
+    fn repeat(&mut self, game: &MatrixGame, k: usize) {
+        self.row_counts[self.row_play] += k as f64;
+        self.col_counts[self.col_play] += k as f64;
+        let (col, row) = (game.col(self.col_play), game.row(self.row_play));
+        let longest = self.row_cum.len().max(self.col_cum.len());
+        for start in (0..longest).step_by(LANES) {
+            let rows = start.min(col.len())..(start + LANES).min(col.len());
+            let cols = start.min(row.len())..(start + LANES).min(row.len());
+            let mut sums = [0.0; 2 * LANES];
+            let mut adds = [0.0; 2 * LANES];
+            sums[..rows.len()].copy_from_slice(&self.row_cum[rows.clone()]);
+            adds[..rows.len()].copy_from_slice(&col[rows.clone()]);
+            sums[LANES..LANES + cols.len()].copy_from_slice(&self.col_cum[cols.clone()]);
+            adds[LANES..LANES + cols.len()].copy_from_slice(&row[cols.clone()]);
+            for _ in 0..k {
+                for (sum, add) in sums.iter_mut().zip(&adds) {
+                    *sum += add;
+                }
             }
-            self.row_play = argmin(&self.row_cum);
-            self.col_play = argmax(&self.col_cum);
+            self.row_cum[rows.clone()].copy_from_slice(&sums[..rows.len()]);
+            self.col_cum[cols.clone()].copy_from_slice(&sums[LANES..LANES + cols.len()]);
         }
     }
 
     fn equilibrium(&self, game: &MatrixGame) -> MixedEquilibrium {
-        let (n, m) = (game.rows(), game.cols());
         let row_total: f64 = self.row_counts.iter().sum();
         let col_total: f64 = self.col_counts.iter().sum();
         let row_strategy: Vec<f64> = self.row_counts.iter().map(|c| c / row_total).collect();
         let col_strategy: Vec<f64> = self.col_counts.iter().map(|c| c / col_total).collect();
         // Certified bounds from the averaged strategies.
-        let upper = (0..m)
+        let upper = (0..game.cols())
             .map(|j| {
-                (0..n)
-                    .map(|i| row_strategy[i] * game.entries[i][j])
+                game.col(j)
+                    .iter()
+                    .zip(&row_strategy)
+                    .map(|(&e, &x)| x * e)
                     .sum::<f64>()
             })
             .fold(f64::NEG_INFINITY, f64::max);
-        let lower = (0..n)
+        let lower = (0..game.rows())
             .map(|i| {
-                (0..m)
-                    .map(|j| col_strategy[j] * game.entries[i][j])
+                game.row(i)
+                    .iter()
+                    .zip(&col_strategy)
+                    .map(|(&e, &y)| y * e)
                     .sum::<f64>()
             })
             .fold(f64::INFINITY, f64::min);
@@ -492,21 +616,45 @@ impl FictitiousPlay {
     }
 }
 
+/// How many rounds `lead`, the first-index minimum of `sign · sums`,
+/// provably stays it while each sum grows by its `rates` entry, where
+/// `drift` is at least twice what one round's rounded adds can move a gap
+/// by (`sign = −1` reads a first maximum). A later index that grows no
+/// slower than the leader never passes it, by monotone rounding; every
+/// other index must keep a positive gap through the drift. Unscaled and
+/// unbounded; zero on a tie the first-index rule does not settle.
+fn lead_rounds(sums: &[f64], rates: &[f64], lead: usize, sign: f64, drift: f64) -> f64 {
+    let (low, low_rate) = (sign * sums[lead], sign * rates[lead]);
+    let mut rounds = f64::INFINITY;
+    for (i, (&sum, &rate)) in sums.iter().zip(rates).enumerate() {
+        let (sum, rate) = (sign * sum, sign * rate);
+        if i == lead || (i > lead && rate >= low_rate) {
+            continue;
+        }
+        let gap = sum - low;
+        if gap <= 0.0 {
+            return 0.0;
+        }
+        rounds = rounds.min(gap / ((low_rate - rate).max(0.0) + drift));
+    }
+    rounds
+}
+
 fn argmin(xs: &[f64]) -> usize {
-    let mut best = 0;
-    for (i, &x) in xs.iter().enumerate() {
-        if x < xs[best] {
-            best = i;
+    let (mut best, mut low) = (0, xs[0]);
+    for (i, &x) in xs.iter().enumerate().skip(1) {
+        if x < low {
+            (best, low) = (i, x);
         }
     }
     best
 }
 
 fn argmax(xs: &[f64]) -> usize {
-    let mut best = 0;
-    for (i, &x) in xs.iter().enumerate() {
-        if x > xs[best] {
-            best = i;
+    let (mut best, mut high) = (0, xs[0]);
+    for (i, &x) in xs.iter().enumerate().skip(1) {
+        if x > high {
+            (best, high) = (i, x);
         }
     }
     best
@@ -542,6 +690,168 @@ impl fmt::Display for PayoffMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The one-round-at-a-time loop that searches both best responses
+    /// after every round, kept as the reference the skip must reproduce
+    /// bit for bit.
+    fn run_reference(fp: &mut FictitiousPlay, game: &MatrixGame, iterations: usize) {
+        fn argmin(xs: &[f64]) -> usize {
+            let mut best = 0;
+            for (i, &x) in xs.iter().enumerate() {
+                if x < xs[best] {
+                    best = i;
+                }
+            }
+            best
+        }
+        fn argmax(xs: &[f64]) -> usize {
+            let mut best = 0;
+            for (i, &x) in xs.iter().enumerate() {
+                if x > xs[best] {
+                    best = i;
+                }
+            }
+            best
+        }
+        for _ in 0..iterations {
+            fp.row_counts[fp.row_play] += 1.0;
+            fp.col_counts[fp.col_play] += 1.0;
+            for (i, cum) in fp.row_cum.iter_mut().enumerate() {
+                *cum += game.at(i, fp.col_play);
+            }
+            for (j, cum) in fp.col_cum.iter_mut().enumerate() {
+                *cum += game.at(fp.row_play, j);
+            }
+            fp.row_play = argmin(&fp.row_cum);
+            fp.col_play = argmax(&fp.col_cum);
+        }
+    }
+
+    /// The certified bounds summed entry by entry in the row-major order
+    /// the flat layout must keep.
+    fn reference_equilibrium(fp: &FictitiousPlay, game: &MatrixGame) -> MixedEquilibrium {
+        let (n, m) = (game.rows(), game.cols());
+        let row_total: f64 = fp.row_counts.iter().sum();
+        let col_total: f64 = fp.col_counts.iter().sum();
+        let row_strategy: Vec<f64> = fp.row_counts.iter().map(|c| c / row_total).collect();
+        let col_strategy: Vec<f64> = fp.col_counts.iter().map(|c| c / col_total).collect();
+        let upper = (0..m)
+            .map(|j| (0..n).map(|i| row_strategy[i] * game.at(i, j)).sum::<f64>())
+            .fold(f64::NEG_INFINITY, f64::max);
+        let lower = (0..n)
+            .map(|i| (0..m).map(|j| col_strategy[j] * game.at(i, j)).sum::<f64>())
+            .fold(f64::INFINITY, f64::min);
+        MixedEquilibrium {
+            row_strategy,
+            col_strategy,
+            value: 0.5 * (lower + upper),
+            lower,
+            upper,
+        }
+    }
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    fn assert_same_play(
+        fast: &FictitiousPlay,
+        slow: &FictitiousPlay,
+        game: &MatrixGame,
+        case: &str,
+    ) {
+        assert_eq!(bits(&fast.row_cum), bits(&slow.row_cum), "row sums, {case}");
+        assert_eq!(
+            bits(&fast.col_cum),
+            bits(&slow.col_cum),
+            "column sums, {case}"
+        );
+        assert_eq!(fast, slow, "state, {case}");
+        let (eq, reference) = (fast.equilibrium(game), reference_equilibrium(slow, game));
+        assert_eq!(eq, reference, "equilibrium, {case}");
+        assert_eq!(
+            [eq.value, eq.lower, eq.upper].map(f64::to_bits),
+            [reference.value, reference.lower, reference.upper].map(f64::to_bits),
+            "bounds, {case}"
+        );
+    }
+
+    #[test]
+    fn skipping_unchanged_plays_is_bit_identical() {
+        use rand::Rng;
+        let mut rng = trimgame_numerics::rand_ext::seeded_rng(30);
+        for (rows, cols) in (1..=12).flat_map(|n| (1..=12).map(move |m| (n, m))) {
+            // Continuous losses, then quarter steps whose exact ties
+            // keep the first-index rule busy.
+            for quarter_steps in [false, true] {
+                let entries: Vec<Vec<f64>> = (0..rows)
+                    .map(|_| {
+                        (0..cols)
+                            .map(|_| {
+                                if quarter_steps {
+                                    f64::from(rng.gen_range(0..9u32)) / 4.0 - 1.0
+                                } else {
+                                    rng.gen::<f64>() * 2.0 - 1.0
+                                }
+                            })
+                            .collect()
+                    })
+                    .collect();
+                let game = MatrixGame::new(entries).unwrap();
+                let mut mixture = |longest: usize| -> Vec<f64> {
+                    let len = rng.gen_range(1..=longest);
+                    let weights: Vec<f64> = (0..len).map(|_| rng.gen::<f64>()).collect();
+                    let total: f64 = weights.iter().sum();
+                    weights.iter().map(|w| w / total).collect()
+                };
+                // A prior that embeds with zero padding, as a grown
+                // double-oracle game sees it.
+                let prior = MixedEquilibrium {
+                    row_strategy: mixture(rows),
+                    col_strategy: mixture(cols),
+                    value: 0.0,
+                    lower: 0.0,
+                    upper: 0.0,
+                };
+                for warm in [None, Some(&prior)] {
+                    for budget in [1, 7, 64, 1000, 50_000] {
+                        let case = format!(
+                            "{rows}x{cols}, quarter {quarter_steps}, warm {}, {budget} rounds",
+                            warm.is_some()
+                        );
+                        let mut fast = game.start_fictitious_play(warm);
+                        let mut slow = fast.clone();
+                        fast.run(&game, budget);
+                        run_reference(&mut slow, &game, budget);
+                        assert_same_play(&fast, &slow, &game, &case);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_gap_that_rounds_away_forbids_the_skip() {
+        // Row 0 leads row 1 by one ulp of 1.0 and both rows add 3.0: the
+        // exact gap never closes, but 1 + 2⁻⁵² + 3 rounds to 4, a tie the
+        // first-index rule hands to row 0.
+        let game = MatrixGame::new(vec![vec![3.0], vec![3.0]]).unwrap();
+        let mut fast = game.start_fictitious_play(None);
+        fast.row_cum = vec![1.0 + f64::EPSILON, 1.0];
+        fast.row_play = 1;
+        assert_eq!(fast.unchanged_plays(&game, 1_000), 0);
+        let mut slow = fast.clone();
+        fast.run(&game, 1_000);
+        run_reference(&mut slow, &game, 1_000);
+        assert_same_play(&fast, &slow, &game, "one-ulp crossing");
+        assert_eq!(slow.row_counts, vec![999.0, 1.0]);
+
+        // A clear leader is skipped over: the mechanism is live.
+        let game = MatrixGame::new(vec![vec![1.0, 2.0], vec![3.0, 4.0]]).unwrap();
+        let mut fp = game.start_fictitious_play(None);
+        fp.run(&game, 10);
+        assert!(fp.unchanged_plays(&game, 1_000_000) > 100_000);
+    }
 
     #[test]
     fn ordering_is_validated() {
