@@ -443,31 +443,18 @@ where
     run_collector_inner(cfg, make, None)
 }
 
-/// Resumes a crashed run from a venue rebuilt by
-/// [`RangedVenue::recover_from_spill`]: the deterministic producers
-/// replay from round 1, every round steps through the engine exactly as
-/// the original run's did, and posts at or below each shard's recovered
-/// watermark are suppressed — the adopted cold spans plus the replayed
-/// suffix converge to the bit-identical venue of an uninterrupted run.
-/// Fresh manifests are written (adopted spans re-journaled first), so a
-/// second crash recovers too.
+/// [`run_collector`], optionally resuming a crashed run from a venue
+/// rebuilt by [`RangedVenue::recover_from_spill`]: the deterministic
+/// producers replay from round 1, every round steps through the engine
+/// exactly as the original run's did, and posts at or below each shard's
+/// recovered watermark are suppressed — the adopted cold spans plus the
+/// replayed suffix converge to the bit-identical venue of an
+/// uninterrupted run. Fresh manifests are written (adopted spans
+/// re-journaled first), so a second crash recovers too.
 ///
 /// # Panics
-/// Panics if the recovered venue's geometry (shard count, round span)
+/// Panics if a recovered venue's geometry (shard count, round span)
 /// disagrees with `cfg`, or on a degenerate configuration.
-pub fn resume_collector<S, F>(
-    cfg: &CollectorConfig,
-    make: F,
-    venue: RangedVenue,
-    recovery: &RecoveryReport,
-) -> CollectorReport
-where
-    S: Scenario,
-    F: Fn(usize) -> StreamSetup<S> + Sync,
-{
-    run_collector_inner(cfg, make, Some((venue, recovery)))
-}
-
 fn run_collector_inner<S, F>(
     cfg: &CollectorConfig,
     make: F,
@@ -1420,11 +1407,10 @@ mod tests {
 
         let (venue, recovery) = RangedVenue::recover_from_spill(&spill).unwrap();
         assert!(recovery.spans_recovered() > 0, "nothing was recovered");
-        let resumed = resume_collector(
+        let resumed = run_collector_inner(
             &clean_cfg,
             |stream| scalar_stream_setup(&pool, clean_cfg.rounds, clean_cfg.seed, stream),
-            venue,
-            &recovery,
+            Some((venue, &recovery)),
         );
         let reference = run_collector(
             &CollectorConfig {

@@ -124,14 +124,6 @@ where
         })
     }
 
-    /// The follower's best response to an arbitrary leader commitment: the
-    /// most damaging surviving position, i.e. `x_c` itself (any
-    /// `x_a > x_c` is trimmed and earns zero).
-    #[must_use]
-    pub fn best_response(&self, x_c: f64) -> f64 {
-        x_c.clamp(self.space.x_l, self.space.x_r)
-    }
-
     /// The leader's loss `damage + overhead` at commitment `x` (clamped
     /// into the strategy space) — the curve [`StackelbergSolver::solve`]
     /// minimizes, exposed for finite-support comparisons.
@@ -209,14 +201,6 @@ mod tests {
                 "beaten at x={x}"
             );
         }
-    }
-
-    #[test]
-    fn best_response_clamps_to_space() {
-        let solver = StackelbergSolver::new(space(), |x| x, |x| 1.0 - x);
-        assert_eq!(solver.best_response(0.5), 0.85);
-        assert_eq!(solver.best_response(1.5), 1.0);
-        assert_eq!(solver.best_response(0.9), 0.9);
     }
 
     #[test]

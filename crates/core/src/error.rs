@@ -14,9 +14,6 @@ pub enum CoreError {
         /// The offending value.
         value: f64,
     },
-    /// The balance point `P(x_L) = T(x_L)` could not be bracketed on the
-    /// supplied domain.
-    BalancePointNotBracketed,
     /// Best-response iteration failed to converge.
     NoConvergence {
         /// Iterations performed.
@@ -32,12 +29,6 @@ impl fmt::Display for CoreError {
                 constraint,
                 value,
             } => write!(f, "invalid parameter {name}={value}: requires {constraint}"),
-            CoreError::BalancePointNotBracketed => {
-                write!(
-                    f,
-                    "poison-loss and trimming-overhead curves do not cross on the domain"
-                )
-            }
             CoreError::NoConvergence { iterations } => {
                 write!(
                     f,
@@ -73,9 +64,6 @@ mod tests {
             value: 2.0,
         };
         assert!(e.to_string().contains("k=2"));
-        assert!(CoreError::BalancePointNotBracketed
-            .to_string()
-            .contains("cross"));
         assert!(CoreError::NoConvergence { iterations: 5 }
             .to_string()
             .contains('5'));

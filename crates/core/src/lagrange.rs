@@ -14,7 +14,6 @@
 //!   [`oscillation_metrics`] detrends `u_a − u_c` and measures zero-
 //!   crossing regularity against the closed-form period.
 
-use trimgame_numerics::lagrangian::CoupledOscillatorLagrangian;
 use trimgame_numerics::ode::Trajectory;
 
 /// Cumulative utility trajectories of both parties over rounds.
@@ -176,17 +175,10 @@ pub fn oscillation_metrics(relative: &[f64]) -> OscillationMetrics {
     }
 }
 
-/// The closed-form oscillator for Elastic games with interaction `k` and
-/// unit inertial factors — used to predict the Theorem 4 period
-/// `2π/√(2k)` that [`oscillation_metrics`] should detect.
-#[must_use]
-pub fn elastic_oscillator_lagrangian(k: f64) -> CoupledOscillatorLagrangian {
-    CoupledOscillatorLagrangian::new(1.0, 1.0, k)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use trimgame_numerics::lagrangian::CoupledOscillatorLagrangian;
     use trimgame_numerics::ode::rk4_integrate;
     use trimgame_numerics::variational::max_residual;
     use trimgame_numerics::FreeLagrangian;
@@ -234,7 +226,7 @@ mod tests {
         // Integrate the Elastic oscillator and check the measured
         // half-period against 2π/√(2k) / 2.
         let k = 0.5;
-        let lag = elastic_oscillator_lagrangian(k);
+        let lag = CoupledOscillatorLagrangian::new(1.0, 1.0, k);
         let h = 0.1;
         let traj = rk4_integrate(&lag, 0.0, &[1.0, -1.0], &[0.0, 0.0], h, 2_000);
         let relative: Vec<f64> = traj.q.iter().map(|q| q[0] - q[1]).collect();

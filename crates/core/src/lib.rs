@@ -7,7 +7,6 @@
 //!
 //! | Paper | Module |
 //! |---|---|
-//! | §III-B payoffs, balance point `x_L` | [`payoff`] |
 //! | §III-C strategy space `[x_L, x_R]`, mixed strategies | [`space`] |
 //! | §III-D Table I ultimatum game | [`matrix`] |
 //! | §IV analytical model, Theorems 1–2 | [`lagrange`] |
@@ -28,12 +27,10 @@ pub mod lagrange;
 pub mod ldp_sim;
 pub mod matrix;
 pub mod ml_sim;
-pub mod payoff;
 pub mod simulation;
 pub mod space;
 pub mod strategy;
 pub mod titfortat;
-pub mod variants;
 
 pub use adversary::{AdaptiveAttacker, AdversaryPolicy, AttackPolicy};
 pub use elastic::{CoupledDynamics, ElasticThreshold};
@@ -43,9 +40,7 @@ pub use engine::{
 pub use equilibrium::StackelbergSolver;
 pub use error::CoreError;
 pub use matrix::{MatrixGame, MixedEquilibrium, Move, PayoffMatrix, UltimatumPayoffs};
-pub use payoff::BalancePoint;
 pub use simulation::{GameConfig, GameResult, Scheme};
 pub use space::{MixedPoint, MixedSupport, StrategySpace};
 pub use strategy::{DefenderPolicy, RandomizedDefender, ThresholdPolicy};
 pub use titfortat::{compliance_margin, TitForTat};
-pub use variants::{GenerousTitForTat, TitForTwoTats, TriggerVariant};

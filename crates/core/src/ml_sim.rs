@@ -593,18 +593,6 @@ pub fn collect_poisoned_with_scratch(
     )
 }
 
-/// The sorted clean anomaly-score distribution of `data`: each row's
-/// distance to its nearest [`kmeans_truth`] centroid. This is the
-/// reference quantile table [`MlScenario`] resolves threshold and
-/// injection percentiles against — exposed so the equilibrium estimator's
-/// closed-form benchmark can share the exact same primitives. (One
-/// [`MlModel::fit`] provides both pieces when the centroids are needed
-/// too.)
-#[must_use]
-pub fn clean_score_distribution(data: &Dataset) -> Vec<f64> {
-    MlModel::fit(data).clean_scores
-}
-
 /// Ground-truth centroids for the Figs. 4/5 "Distance" metric: the
 /// k-means clustering of the *clean, unpoisoned* dataset (the paper's
 /// `Groundtruth` scheme — "the discrepancy between the actual centroid of

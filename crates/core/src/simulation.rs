@@ -1056,4 +1056,32 @@ mod tests {
             assert_eq!(inj, 0.99);
         }
     }
+
+    #[test]
+    fn scalar_round_benign_draws_match_round_stream() {
+        // The engine's scalar round and Table III's `RoundStream` must
+        // draw the same benign batch from the same seed. The pool is a
+        // permutation of 10,000 distinct values, so a draw from the
+        // sorted table or at a shifted index would show.
+        let pool: Vec<f64> = (0..10_000).map(|i| ((i * 7919) % 10_000) as f64).collect();
+        let mut sorted = pool.clone();
+        sorted.sort_by(f64::total_cmp);
+        for batch in [1, 16, 1000] {
+            let cfg = GameConfig {
+                batch,
+                ..GameConfig::new(Scheme::BaselineStatic)
+            };
+            let params = ScalarParams::new(&sorted, &cfg);
+            let mut bufs = ScalarBufs::default();
+            for seed in 1..=50 {
+                let mut rng = seeded_rng(seed);
+                scalar_round(
+                    &pool, &sorted, None, &params, &mut bufs, 0.9, 0.95, &mut rng,
+                );
+                let expected =
+                    RoundStream::new(pool.clone(), batch).next_round(&mut seeded_rng(seed));
+                assert!(bufs.benign == expected, "seed {seed}, batch {batch}");
+            }
+        }
+    }
 }

@@ -76,48 +76,6 @@ impl StrategySpace {
         Ok(MixedPoint { p_l, position: x })
     }
 
-    /// Reduces an arbitrary poison distribution (values + weights) on the
-    /// space to its single mixed-strategy point: the weighted mean, which
-    /// by linearity carries the same expected payoff (Fig. 1b).
-    ///
-    /// # Errors
-    /// Returns [`CoreError::InvalidParameter`] if any value leaves the
-    /// space, weights are non-positive, or the inputs are empty/ragged.
-    pub fn reduce_distribution(
-        &self,
-        values: &[f64],
-        weights: &[f64],
-    ) -> Result<MixedPoint, CoreError> {
-        if values.is_empty() || values.len() != weights.len() {
-            return Err(CoreError::InvalidParameter {
-                name: "values",
-                constraint: "non-empty and matching weights",
-                value: values.len() as f64,
-            });
-        }
-        let mut total_w = 0.0;
-        let mut acc = 0.0;
-        for (&v, &w) in values.iter().zip(weights) {
-            if !self.contains(v) {
-                return Err(CoreError::InvalidParameter {
-                    name: "value",
-                    constraint: "inside [x_L, x_R]",
-                    value: v,
-                });
-            }
-            if w <= 0.0 {
-                return Err(CoreError::InvalidParameter {
-                    name: "weight",
-                    constraint: "positive",
-                    value: w,
-                });
-            }
-            total_w += w;
-            acc += w * v;
-        }
-        self.decompose(acc / total_w)
-    }
-
     /// The pure position equivalent to playing `x_L` with probability
     /// `p_l`.
     ///
@@ -213,14 +171,6 @@ impl MixedSupport {
         })
     }
 
-    /// A degenerate support: one atom with all the mass.
-    ///
-    /// # Errors
-    /// Returns [`CoreError::InvalidParameter`] if the atom is non-finite.
-    pub fn singleton(atom: f64) -> Result<Self, CoreError> {
-        Self::new(&[atom], &[1.0])
-    }
-
     /// The support atoms.
     #[must_use]
     pub fn atoms(&self) -> &[f64] {
@@ -246,7 +196,7 @@ impl MixedSupport {
     }
 
     /// The mean position `Σ wᵢ·atomᵢ` — the equivalent pure strategy under
-    /// the linear-payoff reduction of [`StrategySpace::reduce_distribution`].
+    /// the linear-payoff reduction of Section III-C.
     #[must_use]
     pub fn mean(&self) -> f64 {
         self.atoms
@@ -488,27 +438,6 @@ mod tests {
     }
 
     #[test]
-    fn distribution_reduces_to_weighted_mean() {
-        let s = space();
-        // 50/50 at the endpoints -> midpoint.
-        let m = s.reduce_distribution(&[0.9, 0.99], &[1.0, 1.0]).unwrap();
-        assert!((m.position - 0.945).abs() < 1e-12);
-        assert!((m.p_l - 0.5).abs() < 1e-12);
-        // Weighted toward the hard end.
-        let m = s.reduce_distribution(&[0.9, 0.99], &[1.0, 3.0]).unwrap();
-        assert!(m.position > 0.945);
-    }
-
-    #[test]
-    fn distribution_validation() {
-        let s = space();
-        assert!(s.reduce_distribution(&[], &[]).is_err());
-        assert!(s.reduce_distribution(&[0.95], &[1.0, 2.0]).is_err());
-        assert!(s.reduce_distribution(&[0.5], &[1.0]).is_err());
-        assert!(s.reduce_distribution(&[0.95], &[0.0]).is_err());
-    }
-
-    #[test]
     fn contains_and_width() {
         let s = space();
         assert!(s.contains(0.95));
@@ -552,7 +481,7 @@ mod tests {
 
     #[test]
     fn singleton_sampling_consumes_no_randomness() {
-        let s = MixedSupport::singleton(0.92).unwrap();
+        let s = MixedSupport::new(&[0.92], &[1.0]).unwrap();
         let mut rng = seeded_rng(7);
         let before: u64 = rng.gen();
         let mut rng_a = seeded_rng(7);

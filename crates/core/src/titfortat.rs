@@ -61,13 +61,6 @@ pub fn adversary_complies(delta: f64, d: f64, p: f64, g_ac: f64) -> bool {
     delta < compliance_margin(d, p, g_ac)
 }
 
-/// The symmetric cooperation gain `g_ac = (g_a + g_c) / 2` from the
-/// roundwise gains of both parties.
-#[must_use]
-pub fn symmetric_gain(g_a: f64, g_c: f64) -> f64 {
-    0.5 * (g_a + g_c)
-}
-
 /// Algorithm 1 as a stateful threshold policy.
 ///
 /// Until triggered, trim at the soft threshold; once
@@ -144,20 +137,6 @@ impl TitForTat {
     }
 }
 
-/// Probability that a cooperative game survives `rounds` rounds when each
-/// round independently false-triggers with probability `q` — the
-/// quantitative form of "the probability of termination keeps increasing
-/// and will ultimately converge to 1 in the long run" (Section V-B), the
-/// motivation for Elastic.
-///
-/// # Panics
-/// Panics unless `0 <= q <= 1`.
-#[must_use]
-pub fn survival_probability(q: f64, rounds: usize) -> f64 {
-    assert!((0.0..=1.0).contains(&q), "q={q} must be a probability");
-    (1.0 - q).powi(rounds as i32)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -213,11 +192,6 @@ mod tests {
     }
 
     #[test]
-    fn symmetric_gain_is_average() {
-        assert_eq!(symmetric_gain(3.0, 1.0), 2.0);
-    }
-
-    #[test]
     fn algorithm1_triggers_once_and_stays() {
         let mut tft = TitForTat::new(0.91, 0.87, 0.95, 0.05).unwrap();
         assert_eq!(tft.threshold(), 0.91);
@@ -252,17 +226,6 @@ mod tests {
         assert!(TitForTat::new(0.87, 0.91, 1.0, 0.0).is_err()); // hard > soft
         assert!(TitForTat::new(0.91, 0.87, 1.0, -0.1).is_err()); // negative red
         assert!(TitForTat::new(1.2, 0.9, 1.0, 0.0).is_err()); // out of range
-    }
-
-    #[test]
-    fn survival_probability_decays_to_zero() {
-        let q = 0.05;
-        let s10 = survival_probability(q, 10);
-        let s100 = survival_probability(q, 100);
-        let s1000 = survival_probability(q, 1000);
-        assert!(s10 > s100 && s100 > s1000);
-        assert!(s1000 < 1e-20);
-        assert_eq!(survival_probability(0.0, 1000), 1.0);
     }
 
     #[test]

@@ -17,10 +17,10 @@
 //! * [`stream`] — per-round batch streams for the online collection game.
 //! * [`poison`] — poison-value injectors (single point, range, mixed
 //!   strategy) operating in percentile space, as in Section VI-A.
-//! * [`percentile`] — per-feature and distance-based percentile helpers.
+//! * [`percentile`] — the centroid-distance projection that turns a
+//!   multi-dimensional dataset into the scalar stream the game trims.
 
 pub mod dataset;
-pub mod loader;
 pub mod percentile;
 pub mod poison;
 pub mod shapes;
@@ -28,7 +28,6 @@ pub mod stream;
 pub mod synthetic;
 
 pub use dataset::{Dataset, DatasetInfo};
-pub use loader::{load_csv, read_csv, CsvOptions, LoadError};
 pub use poison::{InjectionPosition, PoisonBatch, PoisonSpec};
 pub use shapes::{control, creditcard, letter, taxi, vehicle, Shape};
 pub use stream::RoundStream;

@@ -1,31 +1,12 @@
-//! Percentile helpers over datasets.
+//! Distance projection of datasets for percentile trimming.
 //!
 //! The multi-dimensional experiments (k-means, SVM, SOM) use *distance-based*
 //! trimming: each point's distance to the data centroid is the scalar the
 //! percentile game is played on (the classic distance-based sanitization of
-//! Kloft & Laskov cited in the paper's introduction). These helpers project
-//! datasets to those scalars.
+//! Kloft & Laskov cited in the paper's introduction). [`centroid_distances`]
+//! projects a dataset to those scalars.
 
 use crate::dataset::Dataset;
-use trimgame_numerics::quantile::{percentile, Interpolation};
-
-/// Value at percentile `p` of feature `j`.
-///
-/// # Panics
-/// Panics if the dataset is empty, `j` is out of range, or `p ∉ [0,1]`.
-#[must_use]
-pub fn feature_percentile(d: &Dataset, j: usize, p: f64) -> f64 {
-    percentile(&d.column(j), p, Interpolation::Linear)
-}
-
-/// Value at percentile `p` of the distance-to-`center` distribution.
-///
-/// # Panics
-/// Panics if the dataset is empty or dimensions mismatch.
-#[must_use]
-pub fn distance_percentile(d: &Dataset, center: &[f64], p: f64) -> f64 {
-    percentile(&d.distances_to(center), p, Interpolation::Linear)
-}
 
 /// Distances of every row to the dataset's own centroid — the scalar stream
 /// the trimming game operates on for multi-dimensional data.
@@ -46,20 +27,6 @@ mod tests {
             None,
             1,
         )
-    }
-
-    #[test]
-    fn feature_percentile_median() {
-        assert_eq!(feature_percentile(&toy(), 0, 0.5), 4.0);
-        assert_eq!(feature_percentile(&toy(), 1, 0.5), 0.0);
-    }
-
-    #[test]
-    fn distance_percentile_from_origin() {
-        let d = toy();
-        // Distances from origin along x: 0, 2, 4, 6, 8.
-        assert_eq!(distance_percentile(&d, &[0.0, 0.0], 1.0), 8.0);
-        assert_eq!(distance_percentile(&d, &[0.0, 0.0], 0.5), 4.0);
     }
 
     #[test]

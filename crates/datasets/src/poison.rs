@@ -112,15 +112,6 @@ impl PoisonBatch {
     pub fn poison_count(&self) -> usize {
         self.is_poison.iter().filter(|&&b| b).count()
     }
-
-    /// Fraction of the batch that is poison.
-    #[must_use]
-    pub fn poison_fraction(&self) -> f64 {
-        if self.values.is_empty() {
-            return 0.0;
-        }
-        self.poison_count() as f64 / self.values.len() as f64
-    }
 }
 
 impl PoisonSpec {
@@ -261,16 +252,6 @@ mod tests {
         let batch = spec.inject(&benign(), &mut rng);
         assert_eq!(batch.poison_count(), 0);
         assert_eq!(batch.values.len(), 1000);
-        assert_eq!(batch.poison_fraction(), 0.0);
-    }
-
-    #[test]
-    fn poison_fraction_accounts_for_combined_size() {
-        let mut rng = seeded_rng(6);
-        let spec = PoisonSpec::new(0.25, InjectionPosition::Percentile(0.5));
-        let batch = spec.inject(&benign(), &mut rng);
-        // 250 poison over 1250 total = 0.2.
-        assert!((batch.poison_fraction() - 0.2).abs() < 1e-9);
     }
 
     #[test]

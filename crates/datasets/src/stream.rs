@@ -34,12 +34,6 @@ impl RoundStream {
         }
     }
 
-    /// Batch size per round.
-    #[must_use]
-    pub fn batch_size(&self) -> usize {
-        self.batch
-    }
-
     /// Number of rounds emitted so far.
     #[must_use]
     pub fn rounds_emitted(&self) -> usize {

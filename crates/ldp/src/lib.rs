@@ -19,12 +19,10 @@
 //!   follow the protocol — fully deniable, the strong evasion of Fig. 9).
 //! * [`emf`] — the EM filter baseline: a mixture model over discretized
 //!   outputs separating honest mass from attack mass.
-//! * [`eval`] — MSE evaluation harnesses.
 
 pub mod attack;
 pub mod duchi;
 pub mod emf;
-pub mod eval;
 pub mod laplace;
 pub mod mechanism;
 pub mod piecewise;

@@ -80,14 +80,6 @@ impl ConfusionMatrix {
         self.ppv(p).map(|v| 1.0 - v)
     }
 
-    /// Recall (true positive rate) of actual class `a`. `None` if class `a`
-    /// never occurs.
-    #[must_use]
-    pub fn recall(&self, a: usize) -> Option<f64> {
-        let row: u64 = (0..self.classes).map(|p| self.count(a, p)).sum();
-        (row > 0).then(|| self.count(a, a) as f64 / row as f64)
-    }
-
     /// Per-predicted-class PPV row, with `NaN` for empty columns — the
     /// shape of the Fig. 6(a) bottom strip.
     #[must_use]
@@ -143,7 +135,6 @@ mod tests {
         for c in 0..3 {
             assert_eq!(cm.ppv(c), Some(1.0));
             assert_eq!(cm.fdr(c), Some(0.0));
-            assert_eq!(cm.recall(c), Some(1.0));
         }
     }
 
@@ -159,7 +150,6 @@ mod tests {
         assert!((cm.accuracy() - 4.0 / 6.0).abs() < 1e-12);
         assert!((cm.ppv(0).unwrap() - 2.0 / 3.0).abs() < 1e-12);
         assert!((cm.fdr(0).unwrap() - 1.0 / 3.0).abs() < 1e-12);
-        assert!((cm.recall(1).unwrap() - 2.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]

@@ -13,8 +13,9 @@
 //!   percentiles").
 //! * [`sketch`] — the P² streaming quantile estimator, so thresholds can be
 //!   maintained over unbounded streams without buffering rounds.
-//! * [`rootfind`] — bisection and Brent's method (used to solve the balance
-//!   point `P(x_L) = T(x_L)` of Section III-B).
+//! * [`gk`] — the Greenwald–Khanna summary, which answers any quantile of
+//!   a stream on demand (the collector's moving threshold).
+//! * [`simd`] — the mask-compact filter kernels of the per-round trim.
 //! * [`ode`] — a fixed-step RK4 integrator for second-order systems.
 //! * [`lagrangian`] — Lagrangian trait and the two system Lagrangians of the
 //!   paper (free / equilibrium, Theorem 2; coupled oscillator, Definition 2).
@@ -31,7 +32,6 @@ pub mod ode;
 pub mod oscillator;
 pub mod quantile;
 pub mod rand_ext;
-pub mod rootfind;
 pub mod simd;
 pub mod sketch;
 pub mod stats;
@@ -43,6 +43,5 @@ pub use ode::{rk4_integrate, rk4_step, SecondOrderSystem, Trajectory};
 pub use oscillator::CoupledOscillator;
 pub use quantile::{percentile, percentile_of, Interpolation};
 pub use rand_ext::{derive_seed, laplace, seeded_rng, standard_normal, NormalSampler};
-pub use rootfind::{bisect, brent, RootError};
 pub use sketch::P2Quantile;
 pub use stats::{mean, mse, sse, variance, OnlineStats};

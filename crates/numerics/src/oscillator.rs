@@ -97,17 +97,6 @@ impl CoupledOscillator {
         }
     }
 
-    /// Relative velocity `ẇ(r)`.
-    #[must_use]
-    pub fn relative_velocity(&self, r: f64) -> f64 {
-        let omega = self.omega();
-        if omega == 0.0 {
-            self.wdot0
-        } else {
-            -self.w0 * omega * (omega * r).sin() + self.wdot0 * (omega * r).cos()
-        }
-    }
-
     /// Positions `(u_a, u_c)` at round `r`.
     #[must_use]
     pub fn position(&self, r: f64) -> (f64, f64) {
@@ -115,17 +104,6 @@ impl CoupledOscillator {
         let w = self.relative(r);
         let total = self.ma + self.mc;
         (x + self.mc / total * w, x - self.ma / total * w)
-    }
-
-    /// Velocities `(u̇_a, u̇_c)` at round `r`.
-    #[must_use]
-    pub fn velocity(&self, r: f64) -> (f64, f64) {
-        let wd = self.relative_velocity(r);
-        let total = self.ma + self.mc;
-        (
-            self.v0 + self.mc / total * wd,
-            self.v0 - self.ma / total * wd,
-        )
     }
 }
 
@@ -141,9 +119,6 @@ mod tests {
         let (ua, uc) = osc.position(0.0);
         assert!((ua - 0.7).abs() < 1e-12);
         assert!((uc + 0.2).abs() < 1e-12);
-        let (va, vc) = osc.velocity(0.0);
-        assert!((va - 0.1).abs() < 1e-12);
-        assert!((vc - 0.4).abs() < 1e-12);
     }
 
     #[test]

@@ -89,13 +89,6 @@ impl NormalSampler {
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         self.mean + self.sd * standard_normal(rng)
     }
-
-    /// Fills `out` with independent samples.
-    pub fn sample_into<R: Rng + ?Sized>(&self, rng: &mut R, out: &mut [f64]) {
-        for x in out {
-            *x = self.sample(rng);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -168,14 +161,5 @@ mod tests {
     fn laplace_rejects_bad_scale() {
         let mut rng = seeded_rng(0);
         let _ = laplace(&mut rng, 0.0, 0.0);
-    }
-
-    #[test]
-    fn sample_into_fills_buffer() {
-        let mut rng = seeded_rng(3);
-        let sampler = NormalSampler::new(0.0, 1.0);
-        let mut buf = [0.0_f64; 64];
-        sampler.sample_into(&mut rng, &mut buf);
-        assert!(buf.iter().any(|&x| x != 0.0));
     }
 }

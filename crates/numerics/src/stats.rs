@@ -26,18 +26,6 @@ pub fn variance(xs: &[f64]) -> f64 {
     xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / xs.len() as f64
 }
 
-/// Sample standard deviation (dividing by `n - 1`). Returns `0.0` for fewer
-/// than two elements.
-#[must_use]
-pub fn std_dev(xs: &[f64]) -> f64 {
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(xs);
-    let ss = xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>();
-    (ss / (xs.len() - 1) as f64).sqrt()
-}
-
 /// Sum of squared errors between observations and predictions,
 /// `SSE = Σ (y_i − ŷ_i)²` (the Fig. 4/5 y-axis metric).
 ///
@@ -369,14 +357,6 @@ mod tests {
         // Population variance of [2, 4, 4, 4, 5, 5, 7, 9] is 4.
         let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
         assert!((variance(&xs) - 4.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn std_dev_matches_variance() {
-        let xs = [1.0, 2.0, 3.0, 4.0];
-        let m = mean(&xs);
-        let ss: f64 = xs.iter().map(|x| (x - m) * (x - m)).sum();
-        assert!((std_dev(&xs) - (ss / 3.0).sqrt()).abs() < 1e-12);
     }
 
     #[test]

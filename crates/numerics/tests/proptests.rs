@@ -7,7 +7,6 @@ use trimgame_numerics::rand_ext::{derive_seed, laplace, seeded_rng, NormalSample
 use trimgame_numerics::simd;
 use trimgame_numerics::sketch::P2Quantile;
 use trimgame_numerics::stats::{mean, mse, sse, variance, OnlineStats};
-use trimgame_numerics::{bisect, brent};
 
 fn finite_vec(max_len: usize) -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(-1e6_f64..1e6_f64, 1..max_len)
@@ -180,18 +179,6 @@ proptest! {
         if s1 != s2 {
             prop_assert_ne!(derive_seed(master, s1), derive_seed(master, s2));
         }
-    }
-
-    #[test]
-    fn brent_and_bisect_agree_on_linear_roots(a in 0.1_f64..10.0, b in -5.0_f64..5.0) {
-        // f(x) = a x + b has root -b/a; bracket it generously.
-        let root = -b / a;
-        let lo = root - 10.0;
-        let hi = root + 10.0;
-        let rb = brent(|x| a * x + b, lo, hi, 1e-12).unwrap();
-        let rr = bisect(|x| a * x + b, lo, hi, 1e-10).unwrap();
-        prop_assert!((rb - root).abs() < 1e-8);
-        prop_assert!((rr - root).abs() < 1e-6);
     }
 
     #[test]
